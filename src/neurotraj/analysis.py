@@ -17,7 +17,6 @@ from .errors import (
     DegenerateBandwidthError,
     UndefinedCorrelationError,
 )
-from .objectives import ObjectiveVector
 from .trajectory import TrajectorySequence
 
 logger = logging.getLogger(__name__)
@@ -148,16 +147,6 @@ def classify_validity(predicted_test: Sequence[TrajectorySequence]) -> ValidityR
     )
 
 
-def _as_value_tuples(front) -> list[tuple[float, ...]]:
-    out = []
-    for entry in front:
-        if isinstance(entry, ObjectiveVector):
-            out.append(entry.values)
-        else:
-            out.append(tuple(float(v) for v in entry))
-    return out
-
-
 def _hv_2d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
     hv = 0.0
     best_f2 = ref[1]
@@ -185,7 +174,7 @@ def _hv_3d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
     return hv
 
 
-def hypervolume(front: Sequence, ref: Sequence[float]) -> float:
+def hypervolume(front: Sequence[Sequence[float]], ref: Sequence[float]) -> float:
     """Exact Lebesgue measure of the space dominated by `front` and bounded
     by `ref` (minimization). Points not componentwise <= ref are dropped
     with a logged warning."""
@@ -193,7 +182,7 @@ def hypervolume(front: Sequence, ref: Sequence[float]) -> float:
     m = len(ref_t)
     if m not in (2, 3):
         raise ConfigurationError(f"hypervolume supports 2 or 3 objectives, got {m}")
-    points = _as_value_tuples(front)
+    points = [tuple(float(v) for v in p) for p in front]
     for p in points:
         if len(p) != m:
             raise ContractError(f"front point of dimension {len(p)}, reference of {m}")

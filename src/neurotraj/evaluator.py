@@ -4,8 +4,11 @@ Each genome gets three latent skills derived from hashed per-allele
 weights over disjoint locus subsets. Skills control how faithfully the
 surrogate reproduces ground-truth targets: lateral offset noise (accuracy),
 per-step heading jitter (smoothness) and a longitudinal speed rescale
-(speed). Every noise stream is seeded from (quality seed, genome, pair id)
-so results never depend on evaluation order.
+(speed). Every noise stream is seeded from (quality seed, genome, split
+role, pair id) so results never depend on evaluation order.
+
+The search scores the validation split only. The test split is predicted
+with `predict_split(..., role="test")` once per final-front model.
 """
 
 from __future__ import annotations
@@ -18,17 +21,16 @@ from random import Random
 from typing import Sequence
 
 from .errors import ConfigurationError, ContractError
-from .genome import Genome
+from .genome import Genome, default_allele_table
 from .objectives import ObjectiveId, ObjectiveVector, assemble, rmse
 from .trajectory import (
     Dataset,
+    Pair,
     TrajectoryPoint,
     TrajectorySequence,
     V_MAX_MPS,
     V_MIN_MPS,
 )
-
-_TWO_PI = 2.0 * math.pi
 
 # 1-based locus subsets feeding each skill. Locus 3 (Momentum) belongs to
 # no subset: it is carried and logged but inert.
@@ -43,7 +45,6 @@ _SKILL_INTERACTIONS = {
     "smooth": (6, 8),
     "speed": (9, 12),
 }
-_LOCUS_COUNTS = (4, 5, 4, 2, 7, 4, 6, 7, 4, 4, 4, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,11 @@ class SurrogateConfig:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    objectives: ObjectiveVector       # computed on the validation split
-    test_objectives: ObjectiveVector  # computed on the test split
-    predicted_test: tuple[TrajectorySequence, ...]
+    objectives: ObjectiveVector  # computed on the validation split
     skills: tuple[float, float, float]
-    # Plain RMSE on both splits regardless of the objective subset; the
-    # experiment summaries need these even when RMSE is not searched on.
+    # Plain validation RMSE regardless of the objective subset; the
+    # experiment summaries need it even when RMSE is not searched on.
     rmse_validation: float = 0.0
-    rmse_test: float = 0.0
 
 
 def _unit_weight(quality_seed: int, locus: int, allele: int, name: str) -> float:
@@ -99,13 +97,13 @@ def _unit_weight(quality_seed: int, locus: int, allele: int, name: str) -> float
 def _weight_table(quality_seed: int) -> dict[str, tuple[tuple[float, ...], ...]]:
     """Per skill: weights[locus_0based][allele] for that skill's loci (zeros elsewhere)."""
     table: dict[str, tuple[tuple[float, ...], ...]] = {}
+    counts = default_allele_table().counts
     for name, loci in _SKILL_LOCI.items():
         per_locus = []
-        for locus_1b in range(1, len(_LOCUS_COUNTS) + 1):
+        for locus_1b, count in enumerate(counts, start=1):
             if locus_1b in loci:
                 per_locus.append(tuple(
-                    _unit_weight(quality_seed, locus_1b, a, name)
-                    for a in range(_LOCUS_COUNTS[locus_1b - 1])
+                    _unit_weight(quality_seed, locus_1b, a, name) for a in range(count)
                 ))
             else:
                 per_locus.append(())
@@ -169,7 +167,7 @@ def predict_sequence(
 
     pts = target.points
     n = len(pts)
-    phase = rng.uniform(0.0, _TWO_PI)
+    phase = rng.uniform(0.0, math.tau)
     cycles = rng.uniform(0.5, 1.5)
 
     ys = [pts[0].y]
@@ -185,7 +183,7 @@ def predict_sequence(
     for i in range(n):
         # Smooth low-frequency lateral offset (accuracy) plus independent
         # per-step heading wiggle (smoothness).
-        off = amp_lat * math.sin(_TWO_PI * cycles * i / (n - 1) + phase) if n > 1 else 0.0
+        off = amp_lat * math.sin(math.tau * cycles * i / (n - 1) + phase) if n > 1 else 0.0
         if i > 0:
             off += math.tan(amp_jit * rng.uniform(-1.0, 1.0)) * steps[i - 1]
         out.append(TrajectoryPoint(pts[i].x + off, ys[i], pts[i].t))
@@ -197,7 +195,9 @@ def _pair_seed(quality_seed: int, genome: Genome, role: str, index: int) -> int:
     return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "big")
 
 
-def _predict_split(genome, skills, cfg, pairs, role) -> list[TrajectorySequence]:
+def predict_split(genome: Genome, skills: tuple[float, float, float], cfg: SurrogateConfig,
+                  pairs: Sequence[Pair], role: str) -> list[TrajectorySequence]:
+    """Predict every target of a split; `role` ("val" or "test") keys the noise streams."""
     return [
         predict_sequence(target, skills, cfg, Random(_pair_seed(cfg.quality_seed, genome, role, i)))
         for i, (_, target) in enumerate(pairs)
@@ -210,21 +210,14 @@ def evaluate(
     ids: Sequence[ObjectiveId],
     cfg: SurrogateConfig,
 ) -> EvaluationResult:
-    """Evaluate a genome on the validation split (search) and test split (analysis)."""
-    if not data.validation or not data.test:
-        raise ContractError("validation and test splits must be non-empty")
+    """Evaluate a genome on the validation split, the only split the search reads."""
+    if not data.validation:
+        raise ContractError("validation split must be non-empty")
     skills = skill_scores(genome, cfg)
-
-    predicted_val = _predict_split(genome, skills, cfg, data.validation, "val")
-    predicted_test = _predict_split(genome, skills, cfg, data.test, "test")
-    actual_val = [target for _, target in data.validation]
-    actual_test = [target for _, target in data.test]
-
+    predicted = predict_split(genome, skills, cfg, data.validation, "val")
+    actual = [target for _, target in data.validation]
     return EvaluationResult(
-        objectives=assemble(ids, predicted_val, actual_val),
-        test_objectives=assemble(ids, predicted_test, actual_test),
-        predicted_test=tuple(predicted_test),
+        objectives=assemble(ids, predicted, actual),
         skills=skills,
-        rmse_validation=rmse(predicted_val, actual_val),
-        rmse_test=rmse(predicted_test, actual_test),
+        rmse_validation=rmse(predicted, actual),
     )

@@ -23,10 +23,10 @@ from typing import Sequence
 from . import moead as moead_mod
 from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
-from .errors import ConfigurationError, MalformedRecordsError
-from .evaluator import SurrogateConfig, evaluate
-from .genome import GeneticOperators, Genome, default_allele_table
-from .objectives import ObjectiveId
+from .errors import ConfigurationError, ContractError, MalformedRecordsError
+from .evaluator import SurrogateConfig, evaluate, predict_split
+from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
+from .objectives import ObjectiveId, rmse
 from .trajectory import Dataset, ScenarioConfig, generate_scenario, window_and_split
 
 
@@ -226,16 +226,20 @@ def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
     return doc
 
 
-def _front_entries(individuals: Sequence[nsga2_mod.Individual]) -> list[FrontEntry]:
+def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
+                   cfg: SurrogateConfig) -> list[FrontEntry]:
+    """Judge each final-front model on the test split, predicted once per model."""
+    actual_test = [target for _, target in data.test]
     entries = []
     for ind in individuals:
         ev = ind.evaluation
+        predicted_test = predict_split(ind.genome, ev.skills, cfg, data.test, "test")
         entries.append(FrontEntry(
             genome=ind.genome.indices,
             objectives=ind.objectives.values,
             rmse_validation=ev.rmse_validation,
-            rmse_test=ev.rmse_test,
-            validity=classify_validity(ev.predicted_test),
+            rmse_test=rmse(predicted_test, actual_test),
+            validity=classify_validity(predicted_test),
             skills=ev.skills,
         ))
     return entries
@@ -259,6 +263,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
             snapshots, final_front, initial_front = _run_nsga2(cfg, eval_fn, ops, rng)
         else:
             snapshots, final_front, initial_front = _run_moead(cfg, eval_fn, ops, rng)
+        entries = _front_entries(final_front, data, cfg.surrogate)
     except Exception as exc:  # noqa: BLE001 - a failed run must not abort siblings
         return RunRecord(run_index=run_index, run_seed=run_seed, snapshots=[],
                          final_front=[], initial_front_objectives=[],
@@ -268,7 +273,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
         run_index=run_index,
         run_seed=run_seed,
         snapshots=snapshots,
-        final_front=_front_entries(final_front),
+        final_front=entries,
         initial_front_objectives=[ind.objectives.values for ind in initial_front],
         wall_time_s=time.perf_counter() - start,
     )
@@ -350,7 +355,7 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
         csv_path = out_dir / f"final_front_{rec.run_index}.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            header = ([f"gene_{i + 1}" for i in range(13)] + tokens
+            header = ([f"gene_{i + 1}" for i in range(N_LOCI)] + tokens
                       + ["rmse_validation", "rmse_test", "valid", "spread_ok",
                          "symmetry_ok", "final_position_ok",
                          "max_abs_x", "mean_final_x", "mean_final_y",
@@ -382,6 +387,30 @@ def load_config(exp_dir: Path) -> ExperimentConfig:
         raise MalformedRecordsError(f"cannot load config from {exp_dir}: {exc}") from exc
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _check_snapshots(path: Path, snapshots: list, algorithm: str, m: int) -> None:
+    """Every member `analyze` reads (the NSGA-II population with ranks, the
+    MOEA/D archive) carries m finite objective values."""
+    key, needs_rank = ("population", True) if algorithm == "nsga2" else ("archive", False)
+    try:
+        for gen, snap in enumerate(snapshots, start=1):
+            for ind in snap[key]:
+                objectives = ind["objectives"]
+                if needs_rank and "rank" not in ind:
+                    raise MalformedRecordsError(f"{path}: generation {gen}: member without a rank")
+                if len(objectives) != m or not all(map(math.isfinite, objectives)):
+                    raise MalformedRecordsError(
+                        f"{path}: generation {gen}: member without {m} finite objectives")
+    except (KeyError, TypeError) as exc:
+        raise MalformedRecordsError(f"bad snapshots in {path}: {exc!r}") from exc
+
+
 def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
     """Reload persisted records; raises MalformedRecordsError on inconsistency."""
     exp_dir = Path(exp_dir)
@@ -399,12 +428,15 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
         if len(snapshots) != cfg.generations:
             raise MalformedRecordsError(
                 f"{jsonl_path}: {len(snapshots)} snapshots, expected {cfg.generations}")
+        _check_snapshots(jsonl_path, snapshots, cfg.algorithm, len(tokens))
         entries = []
         try:
             with open(csv_path, newline="", encoding="utf-8") as fh:
                 for row in csv.DictReader(fh):
-                    measured = (float(row["max_abs_x"]), float(row["mean_final_x"]),
-                                float(row["mean_final_y"]))
+                    genome = Genome(tuple(int(row[f"gene_{i + 1}"]) for i in range(N_LOCI)))
+                    default_allele_table().validate_genome(genome)
+                    measured = (_finite(row["max_abs_x"]), _finite(row["mean_final_x"]),
+                                _finite(row["mean_final_y"]))
                     validity = ValidityReport(
                         valid=row["valid"] == "1",
                         spread_ok=row["spread_ok"] == "1",
@@ -413,15 +445,15 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
                         measured=measured,
                     )
                     entries.append(FrontEntry(
-                        genome=tuple(int(row[f"gene_{i + 1}"]) for i in range(13)),
-                        objectives=tuple(float(row[t]) for t in tokens),
-                        rmse_validation=float(row["rmse_validation"]),
-                        rmse_test=float(row["rmse_test"]),
+                        genome=genome.indices,
+                        objectives=tuple(_finite(row[t]) for t in tokens),
+                        rmse_validation=_finite(row["rmse_validation"]),
+                        rmse_test=_finite(row["rmse_test"]),
                         validity=validity,
-                        skills=(float(row["skill_acc"]), float(row["skill_smooth"]),
-                                float(row["skill_speed"])),
+                        skills=(_finite(row["skill_acc"]), _finite(row["skill_smooth"]),
+                                _finite(row["skill_speed"])),
                     ))
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, ContractError) as exc:
             raise MalformedRecordsError(f"bad final front in {csv_path}: {exc}") from exc
         records.append(RunRecord(run_index=k, run_seed=cfg.base_seed + k,
                                  snapshots=snapshots, final_front=entries,

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .errors import ContractError
 
 N_LOCI = 13
 
-# Locus order and allele sets are fixed; counts per locus are
-# [4, 5, 4, 2, 7, 4, 6, 7, 4, 4, 4, 4, 5].
+# Locus order and allele sets are fixed.
 _TABLE_ROWS: tuple[tuple[str, tuple], ...] = (
     ("Batch Size", (50, 75, 100, 125)),
     ("Epochs", (10, 20, 30, 40, 50)),
@@ -47,7 +47,7 @@ class AlleleTable:
             if not name or len(alleles) < 2:
                 raise ContractError(f"locus {name!r} needs at least two alleles")
 
-    @property
+    @cached_property  # read once per genome check and per mutation
     def counts(self) -> tuple[int, ...]:
         return tuple(len(alleles) for _, alleles in self.loci)
 

@@ -4,7 +4,6 @@ replacement and an external archive of non-dominated solutions."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
@@ -23,10 +22,6 @@ class WeightLattice:
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    @property
-    def n_objectives(self) -> int:
-        return len(self.weights[0])
 
 
 def simplex_lattice(m: int, resolution: int) -> WeightLattice:

@@ -3,7 +3,7 @@ distance, size-3 tournaments and the merge-and-truncate generational step."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable
 
@@ -23,11 +23,6 @@ class Individual:
     evaluation: Any = None  # engine-agnostic payload (e.g. EvaluationResult)
 
 
-@dataclass
-class FrontSet:
-    fronts: list[list[Individual]] = field(default_factory=list)
-
-
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     """True iff a <= b componentwise with at least one strict improvement."""
     if a.ids != b.ids:
@@ -41,8 +36,9 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return better
 
 
-def nondominated_sort(pop: list[Individual]) -> FrontSet:
-    """Iterative front peeling; assigns each individual's rank."""
+def nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
+    """Iterative front peeling; assigns each individual's rank and returns
+    the fronts, best first."""
     if not pop:
         raise ContractError("population must be non-empty")
     n = len(pop)
@@ -73,7 +69,7 @@ def nondominated_sort(pop: list[Individual]) -> FrontSet:
         i += 1
         fronts.append(nxt)
     fronts.pop()
-    return FrontSet([[pop[i] for i in front] for front in fronts])
+    return [[pop[i] for i in front] for front in fronts]
 
 
 def crowding_distance(front: list[Individual]) -> None:
@@ -126,7 +122,7 @@ def init_population(size: int, evaluate_fn: EvaluateFn, ops: GeneticOperators, r
         g = random_genome(ops.table, rng)
         obj, payload = evaluate_fn(g)
         pop.append(Individual(genome=g, objectives=obj, evaluation=payload))
-    for front in nondominated_sort(pop).fronts:
+    for front in nondominated_sort(pop):
         crowding_distance(front)
     return pop
 
@@ -152,7 +148,7 @@ def nsga2_step(
 
     merged = pop + offspring
     next_pop: list[Individual] = []
-    for front in nondominated_sort(merged).fronts:
+    for front in nondominated_sort(merged):
         crowding_distance(front)
         if len(next_pop) + len(front) <= n:
             next_pop.extend(front)

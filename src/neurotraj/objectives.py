@@ -17,7 +17,6 @@ from .errors import ContractError, DegenerateTimestepError
 from .trajectory import TrajectoryPoint, TrajectorySequence, V_MAX_MPS, V_MIN_MPS
 
 SIGN_EPS = 1e-9
-_TWO_PI = 2.0 * math.pi
 
 
 class ObjectiveId(Enum):
@@ -84,9 +83,9 @@ def l1_distance_feedback(seq: TrajectorySequence, dest: TrajectoryPoint | None =
 
 def _wrap_angle(a: float) -> float:
     """Wrap into (-pi, pi]."""
-    a = math.fmod(a + math.pi, _TWO_PI)
+    a = math.fmod(a + math.pi, math.tau)
     if a < 0:
-        a += _TWO_PI
+        a += math.tau
     a -= math.pi
     if a == -math.pi:
         a = math.pi
@@ -105,20 +104,18 @@ def angular_velocity(p_prev: TrajectoryPoint, p: TrajectoryPoint, p_next: Trajec
     return _wrap_angle(h_out - h_in) / dt
 
 
-def l2_lateral_velocity(seq: TrajectorySequence, absolute: bool = True) -> float:
+def l2_lateral_velocity(seq: TrajectorySequence) -> float:
     """Summed angular-velocity magnitude over interior points (rad/s).
 
-    `absolute=False` keeps the signed sum; the default magnitude form is
-    what the search minimizes (a signed sum is unbounded below and would
-    reward sustained one-direction turning).
+    Magnitudes, not signed rates: a signed sum is unbounded below and would
+    reward sustained one-direction turning.
     """
     pts = seq.points
     if len(pts) < 3:
         raise ContractError(f"need at least 3 points, got {len(pts)}")
     total = 0.0
     for i in range(1, len(pts) - 1):
-        v = angular_velocity(pts[i - 1], pts[i], pts[i + 1])
-        total += abs(v) if absolute else v
+        total += abs(angular_velocity(pts[i - 1], pts[i], pts[i + 1]))
     return total
 
 
@@ -196,33 +193,30 @@ def assemble(
     ids: Sequence[ObjectiveId],
     predicted: Sequence[TrajectorySequence],
     actual: Sequence[TrajectorySequence],
-    aggregation: str = "mean",
 ) -> ObjectiveVector:
     """Build the minimization vector for one evaluated model.
 
     Per-sequence objectives (l1, l2, minimized l3) are computed on the
-    predicted sequences and aggregated over the set; l1 measures against
+    predicted sequences and averaged over the set; l1 measures against
     each ground-truth destination. RMSE and SignLoss compare predicted
     against actual directly.
     """
     if not ids:
         raise ContractError("objective id list must not be empty")
-    if aggregation not in ("mean", "sum"):
-        raise ContractError(f"unknown aggregation {aggregation!r}")
     _check_shapes(predicted, actual)
 
-    def agg(values: list[float]) -> float:
-        return sum(values) / len(values) if aggregation == "mean" else sum(values)
+    def mean(values: list[float]) -> float:
+        return sum(values) / len(values)
 
     values = []
     for oid in ids:
         if oid is ObjectiveId.L1_DISTANCE_FEEDBACK:
-            values.append(agg([l1_distance_feedback(p, dest=a.points[-1])
-                               for p, a in zip(predicted, actual)]))
+            values.append(mean([l1_distance_feedback(p, dest=a.points[-1])
+                                for p, a in zip(predicted, actual)]))
         elif oid is ObjectiveId.L2_LATERAL_VELOCITY:
-            values.append(agg([l2_lateral_velocity(p) for p in predicted]))
+            values.append(mean([l2_lateral_velocity(p) for p in predicted]))
         elif oid is ObjectiveId.L3_LONGITUDINAL_VELOCITY:
-            values.append(agg([l3_minimized(p) for p in predicted]))
+            values.append(mean([l3_minimized(p) for p in predicted]))
         elif oid is ObjectiveId.RMSE:
             values.append(rmse(predicted, actual))
         elif oid is ObjectiveId.SIGNLOSS:

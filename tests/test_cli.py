@@ -33,6 +33,26 @@ def exp9_dir(tmp_path_factory):
     return out
 
 
+def _edit_snapshot(exp_dir: Path, edit) -> None:
+    """Apply `edit` to the first snapshot of run 0."""
+    path = exp_dir / "run_0.jsonl"
+    lines = path.read_text().splitlines()
+    snap = json.loads(lines[0])
+    edit(snap)
+    lines[0] = json.dumps(snap)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_front_row(exp_dir: Path, column: str, value: str) -> None:
+    """Overwrite one cell of the first final-front row of run 0."""
+    path = exp_dir / "final_front_0.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index(column)] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 class TestGenerate:
     def test_writes_manifest_with_defaults(self, tmp_path):
         out = tmp_path / "data"
@@ -192,6 +212,26 @@ class TestAnalyze:
         shutil.copytree(exp8_dir, bad)
         jsonl = bad / "run_0.jsonl"
         jsonl.write_text(jsonl.read_text().splitlines()[0] + "\n")
+        assert main(["analyze", str(bad)]) == 5
+
+    @pytest.mark.parametrize("fixture, corrupt", [
+        ("exp8_dir", lambda d: _edit_snapshot(d, lambda snap: snap.pop("population"))),
+        ("exp8_dir", lambda d: _edit_snapshot(d, lambda snap: snap["population"][0].pop("rank"))),
+        ("exp8_dir", lambda d: _edit_snapshot(
+            d, lambda snap: snap["population"][0]["objectives"].pop())),
+        ("exp9_dir", lambda d: _edit_snapshot(d, lambda snap: snap.pop("archive"))),
+        ("exp9_dir", lambda d: _edit_snapshot(
+            d, lambda snap: snap["archive"][0]["objectives"].pop())),
+        ("exp8_dir", lambda d: _edit_front_row(d, "gene_1", "99")),
+        ("exp8_dir", lambda d: _edit_front_row(d, "rmse", "nan")),
+    ], ids=["no-population", "no-rank", "population-two-objectives", "no-archive",
+            "archive-two-objectives", "gene-out-of-range", "nan-objective"])
+    def test_bad_record_contents_exit_five(self, fixture, corrupt, request, tmp_path):
+        import shutil
+
+        bad = tmp_path / "bad"
+        shutil.copytree(request.getfixturevalue(fixture), bad)
+        corrupt(bad)
         assert main(["analyze", str(bad)]) == 5
 
     def test_three_dirs_usage_error(self, exp8_dir):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ from neurotraj.evaluator import (
     SurrogateConfig,
     evaluate,
     predict_sequence,
+    predict_split,
     skill_scores,
 )
 from neurotraj.genome import Genome, default_allele_table, random_genome
@@ -106,8 +108,7 @@ class TestEvaluate:
         a = evaluate(g, small_dataset, IDS, CFG)
         b = evaluate(g, small_dataset, IDS, CFG)
         assert a.objectives.values == b.objectives.values
-        assert a.test_objectives.values == b.test_objectives.values
-        assert a.predicted_test == b.predicted_test
+        assert a.rmse_validation == b.rmse_validation
         assert a.skills == b.skills
 
     def test_order_independent(self, small_dataset):
@@ -122,14 +123,23 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(1))
         res = evaluate(g, small_dataset, IDS, CFG)
         assert res.objectives.ids == IDS
-        assert res.test_objectives.ids == IDS
 
     def test_skill_fields_logged(self, small_dataset):
         g = random_genome(TABLE, Random(1))
         res = evaluate(g, small_dataset, IDS, CFG)
         assert res.skills == skill_scores(g, CFG)
         assert res.rmse_validation >= 0.0
-        assert res.rmse_test >= 0.0
+
+    def test_result_holds_validation_fields_only(self):
+        assert [f.name for f in fields(EvaluationResult)] == [
+            "objectives", "skills", "rmse_validation"]
+
+    def test_test_split_streams_keyed_by_role(self, small_dataset):
+        g = random_genome(TABLE, Random(6))
+        skills = skill_scores(g, CFG)
+        a = predict_split(g, skills, CFG, small_dataset.test, "test")
+        assert a == predict_split(g, skills, CFG, small_dataset.test, "test")
+        assert a != predict_split(g, skills, CFG, small_dataset.test, "val")
 
     def test_empty_split_rejected(self, small_dataset):
         empty = Dataset(train=small_dataset.train, validation=[], test=small_dataset.test,

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from neurotraj.analysis import ValidityReport
+from neurotraj.analysis import ValidityReport, classify_validity
 from neurotraj.errors import ConfigurationError, MalformedRecordsError
-from neurotraj.evaluator import SurrogateConfig, evaluate
+from neurotraj.evaluator import SurrogateConfig, evaluate, predict_split
 from neurotraj.experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -22,7 +22,7 @@ from neurotraj.experiment import (
     summarize,
 )
 from neurotraj.genome import Genome
-from neurotraj.objectives import ObjectiveId
+from neurotraj.objectives import ObjectiveId, rmse
 
 SMALL_DATASET = DatasetConfig(duration_s=60.0, lane_change_rate=0.05, seed=3)
 
@@ -120,7 +120,10 @@ class TestExecuteRun:
             res = evaluate(Genome(entry.genome), data, cfg.objective_ids, cfg.surrogate)
             assert res.objectives.values == entry.objectives
             assert res.rmse_validation == entry.rmse_validation
-            assert res.rmse_test == entry.rmse_test
+            predicted_test = predict_split(Genome(entry.genome), res.skills, cfg.surrogate,
+                                           data.test, "test")
+            assert rmse(predicted_test, [t for _, t in data.test]) == entry.rmse_test
+            assert classify_validity(predicted_test) == entry.validity
 
     def test_runs_are_deterministic(self):
         cfg = small_config(generations=2, population=5)

@@ -66,13 +66,13 @@ class TestDominates:
 class TestNondominatedSort:
     def test_identical_vectors_single_front(self):
         pop = [ind((1.0, 2.0)) for _ in range(6)]
-        fronts = nondominated_sort(pop).fronts
+        fronts = nondominated_sort(pop)
         assert len(fronts) == 1
         assert all(i.rank == 0 for i in pop)
 
     def test_chain_gives_singleton_fronts(self):
         pop = [ind((3.0, 3.0)), ind((1.0, 1.0)), ind((2.0, 2.0))]
-        fronts = nondominated_sort(pop).fronts
+        fronts = nondominated_sort(pop)
         assert [len(f) for f in fronts] == [1, 1, 1]
         assert [f[0].objectives.values[0] for f in fronts] == [1.0, 2.0, 3.0]
 
@@ -86,14 +86,14 @@ class TestNondominatedSort:
                       for _ in range(size)]
             pop = [Individual(genome=Genome((0,) * 13), objectives=vec(tokens, v),
                               evaluation=i) for i, v in enumerate(values)]
-            fronts = nondominated_sort(pop).fronts
+            fronts = nondominated_sort(pop)
             got = [sorted(i.evaluation for i in front) for front in fronts]
             assert got == brute_force_fronts(values)
 
     def test_fronts_partition_population(self):
         rng = Random(3)
         pop = [ind(random_values(rng, 2, grid=5)) for _ in range(30)]
-        fronts = nondominated_sort(pop).fronts
+        fronts = nondominated_sort(pop)
         assert sum(len(f) for f in fronts) == len(pop)
 
 
@@ -196,7 +196,7 @@ class TestStep:
         ops = GeneticOperators(table=TABLE, crossover_rate=1.0, mutation_rate=0.5)
         pop = [Individual(genome=p, objectives=vec(("rmse", "l2"), (float(i), float(8 - i))))
                for i, p in enumerate(parents)]
-        for front in nondominated_sort(pop).fronts:
+        for front in nondominated_sort(pop):
             crowding_distance(front)
         nxt = nsga2_step(pop, child_eval, ops, Random(5))
         assert sorted(i.objectives.values for i in nxt) == \

@@ -104,11 +104,6 @@ class TestL2:
         seq = make_seq(xys)
         assert abs(l2_lateral_velocity(seq) - oracle_l2(seq)) <= TOL
 
-    def test_signed_mode_cancels(self):
-        xys = [(0, 0), (1, 7), (0, 14), (-1, 21), (0, 28)]
-        seq = make_seq(xys)
-        assert l2_lateral_velocity(seq, absolute=False) < l2_lateral_velocity(seq)
-
     def test_too_short_rejected(self):
         with pytest.raises(ContractError):
             l2_lateral_velocity(straight_seq(2))
