@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .genome import AlleleTable, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, ObjectiveVector
-from .trajectory import Dataset, TrajectoryPoint, TrajectorySequence
+from .trajectory import Dataset
 from .evaluator import EvaluationResult, SurrogateConfig, evaluate
 from .experiment import ExperimentConfig, PRESETS, preset_config, run_experiment, summarize
 
@@ -21,8 +21,6 @@ __all__ = [
     "ObjectiveVector",
     "PRESETS",
     "SurrogateConfig",
-    "TrajectoryPoint",
-    "TrajectorySequence",
     "default_allele_table",
     "evaluate",
     "preset_config",

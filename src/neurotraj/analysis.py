@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import t as _student_t
 
 from .errors import (
     ConfigurationError,
@@ -17,7 +16,6 @@ from .errors import (
     DegenerateBandwidthError,
     UndefinedCorrelationError,
 )
-from .trajectory import TrajectorySequence
 
 logger = logging.getLogger(__name__)
 
@@ -112,28 +110,24 @@ def spearman(
         if abs(rho) >= 1.0:
             p = 0.0
         else:
+            from scipy.stats import t as student_t  # most of the package's import time
+
             t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-            p = float(2.0 * _student_t.sf(abs(t_stat), n - 2))
+            p = float(2.0 * student_t.sf(abs(t_stat), n - 2))
     return CorrelationResult(coefficient=rho, p_value=min(1.0, p), n=n)
 
 
-def classify_validity(predicted_test: Sequence[TrajectorySequence]) -> ValidityReport:
+def classify_validity(predicted_test) -> ValidityReport:
     """Spread / symmetry / final-position classification of one model's
-    predicted test trajectories. Thresholds are boundary-exact: spread and
-    final position strictly exceed, symmetry is an inclusive bound."""
-    if not predicted_test:
+    predicted test trajectories, a (P, tau, 3) array. Thresholds are
+    boundary-exact: spread and final position strictly exceed, symmetry is
+    an inclusive bound."""
+    predicted = np.asarray(predicted_test, dtype=float)
+    if not len(predicted):
         raise ContractError("need at least one predicted sequence")
-    max_abs_x = 0.0
-    sum_final_x = 0.0
-    sum_final_dy = 0.0
-    for seq in predicted_test:
-        for p in seq.points:
-            if abs(p.x) > max_abs_x:
-                max_abs_x = abs(p.x)
-        sum_final_x += seq.points[-1].x
-        sum_final_dy += seq.points[-1].y - seq.points[0].y
-    mean_final_x = sum_final_x / len(predicted_test)
-    mean_final_dy = sum_final_dy / len(predicted_test)
+    max_abs_x = float(np.abs(predicted[..., 0]).max())
+    mean_final_x = float(predicted[:, -1, 0].mean())
+    mean_final_dy = float((predicted[:, -1, 1] - predicted[:, 0, 1]).mean())
 
     spread_ok = max_abs_x > SPREAD_THRESHOLD_M
     symmetry_ok = abs(mean_final_x) <= SYMMETRY_THRESHOLD_M

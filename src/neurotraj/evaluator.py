@@ -4,8 +4,9 @@ Each genome gets three latent skills derived from hashed per-allele
 weights over disjoint locus subsets. Skills control how faithfully the
 surrogate reproduces ground-truth targets: lateral offset noise (accuracy),
 per-step heading jitter (smoothness) and a longitudinal speed rescale
-(speed). Every noise stream is seeded from (quality seed, genome, split
-role, pair id) so results never depend on evaluation order.
+(speed). A split's noise comes from one counter-based Philox stream keyed
+by (quality seed, genome, split role), so results never depend on
+evaluation order.
 
 The search scores the validation split only. The test split is predicted
 with `predict_split(..., role="test")` once per final-front model.
@@ -17,20 +18,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from random import Random
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .genome import Genome, default_allele_table
 from .objectives import ObjectiveId, ObjectiveVector, assemble, rmse
-from .trajectory import (
-    Dataset,
-    Pair,
-    TrajectoryPoint,
-    TrajectorySequence,
-    V_MAX_MPS,
-    V_MIN_MPS,
-)
+from .trajectory import Dataset, V_MAX_MPS, V_MIN_MPS
 
 # 1-based locus subsets feeding each skill. Locus 3 (Momentum) belongs to
 # no subset: it is carried and logged but inert.
@@ -148,13 +143,17 @@ def skill_scores(genome: Genome, cfg: SurrogateConfig) -> tuple[float, float, fl
     return tuple(out)
 
 
-def predict_sequence(
-    target: TrajectorySequence,
-    skills: tuple[float, float, float],
-    cfg: SurrogateConfig,
-    rng: Random,
-) -> TrajectorySequence:
-    """Transform a ground-truth target into one model's prediction.
+def _noise(cfg: SurrogateConfig, genome: Genome, role: str) -> np.random.Generator:
+    """The Philox stream of one (quality seed, genome, role)."""
+    key = f"{cfg.quality_seed}|{','.join(map(str, genome.indices))}|{role}"
+    digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
+
+
+def predict_split(genome: Genome, skills: tuple[float, float, float], cfg: SurrogateConfig,
+                  split: np.ndarray, role: str) -> np.ndarray:
+    """Transform the targets of a (P, 2 * tau, 3) split into one model's
+    (P, tau, 3) predictions; `role` ("val" or "test") keys the noise.
 
     Longitudinal steps are rescaled in displacement space and clamped to
     the speed band, so predictions always satisfy the velocity invariant;
@@ -165,43 +164,19 @@ def predict_sequence(
     amp_jit = cfg.heading_jitter_max_rad * (1.0 - s_smooth)
     scale = 1.0 + cfg.speed_span * (2.0 * s_speed - 1.0)
 
-    pts = target.points
-    n = len(pts)
-    phase = rng.uniform(0.0, math.tau)
-    cycles = rng.uniform(0.5, 1.5)
+    target = split[:, split.shape[1] // 2:]
+    n = target.shape[1]
+    u = _noise(cfg, genome, role).random((len(target), n + 1))
+    phase, cycles, jitter = math.tau * u[:, :1], 0.5 + u[:, 1:2], 2.0 * u[:, 2:] - 1.0
 
-    ys = [pts[0].y]
-    steps = []
-    for i in range(n - 1):
-        dt = pts[i + 1].t - pts[i].t
-        d = pts[i + 1].y - pts[i].y
-        d_hat = min(V_MAX_MPS * dt, max(V_MIN_MPS * dt, scale * d))
-        ys.append(ys[-1] + d_hat)
-        steps.append(d_hat)
-
-    out = []
-    for i in range(n):
-        # Smooth low-frequency lateral offset (accuracy) plus independent
-        # per-step heading wiggle (smoothness).
-        off = amp_lat * math.sin(math.tau * cycles * i / (n - 1) + phase) if n > 1 else 0.0
-        if i > 0:
-            off += math.tan(amp_jit * rng.uniform(-1.0, 1.0)) * steps[i - 1]
-        out.append(TrajectoryPoint(pts[i].x + off, ys[i], pts[i].t))
-    return TrajectorySequence(tuple(out))
-
-
-def _pair_seed(quality_seed: int, genome: Genome, role: str, index: int) -> int:
-    key = f"{quality_seed}|{','.join(map(str, genome.indices))}|{role}|{index}"
-    return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "big")
-
-
-def predict_split(genome: Genome, skills: tuple[float, float, float], cfg: SurrogateConfig,
-                  pairs: Sequence[Pair], role: str) -> list[TrajectorySequence]:
-    """Predict every target of a split; `role` ("val" or "test") keys the noise streams."""
-    return [
-        predict_sequence(target, skills, cfg, Random(_pair_seed(cfg.quality_seed, genome, role, i)))
-        for i, (_, target) in enumerate(pairs)
-    ]
+    dt = np.diff(target[..., 2], axis=1)
+    steps = np.clip(scale * np.diff(target[..., 1], axis=1), V_MIN_MPS * dt, V_MAX_MPS * dt)
+    y = np.cumsum(np.concatenate([target[:, :1, 1], steps], axis=1), axis=1)
+    # Smooth low-frequency lateral offset (accuracy) plus independent
+    # per-step heading wiggle (smoothness).
+    offset = amp_lat * np.sin(math.tau * cycles * np.arange(n) / (n - 1) + phase)
+    offset[:, 1:] += np.tan(amp_jit * jitter) * steps
+    return np.stack([target[..., 0] + offset, y, target[..., 2]], axis=-1)
 
 
 def evaluate(
@@ -211,11 +186,11 @@ def evaluate(
     cfg: SurrogateConfig,
 ) -> EvaluationResult:
     """Evaluate a genome on the validation split, the only split the search reads."""
-    if not data.validation:
+    if not len(data.validation):
         raise ContractError("validation split must be non-empty")
     skills = skill_scores(genome, cfg)
     predicted = predict_split(genome, skills, cfg, data.validation, "val")
-    actual = [target for _, target in data.validation]
+    actual = data.validation[:, data.tau:]
     return EvaluationResult(
         objectives=assemble(ids, predicted, actual),
         skills=skills,

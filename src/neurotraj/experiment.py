@@ -23,7 +23,7 @@ from typing import Sequence
 from . import moead as moead_mod
 from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
-from .errors import ConfigurationError, ContractError, MalformedRecordsError
+from .errors import ConfigurationError, ContractError, MalformedRecordsError, NeurotrajError
 from .evaluator import SurrogateConfig, evaluate, predict_split
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, rmse
@@ -229,7 +229,7 @@ def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
 def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
                    cfg: SurrogateConfig) -> list[FrontEntry]:
     """Judge each final-front model on the test split, predicted once per model."""
-    actual_test = [target for _, target in data.test]
+    actual_test = data.test[:, data.tau:]
     entries = []
     for ind in individuals:
         ev = ind.evaluation
@@ -246,7 +246,8 @@ def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
 
 
 def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunRecord:
-    """One independent, fully seeded run. Failures are captured, not raised."""
+    """One independent, fully seeded run. Package errors are captured, not
+    raised; any other exception is a bug and propagates."""
     run_seed = cfg.base_seed + run_index
     rng = Random(run_seed)
     table = default_allele_table()
@@ -264,7 +265,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
         else:
             snapshots, final_front, initial_front = _run_moead(cfg, eval_fn, ops, rng)
         entries = _front_entries(final_front, data, cfg.surrogate)
-    except Exception as exc:  # noqa: BLE001 - a failed run must not abort siblings
+    except NeurotrajError as exc:  # a failed run must not abort siblings
         return RunRecord(run_index=run_index, run_seed=run_seed, snapshots=[],
                          final_front=[], initial_front_objectives=[],
                          wall_time_s=time.perf_counter() - start,
@@ -394,16 +395,24 @@ def _finite(text: str) -> float:
     return value
 
 
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flag {text!r} is neither 0 nor 1")
+    return text == "1"
+
+
 def _check_snapshots(path: Path, snapshots: list, algorithm: str, m: int) -> None:
-    """Every member `analyze` reads (the NSGA-II population with ranks, the
-    MOEA/D archive) carries m finite objective values."""
+    """Every member `analyze` reads (the NSGA-II population, whose ranks are
+    non-negative ints, and the MOEA/D archive) carries m finite objective
+    values."""
     key, needs_rank = ("population", True) if algorithm == "nsga2" else ("archive", False)
     try:
         for gen, snap in enumerate(snapshots, start=1):
             for ind in snap[key]:
                 objectives = ind["objectives"]
-                if needs_rank and "rank" not in ind:
-                    raise MalformedRecordsError(f"{path}: generation {gen}: member without a rank")
+                if needs_rank and (type(ind["rank"]) is not int or ind["rank"] < 0):
+                    raise MalformedRecordsError(
+                        f"{path}: generation {gen}: rank {ind['rank']!r} is not a non-negative int")
                 if len(objectives) != m or not all(map(math.isfinite, objectives)):
                     raise MalformedRecordsError(
                         f"{path}: generation {gen}: member without {m} finite objectives")
@@ -437,13 +446,10 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
                     default_allele_table().validate_genome(genome)
                     measured = (_finite(row["max_abs_x"]), _finite(row["mean_final_x"]),
                                 _finite(row["mean_final_y"]))
-                    validity = ValidityReport(
-                        valid=row["valid"] == "1",
-                        spread_ok=row["spread_ok"] == "1",
-                        symmetry_ok=row["symmetry_ok"] == "1",
-                        final_position_ok=row["final_position_ok"] == "1",
-                        measured=measured,
-                    )
+                    tests = [_flag(row[c]) for c in ("spread_ok", "symmetry_ok", "final_position_ok")]
+                    if _flag(row["valid"]) != all(tests):
+                        raise ValueError(f"valid {row['valid']} contradicts the test flags {tests}")
+                    validity = ValidityReport(all(tests), *tests, measured=measured)
                     entries.append(FrontEntry(
                         genome=genome.indices,
                         objectives=tuple(_finite(row[t]) for t in tokens),

@@ -1,11 +1,15 @@
 """Synthetic highway ego-vehicle trajectories and the dataset protocol.
 
+A trajectory is a float64 array whose rows are (x, y, t): lateral
+position (m), longitudinal position (m) and timestamp (s).
+
 A scenario is a single continuous path: longitudinal speed follows a
 mean-reverting random walk clamped to the highway band, lateral position
 is piecewise smooth with occasional lane-change maneuvers. Paths are cut
-into (input, target) window pairs; the test portion is carved off the
-tail of the path before any shuffling so test windows never share points
-with train/validation windows.
+into windows of 2 * tau rows, the input [:tau] followed by the target
+[tau:]; the test portion is carved off the tail of the path before any
+shuffling so test windows never share points with train/validation
+windows.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ContractError, InsufficientDataError
 
@@ -33,36 +40,22 @@ _SPEED_ACCEL_STD = 1.2
 _LANE_CHANGE_DURATION_S = 2.0
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    x: float  # lateral position (m)
-    y: float  # longitudinal position (m)
-    t: float  # timestamp (s)
-
-
-@dataclass(frozen=True)
-class TrajectorySequence:
-    points: tuple[TrajectoryPoint, ...]
-
-    @property
-    def tau(self) -> int:
-        return len(self.points)
-
-
-def validate_sequence(seq: TrajectorySequence, tau: int | None = None, eps: float = 1e-9) -> None:
-    """Check timestamps, sampling interval and longitudinal speed bounds."""
-    pts = seq.points
-    if tau is not None and len(pts) != tau:
-        raise ContractError(f"sequence length {len(pts)} != tau {tau}")
-    for i in range(len(pts) - 1):
-        dt = pts[i + 1].t - pts[i].t
-        if dt <= 0:
-            raise ContractError(f"timestamps not strictly increasing at step {i}")
-        if not (DT_MIN_S - eps <= dt <= DT_MAX_S + eps):
-            raise ContractError(f"dt {dt} outside [{DT_MIN_S}, {DT_MAX_S}] at step {i}")
-        vy = (pts[i + 1].y - pts[i].y) / dt
-        if not (V_MIN_MPS - eps <= vy <= V_MAX_MPS + eps):
-            raise ContractError(f"longitudinal speed {vy} outside band at step {i}")
+def validate_sequence(seq, tau: int | None = None, eps: float = 1e-9) -> None:
+    """Check timestamps, sampling interval and longitudinal speed bounds of
+    one (n, 3) sequence or a batch of them (..., n, 3)."""
+    seq = np.asarray(seq, dtype=float)
+    if tau is not None and seq.shape[-2] != tau:
+        raise ContractError(f"sequence length {seq.shape[-2]} != tau {tau}")
+    dt = np.diff(seq[..., 2], axis=-1)
+    if np.any(dt <= 0):
+        raise ContractError("timestamps not strictly increasing")
+    bad_dt = dt[(dt < DT_MIN_S - eps) | (dt > DT_MAX_S + eps)]
+    if bad_dt.size:
+        raise ContractError(f"dt {bad_dt[0]} outside [{DT_MIN_S}, {DT_MAX_S}]")
+    vy = np.diff(seq[..., 1], axis=-1) / dt
+    bad_vy = vy[(vy < V_MIN_MPS - eps) | (vy > V_MAX_MPS + eps)]
+    if bad_vy.size:
+        raise ContractError(f"longitudinal speed {bad_vy[0]} outside band")
 
 
 @dataclass(frozen=True)
@@ -72,8 +65,8 @@ class ScenarioConfig:
     seed: int = 0
 
 
-def generate_scenario(config: ScenarioConfig) -> list[TrajectoryPoint]:
-    """Generate one continuous highway path, deterministic per seed."""
+def generate_scenario(config: ScenarioConfig) -> np.ndarray:
+    """Generate one continuous highway path of (x, y, t) rows, deterministic per seed."""
     if config.duration_s <= 0:
         raise ConfigurationError(f"duration_s must be positive, got {config.duration_s}")
     if config.lane_change_rate < 0:
@@ -93,7 +86,7 @@ def generate_scenario(config: ScenarioConfig) -> list[TrajectoryPoint]:
     t = 0.0
     y = 0.0
     v = rng.uniform(V_MIN_MPS + 2.0, V_MAX_MPS - 2.0)
-    points: list[TrajectoryPoint] = []
+    rows: list[tuple[float, float, float]] = []
     while t <= config.duration_s:
         if maneuver is not None:
             t0, x_from, x_to = maneuver
@@ -115,24 +108,23 @@ def generate_scenario(config: ScenarioConfig) -> list[TrajectoryPoint]:
                 target = rng.choice((0, 2))
             maneuver = (t, lanes[lane], lanes[target])
             lane = target
-        points.append(TrajectoryPoint(x, y, t))
+        rows.append((x, y, t))
 
         dt = rng.uniform(DT_MIN_S, DT_MAX_S)
         accel = _SPEED_REVERSION * (v_mid - v) + rng.gauss(0.0, _SPEED_ACCEL_STD)
         v = min(V_MAX_MPS, max(V_MIN_MPS, v + accel * dt))
         y += v * dt
         t += dt
-    return points
-
-
-Pair = tuple[TrajectorySequence, TrajectorySequence]
+    return np.array(rows)
 
 
 @dataclass
 class Dataset:
-    train: list[Pair]
-    validation: list[Pair]
-    test: list[Pair]
+    """Each split is one (P, 2 * tau, 3) array of windows."""
+
+    train: np.ndarray
+    validation: np.ndarray
+    test: np.ndarray
     seed: int
     tau: int = DEFAULT_TAU
     ratio: tuple[float, float, float] = (0.6, 0.2, 0.2)
@@ -141,28 +133,25 @@ class Dataset:
         return {"train": len(self.train), "validation": len(self.validation), "test": len(self.test)}
 
 
-def sliding_windows(points: list[TrajectoryPoint], tau: int) -> list[Pair]:
-    """All stride-1 (input, target) window pairs of a point list."""
-    n_pairs = len(points) - 2 * tau + 1
-    pairs = []
-    for i in range(max(0, n_pairs)):
-        inp = TrajectorySequence(tuple(points[i:i + tau]))
-        tgt = TrajectorySequence(tuple(points[i + tau:i + 2 * tau]))
-        pairs.append((inp, tgt))
-    return pairs
+def sliding_windows(path: np.ndarray, tau: int) -> np.ndarray:
+    """All stride-1 windows of 2 * tau consecutive rows of a path."""
+    path = np.asarray(path, dtype=float)
+    if len(path) < 2 * tau:
+        return np.empty((0, 2 * tau, 3))
+    return np.ascontiguousarray(sliding_window_view(path, 2 * tau, axis=0).transpose(0, 2, 1))
 
 
 def window_and_split(
-    path: list[TrajectoryPoint],
+    path: np.ndarray,
     tau: int = DEFAULT_TAU,
     ratio: tuple[float, float, float] = (0.6, 0.2, 0.2),
     seed: int = 0,
 ) -> Dataset:
-    """Cut a path into window pairs and split train/validation/test.
+    """Cut a path into windows and split train/validation/test.
 
     The test share is taken as a contiguous tail of the *path*, separated
     from the head region before windowing, so no train/validation window
-    (input or target) overlaps a test point. The head pairs are shuffled
+    (input or target) overlaps a test point. The head windows are shuffled
     with `seed` and then split train/validation by ratio.
     """
     if len(ratio) != 3 or any(r < 0 for r in ratio):
@@ -182,26 +171,24 @@ def window_and_split(
             n_test = round(r_test * total)
 
     if n_test > 0:
-        tail_points = n_test + 2 * tau - 1
-        head = path[: len(path) - tail_points]
-        tail = path[len(path) - tail_points:]
-        test_pairs = sliding_windows(tail, tau)
-        pool = sliding_windows(head, tau)
-        if not pool:
+        split_at = len(path) - (n_test + 2 * tau - 1)
+        test = sliding_windows(path[split_at:], tau)
+        pool = sliding_windows(path[:split_at], tau)
+        if not len(pool):
             raise InsufficientDataError("head region too short after withholding the test tail")
-        total = len(pool) + len(test_pairs)
     else:
-        test_pairs = []
+        test = np.empty((0, 2 * tau, 3))
         pool = sliding_windows(path, tau)
-        total = len(pool)
+    total = len(pool) + len(test)
 
-    rng = Random(seed)
-    rng.shuffle(pool)
+    order = list(range(len(pool)))
+    Random(seed).shuffle(order)
     n_train = min(len(pool), round(r_train * total))
-    train = pool[:n_train]
-    validation = pool[n_train:]
-    return Dataset(train=train, validation=validation, test=test_pairs,
+    return Dataset(train=pool[order[:n_train]], validation=pool[order[n_train:]], test=test,
                    seed=seed, tau=tau, ratio=tuple(ratio))
+
+
+_ROLES = (("train", "train"), ("val", "validation"), ("test", "test"))
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
@@ -215,10 +202,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         writer = csv.writer(fh)
         writer.writerow(["pair_id", "role", "step", "x", "y", "t"])
         pair_id = 0
-        for role, pairs in (("train", dataset.train), ("val", dataset.validation), ("test", dataset.test)):
-            for inp, tgt in pairs:
-                for step, p in enumerate(inp.points + tgt.points):
-                    writer.writerow([pair_id, role, step, repr(p.x), repr(p.y), repr(p.t)])
+        for role, split in _ROLES:
+            for window in getattr(dataset, split).tolist():
+                writer.writerows([pair_id, role, step, repr(x), repr(y), repr(t)]
+                                 for step, (x, y, t) in enumerate(window))
                 pair_id += 1
 
     manifest = {
@@ -240,18 +227,20 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         manifest = json.load(fh)
     tau = manifest["tau"]
 
-    rows_by_pair: dict[int, tuple[str, list[TrajectoryPoint]]] = {}
     with open(src / "dataset.csv", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            pid = int(row["pair_id"])
-            point = TrajectoryPoint(float(row["x"]), float(row["y"]), float(row["t"]))
-            rows_by_pair.setdefault(pid, (row["role"], []))[1].append(point)
+        rows = list(csv.DictReader(fh))
+    pair_ids = np.array([int(row["pair_id"]) for row in rows], dtype=np.int64)
+    points = np.array([(float(row["x"]), float(row["y"]), float(row["t"])) for row in rows])
 
-    splits: dict[str, list[Pair]] = {"train": [], "val": [], "test": []}
-    for pid in sorted(rows_by_pair):
-        role, pts = rows_by_pair[pid]
-        if len(pts) != 2 * tau:
-            raise ContractError(f"pair {pid} has {len(pts)} points, expected {2 * tau}")
-        splits[role].append((TrajectorySequence(tuple(pts[:tau])), TrajectorySequence(tuple(pts[tau:]))))
-    return Dataset(train=splits["train"], validation=splits["val"], test=splits["test"],
-                   seed=manifest["seed"], tau=tau, ratio=tuple(manifest["ratio"]))
+    order = np.argsort(pair_ids, kind="stable")
+    ids, first, sizes = np.unique(pair_ids[order], return_index=True, return_counts=True)
+    wrong = sizes != 2 * tau
+    if wrong.any():
+        raise ContractError(f"pair {ids[wrong][0]} has {sizes[wrong][0]} points, expected {2 * tau}")
+    windows = points[order].reshape(-1, 2 * tau, 3)
+    roles = np.array([rows[i]["role"] for i in order[first]], dtype=str)
+    unknown = ~np.isin(roles, [role for role, _ in _ROLES])
+    if unknown.any():
+        raise ContractError(f"pair {ids[unknown][0]} has unknown role {str(roles[unknown][0])!r}")
+    splits = {split: windows[roles == role] for role, split in _ROLES}
+    return Dataset(**splits, seed=manifest["seed"], tau=tau, ratio=tuple(manifest["ratio"]))

@@ -4,26 +4,19 @@ from __future__ import annotations
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from neurotraj.objectives import ObjectiveId, ObjectiveVector
-from neurotraj.trajectory import (
-    ScenarioConfig,
-    TrajectoryPoint,
-    TrajectorySequence,
-    generate_scenario,
-    window_and_split,
-)
+from neurotraj.trajectory import ScenarioConfig, generate_scenario, window_and_split
 
 
-def make_seq(xys, dt=0.25, t0=0.0) -> TrajectorySequence:
-    """Sequence from (x, y) pairs with uniform spacing."""
-    return TrajectorySequence(tuple(
-        TrajectoryPoint(x, y, t0 + i * dt) for i, (x, y) in enumerate(xys)
-    ))
+def make_seq(xys, dt=0.25, t0=0.0) -> np.ndarray:
+    """(n, 3) sequence from (x, y) pairs with uniform spacing."""
+    return np.array([(x, y, t0 + i * dt) for i, (x, y) in enumerate(xys)], dtype=float)
 
 
-def straight_seq(n=8, v=30.0, dt=0.25, x=0.0) -> TrajectorySequence:
+def straight_seq(n=8, v=30.0, dt=0.25, x=0.0) -> np.ndarray:
     return make_seq([(x, v * dt * i) for i in range(n)], dt=dt)
 
 

@@ -52,7 +52,7 @@ from neurotraj.objectives import (
     rmse,
     signloss,
 )
-from neurotraj.trajectory import TrajectoryPoint, V_MAX_MPS, V_MIN_MPS
+from neurotraj.trajectory import V_MAX_MPS, V_MIN_MPS
 
 TABLE = default_allele_table()
 
@@ -332,12 +332,12 @@ def test_criterion_11_objective_examples():
     assert abs(l1_distance_feedback(doubled) - 4 * l1_distance_feedback(seq)) <= tol
 
     # angular velocity
-    assert angular_velocity(*straight_seq(3).points) == 0.0
-    p0, p1, p2 = (TrajectoryPoint(0, 0, 0), TrajectoryPoint(0, 1, 0.25), TrajectoryPoint(1, 2, 0.5))
+    assert angular_velocity(*straight_seq(3)) == 0.0
+    p0, p1, p2 = np.array([(0, 0, 0), (0, 1, 0.25), (1, 2, 0.5)], dtype=float)
     assert abs(angular_velocity(p0, p1, p2) - math.pi) <= tol
-    q0 = TrajectoryPoint(0.0, 0.0, 0.0)
-    q1 = TrajectoryPoint(q0.x + math.sin(3.1), q0.y + math.cos(3.1), 1.0)
-    q2 = TrajectoryPoint(q1.x + math.sin(-3.1), q1.y + math.cos(-3.1), 2.0)
+    q0 = np.array((0.0, 0.0, 0.0))
+    q1 = np.array((q0[0] + math.sin(3.1), q0[1] + math.cos(3.1), 1.0))
+    q2 = np.array((q1[0] + math.sin(-3.1), q1[1] + math.cos(-3.1), 2.0))
     assert abs(angular_velocity(q0, q1, q2) - (2 * math.pi - 6.2)) <= 1e-3
 
     # lateral velocity

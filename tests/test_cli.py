@@ -224,8 +224,15 @@ class TestAnalyze:
             d, lambda snap: snap["archive"][0]["objectives"].pop())),
         ("exp8_dir", lambda d: _edit_front_row(d, "gene_1", "99")),
         ("exp8_dir", lambda d: _edit_front_row(d, "rmse", "nan")),
+        ("exp8_dir", lambda d: _edit_front_row(d, "valid", "yes")),
+        ("exp8_dir", lambda d: _edit_front_row(d, "spread_ok", "7")),
+        ("exp8_dir", lambda d: (_edit_front_row(d, "valid", "1"),
+                                _edit_front_row(d, "spread_ok", "0"))),
+        ("exp8_dir", lambda d: _edit_snapshot(
+            d, lambda snap: snap["population"][0].update(rank="zero"))),
     ], ids=["no-population", "no-rank", "population-two-objectives", "no-archive",
-            "archive-two-objectives", "gene-out-of-range", "nan-objective"])
+            "archive-two-objectives", "gene-out-of-range", "nan-objective", "valid-yes",
+            "spread-ok-seven", "valid-with-failed-flag", "rank-zero-string"])
     def test_bad_record_contents_exit_five(self, fixture, corrupt, request, tmp_path):
         import shutil
 

@@ -1,14 +1,17 @@
 from dataclasses import fields
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neurotraj.analysis import classify_validity
 from neurotraj.errors import ConfigurationError, ContractError
 from neurotraj.evaluator import (
     EvaluationResult,
     SurrogateConfig,
     evaluate,
-    predict_sequence,
     predict_split,
     skill_scores,
 )
@@ -75,31 +78,38 @@ class TestSkillScores:
 
 class TestPredictSequence:
     def test_perfect_skills_identity(self, small_dataset):
-        for _, target in small_dataset.test[:20]:
-            pred = predict_sequence(target, (1.0, 1.0, 0.5), CFG, Random(7))
-            assert rmse([pred], [target]) == 0.0
+        g = random_genome(TABLE, Random(7))
+        pred = predict_split(g, (1.0, 1.0, 0.5), CFG, small_dataset.test[:20], "test")
+        assert rmse(pred, small_dataset.test[:20, 8:]) == 0.0
 
     def test_speed_skill_monotone_in_l3(self, small_dataset):
-        targets = [t for _, t in small_dataset.validation]
-        fast, slow = [], []
-        for i, t in enumerate(targets):
-            fast.append(predict_sequence(t, (1.0, 1.0, 1.0), CFG, Random(i)))
-            slow.append(predict_sequence(t, (1.0, 1.0, 0.0), CFG, Random(i)))
-        mean_fast = sum(l3_minimized(p) for p in fast) / len(fast)
-        mean_slow = sum(l3_minimized(p) for p in slow) / len(slow)
-        assert mean_fast < mean_slow
+        g = random_genome(TABLE, Random(7))
+        fast = predict_split(g, (1.0, 1.0, 1.0), CFG, small_dataset.validation, "val")
+        slow = predict_split(g, (1.0, 1.0, 0.0), CFG, small_dataset.validation, "val")
+        assert l3_minimized(fast).mean() < l3_minimized(slow).mean()
 
     def test_predictions_keep_velocity_invariants(self, small_dataset):
         g = random_genome(TABLE, Random(2))
-        skills = skill_scores(g, CFG)
-        for i, (_, target) in enumerate(small_dataset.test[:40]):
-            pred = predict_sequence(target, skills, CFG, Random(i))
-            validate_sequence(pred, tau=8)
+        pred = predict_split(g, skill_scores(g, CFG), CFG, small_dataset.test[:40], "test")
+        validate_sequence(pred, tau=8)
 
     def test_timestamps_preserved(self, small_dataset):
-        target = small_dataset.test[0][1]
-        pred = predict_sequence(target, (0.2, 0.3, 0.9), CFG, Random(0))
-        assert [p.t for p in pred.points] == [p.t for p in target.points]
+        g = random_genome(TABLE, Random(0))
+        pred = predict_split(g, (0.2, 0.3, 0.9), CFG, small_dataset.test[:1], "test")
+        assert pred[0, :, 2].tolist() == small_dataset.test[0, 8:, 2].tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(genes=st.tuples(*(st.integers(0, c - 1) for c in TABLE.counts)),
+           skills=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+    def test_predict_split_properties(self, small_dataset, genes, skills):
+        g = Genome(genes)
+        for split, role in ((small_dataset.validation, "val"), (small_dataset.test, "test")):
+            target = split[:, 8:]
+            pred = predict_split(g, skills, CFG, split, role)
+            assert pred.shape == target.shape
+            assert np.array_equal(pred[..., 2], target[..., 2])
+            validate_sequence(pred, tau=8)
+            assert np.array_equal(predict_split(g, (1.0, 1.0, 0.5), CFG, split, role), target)
 
 
 class TestEvaluate:
@@ -138,12 +148,21 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(6))
         skills = skill_scores(g, CFG)
         a = predict_split(g, skills, CFG, small_dataset.test, "test")
-        assert a == predict_split(g, skills, CFG, small_dataset.test, "test")
-        assert a != predict_split(g, skills, CFG, small_dataset.test, "val")
+        assert np.array_equal(a, predict_split(g, skills, CFG, small_dataset.test, "test"))
+        assert not np.array_equal(a, predict_split(g, skills, CFG, small_dataset.test, "val"))
+
+    def test_values_are_python_floats(self, small_dataset):
+        # numpy scalars would be persisted as "np.float64(...)" by repr().
+        g = random_genome(TABLE, Random(6))
+        res = evaluate(g, small_dataset, tuple(ObjectiveId), CFG)
+        assert all(type(v) is float for v in res.objectives.values)
+        assert type(res.rmse_validation) is float
+        predicted = predict_split(g, res.skills, CFG, small_dataset.test, "test")
+        assert all(type(v) is float for v in classify_validity(predicted).measured)
 
     def test_empty_split_rejected(self, small_dataset):
-        empty = Dataset(train=small_dataset.train, validation=[], test=small_dataset.test,
-                        seed=0)
+        empty = Dataset(train=small_dataset.train, validation=small_dataset.validation[:0],
+                        test=small_dataset.test, seed=0)
         g = random_genome(TABLE, Random(1))
         with pytest.raises(ContractError):
             evaluate(g, empty, IDS, CFG)

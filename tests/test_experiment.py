@@ -122,7 +122,7 @@ class TestExecuteRun:
             assert res.rmse_validation == entry.rmse_validation
             predicted_test = predict_split(Genome(entry.genome), res.skills, cfg.surrogate,
                                            data.test, "test")
-            assert rmse(predicted_test, [t for _, t in data.test]) == entry.rmse_test
+            assert rmse(predicted_test, data.test[:, data.tau:]) == entry.rmse_test
             assert classify_validity(predicted_test) == entry.validity
 
     def test_runs_are_deterministic(self):

@@ -18,7 +18,7 @@ from neurotraj.objectives import (
     rmse,
     signloss,
 )
-from neurotraj.trajectory import TrajectoryPoint, V_MAX_MPS, V_MIN_MPS
+from neurotraj.trajectory import V_MAX_MPS, V_MIN_MPS
 
 TOL = 1e-9
 
@@ -44,43 +44,37 @@ class TestL1:
 
     def test_explicit_destination(self):
         seq = make_seq([(0, 0), (0, 3)])
-        dest = TrajectoryPoint(0.0, 6.0, 0.5)
+        dest = np.array((0.0, 6.0, 0.5))
         assert abs(l1_distance_feedback(seq, dest=dest) - (36.0 + 9.0)) <= TOL
 
 
 class TestAngularVelocity:
     def test_collinear_zero(self):
         seq = straight_seq(3)
-        assert angular_velocity(*seq.points) == 0.0
+        assert angular_velocity(*seq) == 0.0
 
     def test_quarter_turn_rate(self):
         # headings 0 then pi/4 over dt = 0.25 s
-        p0 = TrajectoryPoint(0.0, 0.0, 0.0)
-        p1 = TrajectoryPoint(0.0, 1.0, 0.25)
-        p2 = TrajectoryPoint(1.0, 2.0, 0.5)
+        p0, p1, p2 = np.array([(0.0, 0.0, 0.0), (0.0, 1.0, 0.25), (1.0, 2.0, 0.5)])
         assert abs(angular_velocity(p0, p1, p2) - math.pi) <= TOL
 
     def test_wraparound(self):
         # headings +3.1 then -3.1: difference wraps to ~0.083, not ~6.2
-        p0 = TrajectoryPoint(0.0, 0.0, 0.0)
-        p1 = TrajectoryPoint(p0.x + math.sin(3.1), p0.y + math.cos(3.1), 1.0)
-        p2 = TrajectoryPoint(p1.x + math.sin(-3.1), p1.y + math.cos(-3.1), 2.0)
+        p0 = np.array((0.0, 0.0, 0.0))
+        p1 = np.array((p0[0] + math.sin(3.1), p0[1] + math.cos(3.1), 1.0))
+        p2 = np.array((p1[0] + math.sin(-3.1), p1[1] + math.cos(-3.1), 2.0))
         expected = 2.0 * math.pi - 6.2
         assert abs(angular_velocity(p0, p1, p2) - expected) <= 1e-3
 
     def test_zero_dt_rejected(self):
-        p0 = TrajectoryPoint(0.0, 0.0, 1.0)
-        p1 = TrajectoryPoint(0.0, 1.0, 1.0)
-        p2 = TrajectoryPoint(0.0, 2.0, 1.25)
+        p0, p1, p2 = np.array([(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 2.0, 1.25)])
         with pytest.raises(DegenerateTimestepError):
             angular_velocity(p0, p1, p2)
 
 
 def oracle_l2(seq):
     """Vectorized re-derivation of the summed |angular velocity|."""
-    xs = np.array([p.x for p in seq.points])
-    ys = np.array([p.y for p in seq.points])
-    ts = np.array([p.t for p in seq.points])
+    xs, ys, ts = seq.T
     headings = np.arctan2(np.diff(xs), np.diff(ys))
     diffs = np.diff(headings)
     wrapped = np.mod(diffs + np.pi, 2 * np.pi) - np.pi
@@ -219,7 +213,7 @@ class TestAssemble:
                ObjectiveId.L3_LONGITUDINAL_VELOCITY, ObjectiveId.RMSE, ObjectiveId.SIGNLOSS)
         v = assemble(ids, predicted, actual)
         n = len(predicted)
-        l1 = sum(l1_distance_feedback(p, dest=a.points[-1]) for p, a in zip(predicted, actual)) / n
+        l1 = sum(l1_distance_feedback(p, dest=a[-1]) for p, a in zip(predicted, actual)) / n
         l2 = sum(l2_lateral_velocity(p) for p in predicted) / n
         l3m = sum(l3_minimized(p) for p in predicted) / n
         expected = (l1, l2, l3m, rmse(predicted, actual), signloss(predicted, actual))
@@ -240,6 +234,48 @@ class TestAssemble:
     def test_empty_set_rejected(self):
         with pytest.raises(ContractError):
             assemble((ObjectiveId.RMSE,), [], [])
+
+
+def loop_objectives(predicted, actual):
+    """The five objectives of a set as per-point loops, the reference for the
+    array code: (l1, l2, minimized l3) averaged per window, rmse, signloss."""
+    def sign(v):
+        return 0 if abs(v) < 1e-9 else (1 if v > 0 else -1)
+
+    l1 = l2 = l3 = err = dist = 0.0
+    matches = 0
+    pred, true = predicted.tolist(), actual.tolist()
+    for p_seq, a_seq in zip(pred, true):
+        dest_x, dest_y, _ = a_seq[-1]
+        for (px, py, _), (ax, ay, _) in zip(p_seq, a_seq):
+            l1 += (px - dest_x) ** 2 + (py - dest_y) ** 2
+            dist += math.hypot(px - ax, py - ay)
+            err += abs(abs(px) - abs(ax))
+            matches += sign(px) == sign(ax)
+        for (x0, y0, t0), (x1, y1, t1), (x2, y2, _) in zip(p_seq, p_seq[1:], p_seq[2:]):
+            turn = math.atan2(x2 - x1, y2 - y1) - math.atan2(x1 - x0, y1 - y0)
+            turn = (turn + math.pi) % math.tau - math.pi
+            l2 += abs(math.pi if turn == -math.pi else turn) / (t1 - t0)
+        for (_, y0, t0), (_, y1, t1) in zip(p_seq, p_seq[1:]):
+            l3 += V_MAX_MPS - min(V_MAX_MPS, max(V_MIN_MPS, (y1 - y0) / (t1 - t0)))
+    n, points = len(pred), len(pred) * len(pred[0])
+    return l1 / n, l2 / n, l3 / n, dist / points, (err / points) / max(1, matches)
+
+
+class TestLoopReference:
+    def test_batch_matches_per_point_loops(self, small_dataset):
+        from neurotraj.evaluator import SurrogateConfig, predict_split
+        from neurotraj.genome import default_allele_table, random_genome
+
+        actual = small_dataset.validation[:, 8:]
+        rng = Random(11)
+        for skills in ((0.1, 0.2, 0.9), (0.7, 0.4, 0.1), (1.0, 1.0, 0.5)):
+            genome = random_genome(default_allele_table(), rng)
+            predicted = predict_split(genome, skills, SurrogateConfig(), small_dataset.validation,
+                                      "val")
+            got = assemble(tuple(ObjectiveId), predicted, actual).values
+            for g, want in zip(got, loop_objectives(predicted, actual)):
+                assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestObjectiveVector:

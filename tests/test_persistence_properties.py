@@ -33,9 +33,10 @@ def members(m: int, with_rank: bool, max_size: int):
 
 
 def front_entries(m: int):
-    validity = st.builds(ValidityReport, valid=st.booleans(), spread_ok=st.booleans(),
-                         symmetry_ok=st.booleans(), final_position_ok=st.booleans(),
-                         measured=st.tuples(FINITE, FINITE, FINITE))
+    # `valid` is the conjunction of the three tests; load_records rejects any other row.
+    validity = st.builds(lambda tests, measured: ValidityReport(all(tests), *tests, measured),
+                         st.tuples(st.booleans(), st.booleans(), st.booleans()),
+                         st.tuples(FINITE, FINITE, FINITE))
     entry = st.builds(FrontEntry, genome=GENES, objectives=st.tuples(*[FINITE] * m),
                       rmse_validation=FINITE, rmse_test=FINITE, validity=validity,
                       skills=st.tuples(FINITE, FINITE, FINITE))

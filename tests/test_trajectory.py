@@ -1,14 +1,13 @@
 import hashlib
-import math
 
+import numpy as np
 import pytest
 
-from neurotraj.errors import ConfigurationError, InsufficientDataError
+from neurotraj.errors import ConfigurationError, ContractError, InsufficientDataError
 from neurotraj.trajectory import (
     DT_MAX_S,
     DT_MIN_S,
     ScenarioConfig,
-    TrajectoryPoint,
     V_MAX_MPS,
     V_MIN_MPS,
     generate_scenario,
@@ -21,37 +20,36 @@ from neurotraj.trajectory import (
 
 
 def fake_path(n, v=30.0, dt=0.25, x=0.0):
-    return [TrajectoryPoint(x, v * dt * i, dt * i) for i in range(n)]
+    return np.array([(x, v * dt * i, dt * i) for i in range(n)])
 
 
 class TestGenerateScenario:
     def test_rate_zero_constant_lateral(self):
         path = generate_scenario(ScenarioConfig(duration_s=60.0, lane_change_rate=0.0, seed=1))
-        assert all(p.x == path[0].x for p in path)
+        assert np.all(path[:, 0] == path[0, 0])
 
     def test_speed_within_band(self):
         path = generate_scenario(ScenarioConfig(duration_s=120.0, lane_change_rate=0.05, seed=2))
-        for a, b in zip(path, path[1:]):
-            dt = b.t - a.t
-            assert DT_MIN_S <= dt <= DT_MAX_S
-            v = (b.y - a.y) / dt
-            assert V_MIN_MPS - 1e-9 <= v <= V_MAX_MPS + 1e-9
+        dt = np.diff(path[:, 2])
+        assert np.all((DT_MIN_S <= dt) & (dt <= DT_MAX_S))
+        v = np.diff(path[:, 1]) / dt
+        assert np.all((V_MIN_MPS - 1e-9 <= v) & (v <= V_MAX_MPS + 1e-9))
 
     def test_600s_displacement_near_mean_speed(self):
         # Integrated displacement should sit near 600 s at mid-band speed.
         for seed in (0, 1, 7):
             path = generate_scenario(ScenarioConfig(duration_s=600.0, lane_change_rate=0.02, seed=seed))
-            disp = path[-1].y - path[0].y
+            disp = path[-1, 1] - path[0, 1]
             assert abs(disp - 17_400.0) <= 0.15 * 17_400.0
 
     def test_lane_changes_hit_adjacent_lanes(self):
         path = generate_scenario(ScenarioConfig(duration_s=400.0, lane_change_rate=0.05, seed=5))
-        xs = {round(p.x, 6) for p in path}
+        xs = {round(x, 6) for x in path[:, 0].tolist()}
         assert 3.5 in xs or -3.5 in xs
 
     def test_deterministic_per_seed(self):
         cfg = ScenarioConfig(duration_s=50.0, lane_change_rate=0.05, seed=9)
-        assert generate_scenario(cfg) == generate_scenario(cfg)
+        assert np.array_equal(generate_scenario(cfg), generate_scenario(cfg))
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
@@ -67,9 +65,9 @@ class TestWindowing:
 
     def test_windows_are_valid_sequences(self):
         path = generate_scenario(ScenarioConfig(duration_s=30.0, lane_change_rate=0.05, seed=4))
-        for inp, tgt in sliding_windows(path, 8):
-            validate_sequence(inp, tau=8)
-            validate_sequence(tgt, tau=8)
+        windows = sliding_windows(path, 8)
+        validate_sequence(windows[:, :8], tau=8)
+        validate_sequence(windows[:, 8:], tau=8)
 
 
 class TestSplit:
@@ -81,30 +79,29 @@ class TestSplit:
     def test_degenerate_ratio_all_train(self):
         ds = window_and_split(fake_path(100), tau=8, ratio=(1.0, 0.0, 0.0), seed=0)
         assert len(ds.train) == 100 - 16 + 1
-        assert not ds.validation and not ds.test
+        assert len(ds.validation) == len(ds.test) == 0
 
     def test_no_window_overlaps_test_tail(self):
         # 100-point path: head windows must end strictly before the first
         # test point in time.
         ds = window_and_split(fake_path(100), tau=8, ratio=(0.6, 0.2, 0.2), seed=0)
         assert len(ds.test) == 14
-        first_test_t = min(inp.points[0].t for inp, _ in ds.test)
-        for inp, tgt in ds.train + ds.validation:
-            assert tgt.points[-1].t < first_test_t
-            assert inp.points[-1].t < first_test_t
+        first_test_t = ds.test[:, 0, 2].min()
+        head = np.concatenate([ds.train, ds.validation])
+        assert np.all(head[:, :, 2] < first_test_t)
 
     def test_test_pairs_never_in_train_or_val(self):
         ds = window_and_split(fake_path(200), tau=8, ratio=(0.6, 0.2, 0.2), seed=1)
-        test_keys = {tuple((p.x, p.y, p.t) for p in inp.points) for inp, _ in ds.test}
-        head_keys = {tuple((p.x, p.y, p.t) for p in inp.points)
-                     for inp, _ in ds.train + ds.validation}
+        test_keys = {w.tobytes() for w in ds.test[:, :8]}
+        head_keys = {w.tobytes() for w in np.concatenate([ds.train, ds.validation])[:, :8]}
         assert not test_keys & head_keys
 
     def test_same_seed_identical_dataset(self):
         path = fake_path(150)
         a = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=5)
         b = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=5)
-        assert a == b
+        for split in ("train", "validation", "test"):
+            assert np.array_equal(getattr(a, split), getattr(b, split))
 
     def test_too_short_path_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -123,9 +120,8 @@ class TestPersistence:
         loaded = load_dataset(tmp_path)
         assert loaded.tau == ds.tau
         assert loaded.counts() == ds.counts()
-        assert loaded.train == ds.train
-        assert loaded.validation == ds.validation
-        assert loaded.test == ds.test
+        for split in ("train", "validation", "test"):
+            assert np.array_equal(getattr(loaded, split), getattr(ds, split))
 
     def test_reexport_is_byte_identical(self, tmp_path):
         path = generate_scenario(ScenarioConfig(duration_s=40.0, lane_change_rate=0.05, seed=6))
@@ -138,3 +134,15 @@ class TestPersistence:
             h1 = hashlib.sha256((first / name).read_bytes()).hexdigest()
             h2 = hashlib.sha256((second / name).read_bytes()).hexdigest()
             assert h1 == h2
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(",val,", ",valx,", 1),
+        lambda text: text.rsplit("\n", 2)[0] + "\n",  # drops the last point of the last pair
+    ], ids=["unknown-role", "short-pair"])
+    def test_malformed_file_rejected(self, tmp_path, edit):
+        path = generate_scenario(ScenarioConfig(duration_s=40.0, lane_change_rate=0.05, seed=6))
+        save_dataset(window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6), tmp_path)
+        csv_path = tmp_path / "dataset.csv"
+        csv_path.write_text(edit(csv_path.read_text()))
+        with pytest.raises(ContractError):
+            load_dataset(tmp_path)
