@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 SPREAD_THRESHOLD_M = 2.0
 SYMMETRY_THRESHOLD_M = 1.0
 FINAL_POSITION_THRESHOLD_M = 40.0
+_PERMUTATION_BLOCK = 1_000  # shuffles per drawn array: bounds memory at 1,000 x n floats
 
 
 @dataclass(frozen=True)
@@ -58,18 +59,22 @@ class ValidityReport:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; ties share their mean rank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        ranks[order[i:j + 1]] = avg
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+
+
+def _permutation_p(statistic, sample: np.ndarray, observed: float, resamples: int, seed: int) -> float:
+    """Add-one p-value: the share of `resamples` shuffles of `sample` whose
+    |statistic| reaches `observed`. `statistic` maps a (rows, n) block of
+    shuffles to one value per row. Blocks are drawn from one generator and
+    hold the same rows as one `rng.permutation(sample)` call per resample."""
+    rng = np.random.default_rng(seed)
+    count = 0
+    for start in range(0, resamples, _PERMUTATION_BLOCK):
+        rows = min(_PERMUTATION_BLOCK, resamples - start)
+        perms = rng.permuted(np.tile(sample, (rows, 1)), axis=1)
+        count += int((np.abs(statistic(perms)) >= observed - 1e-12).sum())
+    return (count + 1) / (resamples + 1)
 
 
 def spearman(
@@ -98,14 +103,8 @@ def spearman(
     rho = float((rx * ry).sum()) / denom
 
     if n < 500:
-        rng = np.random.default_rng(seed)
-        count = 0
-        target = abs(rho) - 1e-12
-        for _ in range(resamples):
-            perm = rng.permutation(ry)
-            if abs(float((rx * perm).sum()) / denom) >= target:
-                count += 1
-        p = (count + 1) / (resamples + 1)
+        p = _permutation_p(lambda perms: (rx * perms).sum(axis=1) / denom,
+                           ry, abs(rho), resamples, seed)
     else:
         if abs(rho) >= 1.0:
             p = 0.0
@@ -203,16 +202,9 @@ def permutation_test(
     aa = np.asarray(a, dtype=float)
     bb = np.asarray(b, dtype=float)
     observed = abs(float(aa.mean()) - float(bb.mean()))
-    pooled = np.concatenate([aa, bb])
     n1 = len(aa)
-    rng = np.random.default_rng(seed)
-    count = 0
-    target = observed - 1e-12
-    for _ in range(resamples):
-        perm = rng.permutation(pooled)
-        if abs(float(perm[:n1].mean()) - float(perm[n1:].mean())) >= target:
-            count += 1
-    return (count + 1) / (resamples + 1)
+    return _permutation_p(lambda perms: perms[:, :n1].mean(axis=1) - perms[:, n1:].mean(axis=1),
+                          np.concatenate([aa, bb]), observed, resamples, seed)
 
 
 def ranksum_test(a: Sequence[float], b: Sequence[float]) -> float:

@@ -295,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="summarize one experiment or compare two")
     ana.add_argument("dirs", nargs="+", help="one or two experiment directories")
-    ana.add_argument("--alpha", type=float, default=0.05)
+    ana.add_argument("--alpha", type=float, default=0.05,
+                     help="family-wise significance level, in (0, 1)")
     ana.add_argument("--comparisons", type=int, default=2,
-                     help="comparison count for the Bonferroni correction")
+                     help="comparison count for the Bonferroni correction, at least 1")
     ana.add_argument("--out", help="write analysis files here instead of the first directory")
     ana.set_defaults(func=cmd_analyze)
 
@@ -312,9 +313,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "command", None) == "analyze" and len(args.dirs) > 2:
-        print("error: analyze takes one or two experiment directories", file=sys.stderr)
-        return EXIT_USAGE
+    if getattr(args, "command", None) == "analyze":
+        if len(args.dirs) > 2:
+            print("error: analyze takes one or two experiment directories", file=sys.stderr)
+            return EXIT_USAGE
+        if not 0.0 < args.alpha < 1.0 or args.comparisons < 1:
+            print("error: analyze needs 0 < --alpha < 1 and --comparisons >= 1", file=sys.stderr)
+            return EXIT_USAGE
     return args.func(args).exit_code
 
 

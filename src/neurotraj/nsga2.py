@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import ContractError
 from .genome import GeneticOperators, Genome, random_genome
 from .objectives import ObjectiveVector
@@ -37,39 +39,34 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 
 def nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
-    """Iterative front peeling; assigns each individual's rank and returns
-    the fronts, best first."""
+    """Iterative front peeling over a dominance matrix; assigns each
+    individual's rank and returns the fronts, best first.
+
+    The first front is in index order. Each later front is ordered by the
+    position of each member's last dominator in the previous front, then by
+    index: the order in which Deb's count-down peeling releases members,
+    so tournaments and crowding truncation see the same populations."""
     if not pop:
         raise ContractError("population must be non-empty")
-    n = len(pop)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    fronts: list[list[int]] = [[]]
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            if dominates(pop[p].objectives, pop[q].objectives):
-                dominated_by[p].append(q)
-            elif dominates(pop[q].objectives, pop[p].objectives):
-                counts[p] += 1
-        if counts[p] == 0:
-            pop[p].rank = 0
-            fronts[0].append(p)
-
-    i = 0
-    while fronts[i]:
-        nxt = []
-        for p in fronts[i]:
-            for q in dominated_by[p]:
-                counts[q] -= 1
-                if counts[q] == 0:
-                    pop[q].rank = i + 1
-                    nxt.append(q)
-        i += 1
-        fronts.append(nxt)
-    fronts.pop()
-    return [[pop[i] for i in front] for front in fronts]
+    ids = pop[0].objectives.ids
+    if any(ind.objectives.ids != ids for ind in pop):
+        raise ContractError("objective vectors have different ids or order")
+    f = np.array([ind.objectives.values for ind in pop], dtype=float)
+    dom = ~(f[:, None] > f[None]).any(2) & (f[:, None] < f[None]).any(2)  # dom[p, q]: p dominates q
+    counts = dom.sum(0)
+    front = np.flatnonzero(counts == 0)
+    fronts: list[list[Individual]] = []
+    while front.size:
+        for i in front:
+            pop[i].rank = len(fronts)
+        fronts.append([pop[i] for i in front])
+        below = dom[front]
+        counts[front] = -1
+        counts -= below.sum(0)
+        nxt = np.flatnonzero(counts == 0)
+        last = len(front) - 1 - below[::-1, nxt].argmax(0)
+        front = nxt[np.argsort(last, kind="stable")]
+    return fronts
 
 
 def crowding_distance(front: list[Individual]) -> None:

@@ -230,13 +230,17 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     with open(src / "dataset.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     pair_ids = np.array([int(row["pair_id"]) for row in rows], dtype=np.int64)
+    steps = np.array([int(row["step"]) for row in rows], dtype=np.int64)
     points = np.array([(float(row["x"]), float(row["y"]), float(row["t"])) for row in rows])
 
-    order = np.argsort(pair_ids, kind="stable")
+    order = np.lexsort((steps, pair_ids))
     ids, first, sizes = np.unique(pair_ids[order], return_index=True, return_counts=True)
     wrong = sizes != 2 * tau
     if wrong.any():
         raise ContractError(f"pair {ids[wrong][0]} has {sizes[wrong][0]} points, expected {2 * tau}")
+    wrong = (steps[order].reshape(-1, 2 * tau) != np.arange(2 * tau)).any(1)
+    if wrong.any():
+        raise ContractError(f"pair {ids[wrong][0]} does not have steps 0 to {2 * tau - 1}")
     windows = points[order].reshape(-1, 2 * tau, 3)
     roles = np.array([rows[i]["role"] for i in order[first]], dtype=str)
     unknown = ~np.isin(roles, [role for role, _ in _ROLES])

@@ -42,6 +42,23 @@ def brute_force_fronts(values) -> list[list[int]]:
     return fronts
 
 
+def mc_hypervolume(points, ref, n_samples, seed):
+    """Monte-Carlo oracle: fraction of a bounding box dominated by the front."""
+    rng = np.random.default_rng(seed)
+    pts = np.asarray(points, dtype=float)
+    ref_arr = np.asarray(ref, dtype=float)
+    low = pts.min(axis=0)
+    samples = rng.uniform(low, ref_arr, size=(n_samples, len(ref_arr)))
+    cols = samples.T.copy()  # one contiguous row per objective
+    covered = np.zeros(n_samples, dtype=bool)
+    for p in pts:
+        inside = cols[0] >= p[0]
+        for k in range(1, len(p)):
+            inside &= cols[k] >= p[k]
+        covered |= inside
+    return float(np.prod(ref_arr - low)) * float(covered.mean())
+
+
 class SeqRng:
     """Duck-typed random source whose integer draws come from a queue."""
 

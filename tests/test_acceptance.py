@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import brute_force_fronts, make_seq, straight_seq, vals_dominate, vec
+from conftest import (
+    brute_force_fronts,
+    make_seq,
+    mc_hypervolume,
+    straight_seq,
+    vals_dominate,
+    vec,
+)
 from neurotraj.analysis import (
     bonferroni,
     classify_validity,
@@ -139,18 +146,6 @@ def test_criterion_3_tchebycheff_and_ideal():
     _report("3 tchebycheff and ideal point", started, f"{replacements} replacements checked")
 
 
-def _mc_hypervolume(points, ref, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    pts = np.asarray(points, dtype=float)
-    ref_arr = np.asarray(ref, dtype=float)
-    low = pts.min(axis=0)
-    samples = rng.uniform(low, ref_arr, size=(n_samples, len(ref_arr)))
-    covered = np.zeros(n_samples, dtype=bool)
-    for p in pts:
-        covered |= (samples >= p).all(axis=1)
-    return float(np.prod(ref_arr - low)) * float(covered.mean())
-
-
 def test_criterion_4_hypervolume_oracle():
     started = time.perf_counter()
     assert hypervolume([(1.0, 1.0)], (3.0, 3.0)) == 4.0
@@ -163,7 +158,7 @@ def test_criterion_4_hypervolume_oracle():
         pts = [tuple(rng.uniform(0.0, 1.0) for _ in range(3)) for _ in range(n_pts)]
         ref = (1.1, 1.1, 1.1)
         exact = hypervolume(pts, ref)
-        approx = _mc_hypervolume(pts, ref, 1_000_000, seed=trial)
+        approx = mc_hypervolume(pts, ref, 1_000_000, seed=trial)
         rel = abs(exact - approx) / exact
         worst_rel = max(worst_rel, rel)
         assert rel <= 0.01, f"trial {trial}: relative error {rel:.4f}"

@@ -4,9 +4,12 @@ from random import Random
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_seq
+from conftest import make_seq, mc_hypervolume
 from neurotraj.analysis import (
+    _average_ranks,
     bonferroni,
     classify_validity,
     hypervolume,
@@ -22,6 +25,96 @@ from neurotraj.errors import (
     DegenerateBandwidthError,
     UndefinedCorrelationError,
 )
+
+
+def reference_average_ranks(values):
+    """The tie-group loop `_average_ranks` replaced."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=float)
+    i = 0
+    n = len(values)
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_spearman_p(x, y, resamples, seed):
+    """Spearman's permutation p-value, one `rng.permutation` per resample."""
+    rx = reference_average_ranks(np.asarray(x, dtype=float))
+    ry = reference_average_ranks(np.asarray(y, dtype=float))
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = math.sqrt(float((rx * rx).sum()) * float((ry * ry).sum()))
+    rho = float((rx * ry).sum()) / denom
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(resamples):
+        perm = rng.permutation(ry)
+        if abs(float((rx * perm).sum()) / denom) >= abs(rho) - 1e-12:
+            count += 1
+    return min(1.0, (count + 1) / (resamples + 1))
+
+
+def reference_permutation_p(a, b, resamples, seed):
+    """The permutation test, one `rng.permutation` per resample."""
+    aa = np.asarray(a, dtype=float)
+    bb = np.asarray(b, dtype=float)
+    observed = abs(float(aa.mean()) - float(bb.mean()))
+    pooled = np.concatenate([aa, bb])
+    n1 = len(aa)
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(resamples):
+        perm = rng.permutation(pooled)
+        if abs(float(perm[:n1].mean()) - float(perm[n1:].mean())) >= observed - 1e-12:
+            count += 1
+    return (count + 1) / (resamples + 1)
+
+
+def tied_series(n, seed):
+    """Two independent series of n values on a coarse grid, so ties occur."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=n), 1)
+    return x, np.round(rng.normal(size=n), 1)
+
+
+RESAMPLES = (1, 499, 1000, 1001, 2500)
+SIZES = (3, 16, 24, 499)
+
+
+class TestAgainstLoopReferences:
+    """Block-drawn shuffles and unique-based ranks give the old loops' values exactly."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("resamples", RESAMPLES)
+    def test_spearman_p_value(self, resamples, n):
+        x, y = tied_series(n, seed=n)
+        got = spearman(x, y, resamples=resamples, seed=n + 1).p_value
+        assert got == reference_spearman_p(x, y, resamples, seed=n + 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("resamples", RESAMPLES)
+    def test_permutation_test_p_value(self, resamples, n):
+        x, y = tied_series(n, seed=n)
+        a, b = x[: n // 2 or 1], x[n // 2 or 1:] + 0.1
+        got = permutation_test(a, b, resamples=resamples, seed=n + 2)
+        assert got == reference_permutation_p(a, b, resamples, seed=n + 2)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 1.5, -0.0, 1.5, 3.0, 0.0, -2.0],
+        [2.0, 2.0, 2.0],
+        [5.0],
+        list(np.round(np.random.default_rng(3).normal(size=200), 1)),
+        list(np.random.default_rng(4).integers(-3, 4, size=50).astype(float) * 0.0),
+    ], ids=["signed-zeros", "all-tied", "single", "rounded-normal", "zeros-of-both-signs"])
+    def test_average_ranks(self, values):
+        got = _average_ranks(np.array(values))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, reference_average_ranks(np.array(values)))
 
 
 class TestSpearman:
@@ -130,17 +223,8 @@ class TestClassifyValidity:
             classify_validity([])
 
 
-def mc_hypervolume(points, ref, n_samples, seed):
-    """Monte-Carlo oracle: fraction of a bounding box dominated by the front."""
-    rng = np.random.default_rng(seed)
-    pts = np.asarray(points, dtype=float)
-    ref_arr = np.asarray(ref, dtype=float)
-    low = pts.min(axis=0)
-    samples = rng.uniform(low, ref_arr, size=(n_samples, len(ref_arr)))
-    covered = np.zeros(n_samples, dtype=bool)
-    for p in pts:
-        covered |= (samples >= p).all(axis=1)
-    return float(np.prod(ref_arr - low)) * float(covered.mean())
+# Grid values give ties and duplicate points; 1.2 lies beyond the reference.
+HV_COORD = st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0, 1.2)) | st.floats(0.0, 1.2)
 
 
 class TestHypervolume:
@@ -167,6 +251,23 @@ class TestHypervolume:
             extra = (rng.uniform(0, 2), rng.uniform(0, 2))
             after = hypervolume(pts + [extra], ref)
             assert after >= before - 1e-12
+
+    @settings(deadline=None)
+    @given(data=st.data(), m=st.sampled_from((2, 3)))
+    def test_invariant_under_point_order(self, data, m):
+        front = data.draw(st.lists(st.tuples(*[HV_COORD] * m), min_size=1, max_size=25))
+        order = data.draw(st.permutations(range(len(front))))
+        ref = (1.1,) * m
+        assert hypervolume([front[i] for i in order], ref) == hypervolume(front, ref)
+
+    @settings(deadline=None)
+    @given(data=st.data(), m=st.sampled_from((2, 3)))
+    def test_adding_a_point_never_lowers_it(self, data, m):
+        front = data.draw(st.lists(st.tuples(*[HV_COORD] * m), min_size=1, max_size=25))
+        extra = data.draw(st.tuples(*[HV_COORD] * m))
+        ref = (1.1,) * m
+        before = hypervolume(front, ref)
+        assert hypervolume(front + [extra], ref) >= before - 1e-12 * before
 
     def test_violators_dropped(self):
         assert hypervolume([(1.0, 1.0), (5.0, 1.0)], (3.0, 3.0)) == 4.0

@@ -244,6 +244,14 @@ class TestAnalyze:
     def test_three_dirs_usage_error(self, exp8_dir):
         assert main(["analyze", str(exp8_dir), str(exp8_dir), str(exp8_dir)]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--comparisons", "0"), ("--comparisons", "-3"), ("--alpha", "7"), ("--alpha", "-1"),
+    ])
+    def test_out_of_range_numbers_usage_error_before_writing(self, exp8_dir, tmp_path, flag, value):
+        out = tmp_path / "out"
+        assert main(["analyze", str(exp8_dir), flag, value, "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_analyze_idempotent(self, exp8_dir, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"

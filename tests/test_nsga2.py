@@ -2,8 +2,10 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SeqRng, brute_force_fronts, vec
+from conftest import SeqRng, brute_force_fronts, vals_dominate, vec
 from neurotraj.errors import ContractError
 from neurotraj.genome import GeneticOperators, Genome, default_allele_table, random_genome
 from neurotraj.nsga2 import (
@@ -89,6 +91,35 @@ class TestNondominatedSort:
             fronts = nondominated_sort(pop)
             got = [sorted(i.evaluation for i in front) for front in fronts]
             assert got == brute_force_fronts(values)
+
+    @settings(deadline=None)
+    @given(data=st.data(), m=st.sampled_from((2, 3)))
+    def test_fronts_ranks_and_release_order(self, data, m):
+        # A coarse grid gives ties and duplicate rows; arbitrary floats mix in.
+        coord = st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.0)) | st.floats(0.0, 3.0)
+        rows = data.draw(st.lists(st.tuples(*[coord] * m), min_size=1, max_size=60))
+        tokens = ("rmse", "l2", "l3")[:m]
+        pop = [Individual(genome=Genome((0,) * 13), objectives=vec(tokens, v), evaluation=i)
+               for i, v in enumerate(rows)]
+        fronts = [[member.evaluation for member in front] for front in nondominated_sort(pop)]
+        assert [sorted(front) for front in fronts] == brute_force_fronts(rows)
+        assert all(pop[i].rank == k for k, front in enumerate(fronts) for i in front)
+        # Release rule: the first front in index order; each later one by the
+        # position of a member's last dominator in the previous front, then index.
+        assert fronts[0] == sorted(fronts[0])
+        for prev, front in zip(fronts, fronts[1:]):
+            def release_key(q):
+                last = max(pos for pos, d in enumerate(prev) if vals_dominate(rows[d], rows[q]))
+                return last, q
+            assert front == sorted(front, key=release_key)
+
+    def test_mixed_ids_rejected(self):
+        with pytest.raises(ContractError):
+            nondominated_sort([ind((1.0, 2.0)), ind((1.0, 2.0), ("l2", "rmse"))])
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(ContractError):
+            nondominated_sort([])
 
     def test_fronts_partition_population(self):
         rng = Random(3)

@@ -138,7 +138,8 @@ class TestPersistence:
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace(",val,", ",valx,", 1),
         lambda text: text.rsplit("\n", 2)[0] + "\n",  # drops the last point of the last pair
-    ], ids=["unknown-role", "short-pair"])
+        lambda text: text.replace("\n0,train,1,", "\n0,train,0,", 1),  # pair 0 has step 0 twice
+    ], ids=["unknown-role", "short-pair", "duplicated-step"])
     def test_malformed_file_rejected(self, tmp_path, edit):
         path = generate_scenario(ScenarioConfig(duration_s=40.0, lane_change_rate=0.05, seed=6))
         save_dataset(window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6), tmp_path)
@@ -146,3 +147,14 @@ class TestPersistence:
         csv_path.write_text(edit(csv_path.read_text()))
         with pytest.raises(ContractError):
             load_dataset(tmp_path)
+
+    def test_points_ordered_by_step_column(self, tmp_path):
+        path = generate_scenario(ScenarioConfig(duration_s=40.0, lane_change_rate=0.05, seed=6))
+        ds = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6)
+        save_dataset(ds, tmp_path)
+        csv_path = tmp_path / "dataset.csv"
+        header, first, second, *rest = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join([header, second, first, *rest]))
+        loaded = load_dataset(tmp_path)
+        for split in ("train", "validation", "test"):
+            assert np.array_equal(getattr(loaded, split), getattr(ds, split))
