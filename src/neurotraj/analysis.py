@@ -140,53 +140,54 @@ def classify_validity(predicted_test) -> ValidityReport:
     )
 
 
-def _hv_2d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
-    hv = 0.0
-    best_f2 = ref[1]
-    for f1, f2 in sorted(points):
-        if f2 < best_f2:
-            hv += (ref[0] - f1) * (best_f2 - f2)
-            best_f2 = f2
-    return hv
+def _swept_areas(f1: np.ndarray, f2: np.ndarray, ref0: float, ref1: float) -> np.ndarray:
+    """Area each row of points dominates within (ref0, ref1). Points are
+    sorted by (f1, f2); a row's f2 holds ref1 where a point is inactive.
+    Gains add in sweep order, as one running `hv +=` would."""
+    best = np.minimum.accumulate(
+        np.concatenate([np.full((len(f2), 1), ref1), f2[:, :-1]], axis=1), axis=1)
+    gain = np.where(f2 < best, (ref0 - f1) * (best - f2), 0.0)
+    return np.cumsum(gain, axis=1)[:, -1]
 
 
-def _hv_3d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
-    pts = sorted(points, key=lambda p: p[2])
-    hv = 0.0
-    active: list[tuple[float, ...]] = []
-    i = 0
-    n = len(pts)
-    while i < n:
-        z = pts[i][2]
-        while i < n and pts[i][2] == z:
-            active.append((pts[i][0], pts[i][1]))
-            i += 1
-        z_next = pts[i][2] if i < n else ref[2]
-        if z_next > z:
-            hv += _hv_2d(active, (ref[0], ref[1])) * (z_next - z)
-    return hv
-
-
-def hypervolume(front: Sequence[Sequence[float]], ref: Sequence[float]) -> float:
-    """Exact Lebesgue measure of the space dominated by `front` and bounded
-    by `ref` (minimization). Points not componentwise <= ref are dropped
-    with a logged warning."""
+def hypervolume(front: np.ndarray | Sequence[Sequence[float]], ref: Sequence[float]) -> float:
+    """Exact Lebesgue measure of the space dominated by `front`, an (n, m)
+    array or a sequence of points, and bounded by `ref` (minimization).
+    Points not componentwise <= ref are dropped with a logged warning."""
     ref_t = tuple(float(v) for v in ref)
     m = len(ref_t)
     if m not in (2, 3):
         raise ConfigurationError(f"hypervolume supports 2 or 3 objectives, got {m}")
-    points = [tuple(float(v) for v in p) for p in front]
-    for p in points:
-        if len(p) != m:
-            raise ContractError(f"front point of dimension {len(p)}, reference of {m}")
-    kept = [p for p in points if all(v <= r for v, r in zip(p, ref_t))]
+    try:
+        points = np.asarray(front, dtype=float)
+    except ValueError as exc:
+        raise ContractError(f"front points of unequal dimension: {exc}") from exc
+    if len(points) and (points.ndim != 2 or points.shape[1] != m):
+        raise ContractError(f"front points of shape {points.shape[1:]}, reference of dimension {m}")
+    points = points.reshape(-1, m)
+    kept = points[(points <= np.array(ref_t)).all(axis=1)]
     dropped = len(points) - len(kept)
     if dropped:
         logger.warning("hypervolume: dropped %d point(s) beyond the reference", dropped)
-    if not kept:
+    if not len(kept):
         logger.warning("hypervolume: empty front after filtering, returning 0")
         return 0.0
-    return _hv_2d(kept, ref_t) if m == 2 else _hv_3d(kept, ref_t)
+    kept = kept[np.lexsort((kept[:, 1], kept[:, 0]))]
+    f1, f2 = kept[:, 0], kept[:, 1]
+    if m == 2:
+        return float(_swept_areas(f1, f2[None, :], ref_t[0], ref_t[1])[0])
+    # One sweep per distinct z level over the points at or below it, times
+    # the depth to the next level; levels go in blocks to bound memory.
+    z = kept[:, 2]
+    levels = np.unique(z)
+    depths = np.append(levels[1:], ref_t[2]) - levels
+    hv = 0.0
+    rows = max(1, 2_000_000 // len(kept))
+    for start in range(0, len(levels), rows):
+        block, depth = levels[start:start + rows], depths[start:start + rows]
+        areas = _swept_areas(f1, np.where(z <= block[:, None], f2, ref_t[1]), ref_t[0], ref_t[1])
+        hv = np.cumsum(np.concatenate([[hv], np.where(depth > 0, areas * depth, 0.0)]))[-1]
+    return float(hv)
 
 
 def permutation_test(
@@ -231,6 +232,8 @@ def ranksum_test(a: Sequence[float], b: Sequence[float]) -> float:
 
 def bonferroni(alpha: float, comparisons: int) -> float:
     """Adjusted significance level alpha / comparisons."""
+    if not 0.0 < alpha < 1.0:
+        raise ContractError(f"alpha must be in (0, 1), got {alpha}")
     if comparisons < 1:
         raise ContractError(f"comparisons must be >= 1, got {comparisons}")
     return alpha / comparisons

@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import hypervolume, kde_density, spearman
 from .errors import (
     ConfigurationError,
@@ -128,15 +130,17 @@ def cmd_run(args: argparse.Namespace) -> CommandOutcome:
     return CommandOutcome(EXIT_OK, artifacts)
 
 
-def _generation_fronts(cfg: ExperimentConfig, rec: RunRecord) -> list[list[tuple[float, ...]]]:
-    """Per-generation non-dominated front values from persisted snapshots."""
+def _generation_fronts(cfg: ExperimentConfig, rec: RunRecord) -> list[np.ndarray]:
+    """Per-generation non-dominated front values from persisted snapshots,
+    one (k, m) array per generation."""
+    m = len(cfg.objective_ids)
     fronts = []
     for snap in rec.snapshots:
         if cfg.algorithm == "nsga2":
-            pts = [tuple(ind["objectives"]) for ind in snap["population"] if ind["rank"] == 0]
+            values = [ind["objectives"] for ind in snap["population"] if ind["rank"] == 0]
         else:
-            pts = [tuple(ind["objectives"]) for ind in snap["archive"]]
-        fronts.append(pts)
+            values = [ind["objectives"] for ind in snap["archive"]]
+        fronts.append(np.array(values, dtype=float).reshape(len(values), m))
     return fronts
 
 
@@ -166,19 +170,16 @@ def cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
 
         # Shared hypervolume reference: componentwise max over every front
         # involved in the comparison, plus a 10% margin.
-        all_points: list[tuple[float, ...]] = []
         gen_fronts = {"primary": [(rec, _generation_fronts(cfg, rec)) for rec in records]}
         if against_records is not None:
             gen_fronts["against"] = [(rec, _generation_fronts(against_cfg, rec))
                                      for rec in against_records]
-        for group in gen_fronts.values():
-            for _, fronts in group:
-                for front in fronts:
-                    all_points.extend(front)
-        if not all_points:
+        all_points = np.concatenate([front for group in gen_fronts.values()
+                                     for _, fronts in group for front in fronts])
+        if not len(all_points):
             raise MalformedRecordsError("no front points found in the experiment records")
         m = len(cfg.objective_ids)
-        ref = tuple(max(1e-9, 1.1 * max(p[j] for p in all_points)) for j in range(m))
+        ref = tuple(max(1e-9, 1.1 * float(v)) for v in all_points.max(axis=0))
 
         for label, group in gen_fronts.items():
             name = "hypervolume.csv" if label == "primary" else "hypervolume_against.csv"

@@ -191,8 +191,7 @@ def evaluate(
     skills = skill_scores(genome, cfg)
     predicted = predict_split(genome, skills, cfg, data.validation, "val")
     actual = data.validation[:, data.tau:]
-    return EvaluationResult(
-        objectives=assemble(ids, predicted, actual),
-        skills=skills,
-        rmse_validation=rmse(predicted, actual),
-    )
+    objectives = assemble(ids, predicted, actual)
+    rmse_validation = (objectives.value_of(ObjectiveId.RMSE) if ObjectiveId.RMSE in objectives.ids
+                       else rmse(predicted, actual))
+    return EvaluationResult(objectives=objectives, skills=skills, rmse_validation=rmse_validation)

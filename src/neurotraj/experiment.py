@@ -384,7 +384,7 @@ def load_config(exp_dir: Path) -> ExperimentConfig:
     try:
         with open(exp_dir / "config.json", encoding="utf-8") as fh:
             return ExperimentConfig.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, NeurotrajError) as exc:
         raise MalformedRecordsError(f"cannot load config from {exp_dir}: {exc}") from exc
 
 
@@ -422,6 +422,8 @@ def _check_snapshots(path: Path, snapshots: list, algorithm: str, m: int) -> Non
 
 def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
     """Reload persisted records; raises MalformedRecordsError on inconsistency."""
+    import orjson  # imported here so that run, generate and presets do not load it
+
     exp_dir = Path(exp_dir)
     cfg = load_config(exp_dir)
     tokens = [oid.token for oid in cfg.objective_ids]
@@ -430,9 +432,9 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
         jsonl_path = exp_dir / f"run_{k}.jsonl"
         csv_path = exp_dir / f"final_front_{k}.csv"
         try:
-            with open(jsonl_path, encoding="utf-8") as fh:
-                snapshots = [json.loads(line) for line in fh if line.strip()]
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(jsonl_path, "rb") as fh:
+                snapshots = [orjson.loads(line) for line in fh if line.strip()]
+        except (OSError, orjson.JSONDecodeError) as exc:
             raise MalformedRecordsError(f"bad snapshots in {jsonl_path}: {exc}") from exc
         if len(snapshots) != cfg.generations:
             raise MalformedRecordsError(

@@ -225,6 +225,43 @@ class TestClassifyValidity:
 
 # Grid values give ties and duplicate points; 1.2 lies beyond the reference.
 HV_COORD = st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0, 1.2)) | st.floats(0.0, 1.2)
+# As above, plus negative values and points on the reference (1.1).
+HV_GRID = st.sampled_from((-0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.1, 1.2)) | st.floats(-1.0, 1.2)
+
+
+def reference_hypervolume(front, ref):
+    """The per-point sweep `hypervolume` replaced: in 2-D one pass over the
+    points sorted by (f1, f2); in 3-D one such pass per distinct z level over
+    the points at or below it, times the depth to the next level."""
+    def hv_2d(points, ref):
+        hv = 0.0
+        best_f2 = ref[1]
+        for f1, f2 in sorted(points):
+            if f2 < best_f2:
+                hv += (ref[0] - f1) * (best_f2 - f2)
+                best_f2 = f2
+        return hv
+
+    def hv_3d(points, ref):
+        pts = sorted(points, key=lambda p: p[2])
+        hv = 0.0
+        active = []
+        i, n = 0, len(pts)
+        while i < n:
+            z = pts[i][2]
+            while i < n and pts[i][2] == z:
+                active.append((pts[i][0], pts[i][1]))
+                i += 1
+            z_next = pts[i][2] if i < n else ref[2]
+            if z_next > z:
+                hv += hv_2d(active, (ref[0], ref[1])) * (z_next - z)
+        return hv
+
+    ref = tuple(float(v) for v in ref)
+    kept = [tuple(float(v) for v in p) for p in front if all(v <= r for v, r in zip(p, ref))]
+    if not kept:
+        return 0.0
+    return hv_2d(kept, ref) if len(ref) == 2 else hv_3d(kept, ref)
 
 
 class TestHypervolume:
@@ -288,6 +325,42 @@ class TestHypervolume:
     def test_unsupported_dimension_rejected(self):
         with pytest.raises(ConfigurationError):
             hypervolume([(1.0,) * 4], (2.0,) * 4)
+
+    @settings(deadline=None)
+    @given(data=st.data(), m=st.sampled_from((2, 3)))
+    def test_matches_reference_sweep_for_lists_and_arrays(self, data, m):
+        front = data.draw(st.lists(st.tuples(*[HV_GRID] * m), max_size=60))
+        ref = data.draw(st.sampled_from((1.0, 1.1)))
+        refs = (ref,) * m
+        expected = reference_hypervolume(front, refs)
+        assert hypervolume(front, refs) == expected
+        array = np.array(front, dtype=float).reshape(len(front), m)
+        result = hypervolume(array, refs)
+        assert result == expected
+        assert type(result) is float
+
+    def test_matches_reference_sweep_across_level_blocks(self):
+        # 2,000,000 // 1,420 = 1,408 levels per block, so 1,420 distinct z
+        # levels take two blocks and carry the running sum across them.
+        rng = np.random.default_rng(3)
+        front = rng.random((1_420, 3))
+        front[:, :2] = np.round(front[:, :2] * 20) / 20  # ties in (f1, f2)
+        ref = (1.1, 1.1, 1.1)
+        assert len(np.unique(front[:, 2])) == 1_420
+        assert hypervolume(front, ref) == reference_hypervolume(front.tolist(), ref)
+
+    @pytest.mark.parametrize("front", [[], np.empty((0, 3)), np.empty((0, 2))])
+    def test_empty_input_returns_zero(self, front):
+        assert hypervolume(front, (1.0, 1.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("front", [
+        [(0.5, 0.5, 0.5), (0.5, 0.5)],
+        [(0.5, 0.5)],
+        np.zeros((2, 2)),
+    ])
+    def test_wrong_dimension_rejected(self, front):
+        with pytest.raises(ContractError):
+            hypervolume(front, (1.0, 1.0, 1.0))
 
 
 class TestPermutationTest:
@@ -361,6 +434,11 @@ class TestBonferroni:
     def test_invalid_comparisons(self):
         with pytest.raises(ContractError):
             bonferroni(0.05, 0)
+
+    @pytest.mark.parametrize("alpha", [7.0, -1.0, 0.0, 1.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ContractError):
+            bonferroni(alpha, 2)
 
 
 def oracle_kde(samples, grid):

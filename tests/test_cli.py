@@ -53,6 +53,22 @@ def _edit_front_row(exp_dir: Path, column: str, value: str) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def _edit_config(exp_dir: Path, edit) -> None:
+    """Apply `edit` to the experiment's config.json."""
+    path = exp_dir / "config.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _latin1_byte(path: Path, text: bytes) -> None:
+    """Replace the last letter of the first `text` with a Latin-1 "é", a
+    byte that is not valid UTF-8."""
+    raw = path.read_bytes()
+    assert text in raw
+    path.write_bytes(raw.replace(text, text[:-2] + b"\xe9" + text[-1:], 1))
+
+
 class TestGenerate:
     def test_writes_manifest_with_defaults(self, tmp_path):
         out = tmp_path / "data"
@@ -230,9 +246,16 @@ class TestAnalyze:
                                 _edit_front_row(d, "spread_ok", "0"))),
         ("exp8_dir", lambda d: _edit_snapshot(
             d, lambda snap: snap["population"][0].update(rank="zero"))),
+        ("exp8_dir", lambda d: _latin1_byte(d / "run_0.jsonl", b'"generation"')),
+        ("exp8_dir", lambda d: _latin1_byte(d / "config.json", b'"algorithm"')),
+        ("exp8_dir", lambda d: _edit_config(d, lambda doc: doc.update(algorithm="nsga3"))),
+        ("exp8_dir", lambda d: _edit_config(d, lambda doc: doc.update(population=1))),
+        ("exp8_dir", lambda d: _edit_config(d, lambda doc: doc["objectives"].__setitem__(1, "l9"))),
     ], ids=["no-population", "no-rank", "population-two-objectives", "no-archive",
             "archive-two-objectives", "gene-out-of-range", "nan-objective", "valid-yes",
-            "spread-ok-seven", "valid-with-failed-flag", "rank-zero-string"])
+            "spread-ok-seven", "valid-with-failed-flag", "rank-zero-string",
+            "snapshot-not-utf8", "config-not-utf8", "unknown-algorithm", "population-one",
+            "unknown-objective"])
     def test_bad_record_contents_exit_five(self, fixture, corrupt, request, tmp_path):
         import shutil
 

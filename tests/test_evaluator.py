@@ -160,6 +160,26 @@ class TestEvaluate:
         predicted = predict_split(g, res.skills, CFG, small_dataset.test, "test")
         assert all(type(v) is float for v in classify_validity(predicted).measured)
 
+    @pytest.mark.parametrize("ids, calls", [
+        (IDS, 0),
+        ((ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY), 1),
+    ])
+    def test_validation_rmse_computed_once(self, small_dataset, monkeypatch, ids, calls):
+        import neurotraj.evaluator as evaluator_mod
+
+        g = random_genome(TABLE, Random(6))
+        predicted = predict_split(g, skill_scores(g, CFG), CFG, small_dataset.validation, "val")
+        expected = rmse(predicted, small_dataset.validation[:, small_dataset.tau:])
+        counted = []
+
+        def counting_rmse(*args):
+            counted.append(1)
+            return rmse(*args)
+
+        monkeypatch.setattr(evaluator_mod, "rmse", counting_rmse)
+        assert evaluate(g, small_dataset, ids, CFG).rmse_validation == expected
+        assert len(counted) == calls
+
     def test_empty_split_rejected(self, small_dataset):
         empty = Dataset(train=small_dataset.train, validation=small_dataset.validation[:0],
                         test=small_dataset.test, seed=0)

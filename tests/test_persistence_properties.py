@@ -1,8 +1,11 @@
 """Property test: persisted experiment records load back unchanged."""
 
+import json
+import struct
 import tempfile
 from pathlib import Path
 
+import orjson
 from hypothesis import given, settings, strategies as st
 
 from neurotraj.analysis import ValidityReport
@@ -77,3 +80,30 @@ def test_load_records_inverts_persist_experiment(experiment):
     assert loaded_cfg == cfg
     assert [rec.final_front for rec in loaded] == [rec.final_front for rec in records]
     assert [rec.snapshots for rec in loaded] == [rec.snapshots for rec in records]
+
+
+# Full-range finite doubles (subnormals, +-1e308, -0.0) and 64-bit ints,
+# as `persist_experiment` writes them with json.dumps.
+EDGE_FLOATS = st.sampled_from((5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                               1e308, -1e308, 1.7976931348623157e308, -0.0, 0.0, 0.1))
+SCALARS = (st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+           | st.integers(-(2 ** 63), 2 ** 63 - 1))
+
+
+def _bits(value):
+    """`value` with every float replaced by its IEEE-754 bytes."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return (type(value).__name__, value)
+
+
+@settings(deadline=None)
+@given(st.lists(SCALARS, max_size=40) | st.dictionaries(st.text(max_size=8), SCALARS, max_size=20))
+def test_orjson_decodes_json_dumps_bit_for_bit(doc):
+    line = json.dumps(doc).encode() + b"\n"
+    assert _bits(orjson.loads(line)) == _bits(json.loads(line))
+    assert _bits(orjson.loads(line)) == _bits(doc)
