@@ -43,19 +43,6 @@ class ValidityReport:
     final_position_ok: bool
     measured: tuple[float, float, float]  # (max |x|, mean final x, mean final y displacement)
 
-    def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "spread_ok": self.spread_ok,
-            "symmetry_ok": self.symmetry_ok,
-            "final_position_ok": self.final_position_ok,
-            "measured": {
-                "max_abs_x": self.measured[0],
-                "mean_final_x": self.measured[1],
-                "mean_final_y": self.measured[2],
-            },
-        }
-
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; ties share their mean rank."""
@@ -177,12 +164,14 @@ def hypervolume(front: np.ndarray | Sequence[Sequence[float]], ref: Sequence[flo
     if m == 2:
         return float(_swept_areas(f1, f2[None, :], ref_t[0], ref_t[1])[0])
     # One sweep per distinct z level over the points at or below it, times
-    # the depth to the next level; levels go in blocks to bound memory.
+    # the depth to the next level. Levels go in blocks of about 200,000
+    # elements, because the sweep holds several float64 temporaries of a
+    # block: a random 4,000-point front peaks at 8.5 MB under tracemalloc.
     z = kept[:, 2]
     levels = np.unique(z)
     depths = np.append(levels[1:], ref_t[2]) - levels
     hv = 0.0
-    rows = max(1, 2_000_000 // len(kept))
+    rows = max(1, 200_000 // len(kept))
     for start in range(0, len(levels), rows):
         block, depth = levels[start:start + rows], depths[start:start + rows]
         areas = _swept_areas(f1, np.where(z <= block[:, None], f2, ref_t[1]), ref_t[0], ref_t[1])

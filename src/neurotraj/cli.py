@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +51,6 @@ EXIT_MALFORMED = 5
 ENV_SEED = "NEUROTRAJ_SEED"
 
 
-@dataclass
-class CommandOutcome:
-    exit_code: int
-    artifacts: list[Path] = field(default_factory=list)
-
-
 def _parse_ratio(text: str) -> tuple[float, float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
@@ -64,7 +58,7 @@ def _parse_ratio(text: str) -> tuple[float, float, float]:
     return tuple(parts)
 
 
-def cmd_generate(args: argparse.Namespace) -> CommandOutcome:
+def cmd_generate(args: argparse.Namespace) -> int:
     try:
         ratio = _parse_ratio(args.ratios)
         path = generate_scenario(ScenarioConfig(
@@ -75,15 +69,15 @@ def cmd_generate(args: argparse.Namespace) -> CommandOutcome:
         dataset = window_and_split(path, tau=args.tau, ratio=ratio, seed=args.seed)
     except NeurotrajError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_USAGE)
+        return EXIT_USAGE
     try:
         written = save_dataset(dataset, args.out)
     except OSError as exc:
         print(f"error: cannot write dataset: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_IO)
+        return EXIT_IO
     for p in written.values():
         print(p)
-    return CommandOutcome(EXIT_OK, list(written.values()))
+    return EXIT_OK
 
 
 def _resolve_run_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -99,35 +93,34 @@ def _resolve_run_config(args: argparse.Namespace) -> ExperimentConfig:
     return scale_config(cfg, args.scale)
 
 
-def cmd_run(args: argparse.Namespace) -> CommandOutcome:
+def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _resolve_run_config(args)
     except (NeurotrajError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_USAGE)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_IO)
+        return EXIT_IO
 
     out_dir = Path(args.out)
     try:
         records = run_experiment(cfg, out_dir=out_dir, jobs=args.jobs)
     except NeurotrajError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_USAGE)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: cannot write experiment outputs: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_IO)
+        return EXIT_IO
     failed = [rec for rec in records if rec.error]
-    artifacts = sorted(out_dir.glob("*"))
-    for p in artifacts:
+    for p in sorted(out_dir.glob("*")):
         print(p)
     if failed:
         for rec in failed:
             print(f"error: run {rec.run_index} (seed {rec.run_seed}) failed: {rec.error}",
                   file=sys.stderr)
-        return CommandOutcome(EXIT_ENGINE, artifacts)
-    return CommandOutcome(EXIT_OK, artifacts)
+        return EXIT_ENGINE
+    return EXIT_OK
 
 
 def _generation_fronts(cfg: ExperimentConfig, rec: RunRecord) -> list[np.ndarray]:
@@ -144,11 +137,26 @@ def _generation_fronts(cfg: ExperimentConfig, rec: RunRecord) -> list[np.ndarray
     return fronts
 
 
-def _final_front_values(records: list[RunRecord]) -> list[list[tuple[float, ...]]]:
-    return [[e.objectives for e in rec.final_front] for rec in records]
+def cmd_analyze(args: argparse.Namespace) -> int:
+    # The cyclic collector is paused for the whole command. The decoded
+    # snapshot trees and the records built from them hold no reference
+    # cycles, so reference counting frees all of it when the command returns;
+    # a collection here finds no garbage, it only walks every dict and list
+    # decoded so far. On the five comparisons of the analyze-compare
+    # benchmark (2-core x86-64, Python 3.11) those walks took 0.29 s of a
+    # 1.0 s operation: about 570 collections, 4-5 of them full. Pausing
+    # around the decode alone still left 100 collections and 0.1 s, spent
+    # walking the decoded objects after collection resumed.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(args)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
-def cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
+def _analyze(args: argparse.Namespace) -> int:
     primary_dir = Path(args.dirs[0])
     against_dir = Path(args.dirs[1]) if len(args.dirs) > 1 else None
     try:
@@ -161,7 +169,7 @@ def cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
                     "experiments optimize different objectives and cannot be compared")
     except MalformedRecordsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_MALFORMED)
+        return EXIT_MALFORMED
 
     out_dir = Path(args.out) if args.out else primary_dir
     artifacts: list[Path] = []
@@ -195,11 +203,12 @@ def cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
         # Per-run KDE over final-front objective values, evaluated at the
         # front points themselves (density estimated independently per run).
         kde_path = out_dir / "kde_front.csv"
+        final_fronts = [[e.objectives for e in rec.final_front] for rec in records]
         tokens = [oid.token for oid in cfg.objective_ids]
         with open(kde_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run"] + tokens + ["density"])
-            for rec, front_values in zip(records, _final_front_values(records)):
+            for rec, front_values in zip(records, final_fronts):
                 if len(front_values) < 2:
                     continue
                 try:
@@ -211,7 +220,7 @@ def cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
         artifacts.append(kde_path)
 
         # Pairwise rank correlations over pooled final-front values.
-        pooled = [p for front in _final_front_values(records) for p in front]
+        pooled = [p for front in final_fronts for p in front]
         correlations = []
         for i in range(m):
             for j in range(i + 1, m):
@@ -241,17 +250,17 @@ def cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
         artifacts.append(summary_path)
     except NeurotrajError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_MALFORMED)
+        return EXIT_MALFORMED
     except OSError as exc:
         print(f"error: cannot write analysis outputs: {exc}", file=sys.stderr)
-        return CommandOutcome(EXIT_IO)
+        return EXIT_IO
 
     for p in artifacts:
         print(p)
-    return CommandOutcome(EXIT_OK, artifacts)
+    return EXIT_OK
 
 
-def cmd_presets(args: argparse.Namespace) -> CommandOutcome:
+def cmd_presets(args: argparse.Namespace) -> int:
     rows = []
     for name, entry in PRESETS.items():
         rows.append((name, f"batch {entry['batch']}", entry["algorithm"],
@@ -261,7 +270,7 @@ def cmd_presets(args: argparse.Namespace) -> CommandOutcome:
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return CommandOutcome(EXIT_OK)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         if not 0.0 < args.alpha < 1.0 or args.comparisons < 1:
             print("error: analyze needs 0 < --alpha < 1 and --comparisons >= 1", file=sys.stderr)
             return EXIT_USAGE
-    return args.func(args).exit_code
+    return args.func(args)
 
 
 def entrypoint() -> None:  # console-script shim

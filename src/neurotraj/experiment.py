@@ -443,23 +443,33 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
         entries = []
         try:
             with open(csv_path, newline="", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
-                    genome = Genome(tuple(int(row[f"gene_{i + 1}"]) for i in range(N_LOCI)))
+                rows = csv.reader(fh)
+                header = next(rows, [])
+                col = {name: i for i, name in enumerate(header)}
+                for row in rows:
+                    if not row:
+                        continue
+                    if len(row) != len(header):
+                        raise ValueError(f"line {rows.line_num} has {len(row)} fields, "
+                                         f"the header {len(header)}")
+                    genome = Genome(tuple(int(row[col[f"gene_{i + 1}"]]) for i in range(N_LOCI)))
                     default_allele_table().validate_genome(genome)
-                    measured = (_finite(row["max_abs_x"]), _finite(row["mean_final_x"]),
-                                _finite(row["mean_final_y"]))
-                    tests = [_flag(row[c]) for c in ("spread_ok", "symmetry_ok", "final_position_ok")]
-                    if _flag(row["valid"]) != all(tests):
-                        raise ValueError(f"valid {row['valid']} contradicts the test flags {tests}")
+                    measured = (_finite(row[col["max_abs_x"]]), _finite(row[col["mean_final_x"]]),
+                                _finite(row[col["mean_final_y"]]))
+                    tests = [_flag(row[col[c]])
+                             for c in ("spread_ok", "symmetry_ok", "final_position_ok")]
+                    valid = row[col["valid"]]
+                    if _flag(valid) != all(tests):
+                        raise ValueError(f"valid {valid} contradicts the test flags {tests}")
                     validity = ValidityReport(all(tests), *tests, measured=measured)
                     entries.append(FrontEntry(
                         genome=genome.indices,
-                        objectives=tuple(_finite(row[t]) for t in tokens),
-                        rmse_validation=_finite(row["rmse_validation"]),
-                        rmse_test=_finite(row["rmse_test"]),
+                        objectives=tuple(_finite(row[col[t]]) for t in tokens),
+                        rmse_validation=_finite(row[col["rmse_validation"]]),
+                        rmse_test=_finite(row[col["rmse_test"]]),
                         validity=validity,
-                        skills=(_finite(row["skill_acc"]), _finite(row["skill_smooth"]),
-                                _finite(row["skill_speed"])),
+                        skills=(_finite(row[col["skill_acc"]]), _finite(row[col["skill_smooth"]]),
+                                _finite(row[col["skill_speed"]])),
                     ))
         except (OSError, KeyError, ValueError, TypeError, ContractError) as exc:
             raise MalformedRecordsError(f"bad final front in {csv_path}: {exc}") from exc

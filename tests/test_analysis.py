@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -348,6 +349,16 @@ class TestHypervolume:
         ref = (1.1, 1.1, 1.1)
         assert len(np.unique(front[:, 2])) == 1_420
         assert hypervolume(front, ref) == reference_hypervolume(front.tolist(), ref)
+
+    def test_level_blocks_bound_memory(self):
+        front = np.random.default_rng(0).random((4_000, 3))
+        tracemalloc.start()
+        try:
+            hypervolume(front, (1.1, 1.1, 1.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     @pytest.mark.parametrize("front", [[], np.empty((0, 3)), np.empty((0, 2))])
     def test_empty_input_returns_zero(self, front):

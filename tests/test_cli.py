@@ -1,10 +1,13 @@
 import csv
+import gc
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from neurotraj import cli
 from neurotraj.cli import main
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -43,14 +46,19 @@ def _edit_snapshot(exp_dir: Path, edit) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _edit_front_row(exp_dir: Path, column: str, value: str) -> None:
-    """Overwrite one cell of the first final-front row of run 0."""
+def _edit_front_rows(exp_dir: Path, edit) -> None:
+    """Apply `edit` to the rows, header first, of run 0's final front."""
     path = exp_dir / "final_front_0.csv"
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    rows[1][rows[0].index(column)] = value
+    edit(rows)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def _edit_front_row(exp_dir: Path, column: str, value: str) -> None:
+    """Overwrite one cell of the first final-front row of run 0."""
+    _edit_front_rows(exp_dir, lambda rows: rows[1].__setitem__(rows[0].index(column), value))
 
 
 def _edit_config(exp_dir: Path, edit) -> None:
@@ -251,11 +259,13 @@ class TestAnalyze:
         ("exp8_dir", lambda d: _edit_config(d, lambda doc: doc.update(algorithm="nsga3"))),
         ("exp8_dir", lambda d: _edit_config(d, lambda doc: doc.update(population=1))),
         ("exp8_dir", lambda d: _edit_config(d, lambda doc: doc["objectives"].__setitem__(1, "l9"))),
+        ("exp8_dir", lambda d: _edit_front_rows(d, lambda rows: rows[1].extend(["999", "abc"]))),
+        ("exp8_dir", lambda d: _edit_front_rows(d, lambda rows: rows[1].pop())),
     ], ids=["no-population", "no-rank", "population-two-objectives", "no-archive",
             "archive-two-objectives", "gene-out-of-range", "nan-objective", "valid-yes",
             "spread-ok-seven", "valid-with-failed-flag", "rank-zero-string",
             "snapshot-not-utf8", "config-not-utf8", "unknown-algorithm", "population-one",
-            "unknown-objective"])
+            "unknown-objective", "extra-field", "missing-field"])
     def test_bad_record_contents_exit_five(self, fixture, corrupt, request, tmp_path):
         import shutil
 
@@ -294,6 +304,61 @@ class TestAnalyze:
                     valid += row["valid"] == "1"
         assert doc["valid"] == valid and doc["total"] == total
         assert doc["percentage"] == round(100 * valid / total)
+
+
+class TestAnalyzeCollector:
+    """`analyze` runs with the cyclic garbage collector paused and gives the
+    caller back the collector state it found."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", [
+        (lambda d, out: [str(d), "--out", str(out)], 0),
+        (lambda d, out: [str(out)], 5),
+        (lambda d, out: [str(d), "--alpha", "7", "--out", str(out)], 2),
+    ], ids=["exit-0", "exit-5", "exit-2"])
+    def test_state_restored(self, gc_state, exp8_dir, tmp_path, argv, code):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["analyze", *argv(exp8_dir, out)]) == code
+        assert gc.isenabled() is gc_state
+
+    def test_state_restored_after_an_unexpected_exception(self, gc_state, exp8_dir, tmp_path,
+                                                          monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "summarize", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["analyze", str(exp8_dir), "--out", str(tmp_path / "out")])
+        assert gc.isenabled() is gc_state
+
+    def test_no_collection_inside_analyze(self, exp8_dir, exp9_dir, tmp_path):
+        inside = []
+
+        def record(phase, info):
+            if phase != "start":
+                return
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code is cli.cmd_analyze.__code__:
+                    inside.append(info["generation"])
+                    return
+                frame = frame.f_back
+
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            assert main(["analyze", str(exp8_dir), str(exp9_dir),
+                         "--out", str(tmp_path / "cmp")]) == 0
+        finally:
+            gc.callbacks.remove(record)
+        assert inside == []
 
 
 class TestPresetsCommand:

@@ -2,6 +2,7 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import vals_dominate, vec
 from neurotraj.errors import ConfigurationError, ContractError
@@ -152,6 +153,30 @@ class TestArchive:
         cand = Individual(genome=Genome((1,) + (0,) * 12), objectives=vec(("rmse", "l2"), (1, 1)))
         archive_insert(archive, cand)
         assert len(archive) == 2
+
+    @settings(deadline=None)
+    @given(data=st.data(), tokens=st.sampled_from((("rmse", "l2"), ("rmse", "l1", "l3"))))
+    def test_any_insert_sequence_keeps_a_nondominated_archive(self, data, tokens):
+        # Few genes and grid values, so that ties and exact repeats are common.
+        candidates = data.draw(st.lists(st.tuples(
+            st.integers(0, 2), st.tuples(*[st.sampled_from((0.0, 0.5, 1.0, 2.0))] * len(tokens))),
+            min_size=1, max_size=30))
+        archive = []
+        for gene, values in candidates:
+            archive_insert(archive, Individual(genome=Genome((gene,) + (0,) * 12),
+                                               objectives=vec(tokens, values)))
+        members = [m.objectives.values for m in archive]
+        assert not any(vals_dominate(a, b) for a in members for b in members)
+        # Every candidate is covered: a member is at least as good everywhere.
+        assert all(any(all(x <= y for x, y in zip(kept, values)) for kept in members)
+                   for _, values in candidates)
+
+        member = data.draw(st.sampled_from(archive))
+        before = list(archive)
+        archive_insert(archive, Individual(genome=Genome(member.genome.indices),
+                                           objectives=vec(tokens, member.objectives.values)))
+        assert len(archive) == len(before)
+        assert all(a is b for a, b in zip(archive, before))
 
 
 def synth_eval(seed_offset=0):
