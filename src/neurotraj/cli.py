@@ -33,14 +33,13 @@ from .errors import (
 from .experiment import (
     ExperimentConfig,
     PRESETS,
-    RunRecord,
     load_records,
     preset_config,
     run_experiment,
     scale_config,
     summarize,
 )
-from .trajectory import ScenarioConfig, generate_scenario, save_dataset, window_and_split
+from .trajectory import generate_scenario, save_dataset, window_and_split
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,11 +60,7 @@ def _parse_ratio(text: str) -> tuple[float, float, float]:
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         ratio = _parse_ratio(args.ratios)
-        path = generate_scenario(ScenarioConfig(
-            duration_s=args.duration,
-            lane_change_rate=args.lane_change_rate,
-            seed=args.seed,
-        ))
+        path = generate_scenario(args.duration, args.lane_change_rate, args.seed)
         dataset = window_and_split(path, tau=args.tau, ratio=ratio, seed=args.seed)
     except NeurotrajError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -123,20 +118,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _generation_fronts(cfg: ExperimentConfig, rec: RunRecord) -> list[np.ndarray]:
-    """Per-generation non-dominated front values from persisted snapshots,
-    one (k, m) array per generation."""
-    m = len(cfg.objective_ids)
-    fronts = []
-    for snap in rec.snapshots:
-        if cfg.algorithm == "nsga2":
-            values = [ind["objectives"] for ind in snap["population"] if ind["rank"] == 0]
-        else:
-            values = [ind["objectives"] for ind in snap["archive"]]
-        fronts.append(np.array(values, dtype=float).reshape(len(values), m))
-    return fronts
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     # The cyclic collector is paused for the whole command. The decoded
     # snapshot trees and the records built from them hold no reference
@@ -161,7 +142,7 @@ def _analyze(args: argparse.Namespace) -> int:
     against_dir = Path(args.dirs[1]) if len(args.dirs) > 1 else None
     try:
         cfg, records = load_records(primary_dir)
-        against_cfg = against_records = None
+        against_records = None
         if against_dir is not None:
             against_cfg, against_records = load_records(against_dir)
             if [o.token for o in against_cfg.objective_ids] != [o.token for o in cfg.objective_ids]:
@@ -178,25 +159,23 @@ def _analyze(args: argparse.Namespace) -> int:
 
         # Shared hypervolume reference: componentwise max over every front
         # involved in the comparison, plus a 10% margin.
-        gen_fronts = {"primary": [(rec, _generation_fronts(cfg, rec)) for rec in records]}
+        groups = [("hypervolume.csv", records)]
         if against_records is not None:
-            gen_fronts["against"] = [(rec, _generation_fronts(against_cfg, rec))
-                                     for rec in against_records]
-        all_points = np.concatenate([front for group in gen_fronts.values()
-                                     for _, fronts in group for front in fronts])
+            groups.append(("hypervolume_against.csv", against_records))
+        all_points = np.concatenate([front for _, group in groups
+                                     for rec in group for front in rec.fronts])
         if not len(all_points):
             raise MalformedRecordsError("no front points found in the experiment records")
         m = len(cfg.objective_ids)
         ref = tuple(max(1e-9, 1.1 * float(v)) for v in all_points.max(axis=0))
 
-        for label, group in gen_fronts.items():
-            name = "hypervolume.csv" if label == "primary" else "hypervolume_against.csv"
+        for name, group in groups:
             hv_path = out_dir / name
             with open(hv_path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["generation", "run", "value"])
-                for rec, fronts in group:
-                    for gen, front in enumerate(fronts, start=1):
+                for rec in group:
+                    for gen, front in enumerate(rec.fronts, start=1):
                         writer.writerow([gen, rec.run_index, repr(hypervolume(front, ref))])
             artifacts.append(hv_path)
 
@@ -237,9 +216,8 @@ def _analyze(args: argparse.Namespace) -> int:
             fh.write("\n")
         artifacts.append(corr_path)
 
-        summary = summarize(records, against=against_records, alpha=args.alpha,
-                            comparisons=args.comparisons)
-        doc = summary.to_dict()
+        doc = summarize(records, against=against_records, alpha=args.alpha,
+                        comparisons=args.comparisons)
         doc["hypervolume_reference"] = list(ref)
         if against_dir is not None:
             doc["against"] = str(against_dir)

@@ -55,10 +55,6 @@ class SurrogateConfig:
         if self.speed_span > 0.2:
             raise ConfigurationError(f"speed_span must be <= 0.2, got {self.speed_span}")
 
-    @property
-    def noise_scales(self) -> tuple[float, float, float]:
-        return (self.lateral_noise_max_m, self.heading_jitter_max_rad, self.speed_span)
-
     def to_dict(self) -> dict:
         return {
             "quality_seed": self.quality_seed,

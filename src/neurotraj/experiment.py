@@ -16,9 +16,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import Sequence
+
+import numpy as np
 
 from . import moead as moead_mod
 from . import nsga2 as nsga2_mod
@@ -27,7 +30,7 @@ from .errors import ConfigurationError, ContractError, MalformedRecordsError, Ne
 from .evaluator import SurrogateConfig, evaluate, predict_split
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, rmse
-from .trajectory import Dataset, ScenarioConfig, generate_scenario, window_and_split
+from .trajectory import Dataset, generate_scenario, window_and_split
 
 
 @dataclass(frozen=True)
@@ -201,15 +204,15 @@ class RunRecord:
     initial_front_objectives: list[tuple[float, ...]]
     wall_time_s: float = 0.0
     error: str | None = None
+    # Set by load_records: the searched set of each generation (the NSGA-II
+    # rank-0 members or the MOEA/D archive) as one (k, m) objective array.
+    fronts: list[np.ndarray] = field(default_factory=list, compare=False)
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     """One dataset per experiment, shared by all runs."""
-    path = generate_scenario(ScenarioConfig(
-        duration_s=cfg.dataset.duration_s,
-        lane_change_rate=cfg.dataset.lane_change_rate,
-        seed=cfg.dataset.seed,
-    ))
+    path = generate_scenario(cfg.dataset.duration_s, cfg.dataset.lane_change_rate,
+                             cfg.dataset.seed)
     return window_and_split(path, tau=cfg.dataset.tau, ratio=cfg.dataset.ratio,
                             seed=cfg.dataset.seed)
 
@@ -334,6 +337,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 # Persistence
 
 
+# The columns of final_front_<k>.csv that follow the genes and the objective
+# values; `load_records` reads them by position.
+FRONT_COLUMNS = ("rmse_validation", "rmse_test", "valid", "spread_ok", "symmetry_ok",
+                 "final_position_ok", "max_abs_x", "mean_final_x", "mean_final_y",
+                 "skill_acc", "skill_smooth", "skill_speed")
+
+
+def front_header(tokens: list[str]) -> list[str]:
+    """The exact header of final_front_<k>.csv for these objective tokens."""
+    return [f"gene_{i + 1}" for i in range(N_LOCI)] + tokens + list(FRONT_COLUMNS)
+
+
 def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRecord]) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -356,12 +371,7 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
         csv_path = out_dir / f"final_front_{rec.run_index}.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            header = ([f"gene_{i + 1}" for i in range(N_LOCI)] + tokens
-                      + ["rmse_validation", "rmse_test", "valid", "spread_ok",
-                         "symmetry_ok", "final_position_ok",
-                         "max_abs_x", "mean_final_x", "mean_final_y",
-                         "skill_acc", "skill_smooth", "skill_speed"])
-            writer.writerow(header)
+            writer.writerow(front_header(tokens))
             for e in rec.final_front:
                 writer.writerow(
                     list(e.genome) + [repr(v) for v in e.objectives]
@@ -374,7 +384,7 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
 
     summary_path = out_dir / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summarize(records).to_dict(), fh, indent=2)
+        json.dump(summarize(records), fh, indent=2)
         fh.write("\n")
     written.append(summary_path)
     return written
@@ -401,23 +411,38 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
-def _check_snapshots(path: Path, snapshots: list, algorithm: str, m: int) -> None:
-    """Every member `analyze` reads (the NSGA-II population, whose ranks are
-    non-negative ints, and the MOEA/D archive) carries m finite objective
-    values."""
-    key, needs_rank = ("population", True) if algorithm == "nsga2" else ("archive", False)
+# The types `math.isfinite` accepts among those a JSON decode produces.
+_NUMBER_TYPES = {int, float, bool}
+
+
+def _checked_fronts(path: Path, snapshots: list, algorithm: str, m: int) -> list[np.ndarray]:
+    """The searched set of each generation as a (k, m) array: the rank-0
+    members of the NSGA-II population or the MOEA/D archive. Every member
+    read (the whole population, whose ranks are non-negative ints, or the
+    archive) must carry m finite numbers as objective values."""
+    nsga2 = algorithm == "nsga2"
+    fronts = []
     try:
         for gen, snap in enumerate(snapshots, start=1):
-            for ind in snap[key]:
-                objectives = ind["objectives"]
-                if needs_rank and (type(ind["rank"]) is not int or ind["rank"] < 0):
+            members = snap["population" if nsga2 else "archive"]
+            rows = [ind["objectives"] for ind in members]
+            flat = list(chain.from_iterable(rows))
+            if (any(len(row) != m for row in rows) or not set(map(type, flat)) <= _NUMBER_TYPES
+                    or not np.isfinite(values := np.array(flat, dtype=float)).all()):
+                raise MalformedRecordsError(
+                    f"{path}: generation {gen}: member without {m} finite objectives")
+            values = values.reshape(len(rows), m)
+            if nsga2:
+                ranks = [ind["rank"] for ind in members]
+                bad = [rank for rank in ranks if type(rank) is not int or rank < 0]
+                if bad:
                     raise MalformedRecordsError(
-                        f"{path}: generation {gen}: rank {ind['rank']!r} is not a non-negative int")
-                if len(objectives) != m or not all(map(math.isfinite, objectives)):
-                    raise MalformedRecordsError(
-                        f"{path}: generation {gen}: member without {m} finite objectives")
+                        f"{path}: generation {gen}: rank {bad[0]!r} is not a non-negative int")
+                values = values[[rank == 0 for rank in ranks]]
+            fronts.append(values)
     except (KeyError, TypeError) as exc:
         raise MalformedRecordsError(f"bad snapshots in {path}: {exc!r}") from exc
+    return fronts
 
 
 def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
@@ -426,7 +451,8 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
 
     exp_dir = Path(exp_dir)
     cfg = load_config(exp_dir)
-    tokens = [oid.token for oid in cfg.objective_ids]
+    m = len(cfg.objective_ids)
+    header = front_header([oid.token for oid in cfg.objective_ids])
     records = []
     for k in range(cfg.runs):
         jsonl_path = exp_dir / f"run_{k}.jsonl"
@@ -439,43 +465,40 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
         if len(snapshots) != cfg.generations:
             raise MalformedRecordsError(
                 f"{jsonl_path}: {len(snapshots)} snapshots, expected {cfg.generations}")
-        _check_snapshots(jsonl_path, snapshots, cfg.algorithm, len(tokens))
+        fronts = _checked_fronts(jsonl_path, snapshots, cfg.algorithm, m)
         entries = []
         try:
             with open(csv_path, newline="", encoding="utf-8") as fh:
                 rows = csv.reader(fh)
-                header = next(rows, [])
-                col = {name: i for i, name in enumerate(header)}
+                if next(rows, []) != header:
+                    raise ValueError(f"the header is not {','.join(header)}")
                 for row in rows:
                     if not row:
                         continue
                     if len(row) != len(header):
                         raise ValueError(f"line {rows.line_num} has {len(row)} fields, "
                                          f"the header {len(header)}")
-                    genome = Genome(tuple(int(row[col[f"gene_{i + 1}"]]) for i in range(N_LOCI)))
+                    genome = Genome(tuple(map(int, row[:N_LOCI])))
                     default_allele_table().validate_genome(genome)
-                    measured = (_finite(row[col["max_abs_x"]]), _finite(row[col["mean_final_x"]]),
-                                _finite(row[col["mean_final_y"]]))
-                    tests = [_flag(row[col[c]])
-                             for c in ("spread_ok", "symmetry_ok", "final_position_ok")]
-                    valid = row[col["valid"]]
+                    # FRONT_COLUMNS: then three test flags, three measures, three skills
+                    rmse_validation, rmse_test, valid, *tail = row[N_LOCI + m:]
+                    tests = [_flag(text) for text in tail[:3]]
                     if _flag(valid) != all(tests):
                         raise ValueError(f"valid {valid} contradicts the test flags {tests}")
-                    validity = ValidityReport(all(tests), *tests, measured=measured)
                     entries.append(FrontEntry(
                         genome=genome.indices,
-                        objectives=tuple(_finite(row[col[t]]) for t in tokens),
-                        rmse_validation=_finite(row[col["rmse_validation"]]),
-                        rmse_test=_finite(row[col["rmse_test"]]),
-                        validity=validity,
-                        skills=(_finite(row[col["skill_acc"]]), _finite(row[col["skill_smooth"]]),
-                                _finite(row[col["skill_speed"]])),
+                        objectives=tuple(map(_finite, row[N_LOCI:N_LOCI + m])),
+                        rmse_validation=_finite(rmse_validation),
+                        rmse_test=_finite(rmse_test),
+                        validity=ValidityReport(all(tests), *tests,
+                                                measured=tuple(map(_finite, tail[3:6]))),
+                        skills=tuple(map(_finite, tail[6:])),
                     ))
-        except (OSError, KeyError, ValueError, TypeError, ContractError) as exc:
+        except (OSError, ValueError, TypeError, ContractError) as exc:
             raise MalformedRecordsError(f"bad final front in {csv_path}: {exc}") from exc
         records.append(RunRecord(run_index=k, run_seed=cfg.base_seed + k,
                                  snapshots=snapshots, final_front=entries,
-                                 initial_front_objectives=[]))
+                                 initial_front_objectives=[], fronts=fronts))
     return cfg, records
 
 
@@ -483,39 +506,6 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
 # Summaries
 
 _METRICS = ("rmse_val_all", "rmse_test_all", "rmse_val_valid_only", "rmse_test_valid_only")
-
-
-@dataclass
-class SummaryReport:
-    valid_count: int
-    total_count: int
-    runs: int
-    metrics: dict[str, dict | None]
-    errors: list[str]
-    comparison: dict | None = None
-
-    @property
-    def display(self) -> str:
-        pct = round(100.0 * self.valid_count / self.total_count) if self.total_count else 0
-        return f"{self.valid_count}/{self.total_count}, {pct}%"
-
-    def to_dict(self) -> dict:
-        frac = self.valid_count / self.total_count if self.total_count else 0.0
-        doc = {
-            "valid_models": {
-                "valid": self.valid_count,
-                "total": self.total_count,
-                "fraction": frac,
-                "percentage": round(100.0 * frac),
-                "display": self.display,
-            },
-            "runs": self.runs,
-            "metrics": self.metrics,
-            "errors": self.errors,
-        }
-        if self.comparison is not None:
-            doc["comparison"] = self.comparison
-        return doc
 
 
 def _per_run_metrics(records: list[RunRecord]) -> dict[str, list[float]]:
@@ -550,8 +540,9 @@ def summarize(
     against: list[RunRecord] | None = None,
     alpha: float = 0.05,
     comparisons: int = 2,
-) -> SummaryReport:
-    """Pool valid-model counts and the four RMSE metrics over all runs.
+) -> dict:
+    """Pool valid-model counts and the four RMSE metrics over all runs into
+    the summary.json document.
 
     With `against`, adds permutation and rank-sum p-values per metric at
     the Bonferroni-adjusted threshold. Per-run means are the test samples,
@@ -562,10 +553,15 @@ def summarize(
     valid = sum(1 for rec in records for e in rec.final_front if e.validity.valid)
     total = sum(len(rec.final_front) for rec in records)
     per_run = _per_run_metrics(records)
-    metrics = {name: _mean_std(vals) for name, vals in per_run.items()}
-    errors = [f"run {rec.run_index}: {rec.error}" for rec in records if rec.error]
-
-    comparison = None
+    frac = valid / total if total else 0.0
+    pct = round(100.0 * valid / total) if total else 0
+    doc = {
+        "valid_models": {"valid": valid, "total": total, "fraction": frac,
+                         "percentage": round(100.0 * frac), "display": f"{valid}/{total}, {pct}%"},
+        "runs": len(records),
+        "metrics": {name: _mean_std(vals) for name, vals in per_run.items()},
+        "errors": [f"run {rec.run_index}: {rec.error}" for rec in records if rec.error],
+    }
     if against is not None:
         other = _per_run_metrics(against)
         threshold = bonferroni(alpha, comparisons)
@@ -582,11 +578,10 @@ def summarize(
                 }
             else:
                 per_metric[name] = None
-        comparison = {
+        doc["comparison"] = {
             "alpha": alpha,
             "comparisons": comparisons,
             "bonferroni_threshold": threshold,
             "metrics": per_metric,
         }
-    return SummaryReport(valid_count=valid, total_count=total, runs=len(records),
-                         metrics=metrics, errors=errors, comparison=comparison)
+    return doc

@@ -7,7 +7,6 @@ indices, so no repair step exists.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
@@ -65,14 +64,6 @@ class AlleleTable:
         """Map a genome to {gene name: allele value}."""
         self.validate_genome(genome)
         return {name: alleles[idx] for (name, alleles), idx in zip(self.loci, genome.indices)}
-
-    def to_json(self) -> str:
-        return json.dumps({name: list(alleles) for name, alleles in self.loci}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlleleTable":
-        doc = json.loads(text)
-        return cls(tuple((name, tuple(values)) for name, values in doc.items()))
 
 
 _DEFAULT_TABLE = AlleleTable(_TABLE_ROWS)

@@ -17,7 +17,6 @@ from .objectives import ObjectiveVector
 @dataclass(frozen=True)
 class WeightLattice:
     weights: tuple[tuple[float, ...], ...]
-    resolution: int  # H
 
     @property
     def size(self) -> int:
@@ -39,7 +38,7 @@ def simplex_lattice(m: int, resolution: int) -> WeightLattice:
         for i in range(h + 1):
             for j in range(h - i + 1):
                 weights.append((i / h, j / h, (h - i - j) / h))
-    return WeightLattice(tuple(weights), h)
+    return WeightLattice(tuple(weights))
 
 
 def lattice_resolution_for(m: int, population: int) -> int:

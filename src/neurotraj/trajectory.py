@@ -58,28 +58,23 @@ def validate_sequence(seq, tau: int | None = None, eps: float = 1e-9) -> None:
         raise ContractError(f"longitudinal speed {bad_vy[0]} outside band")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    duration_s: float
-    lane_change_rate: float = 0.0  # Poisson events per second
-    seed: int = 0
+def generate_scenario(duration_s: float, lane_change_rate: float = 0.0,
+                      seed: int = 0) -> np.ndarray:
+    """Generate one continuous highway path of (x, y, t) rows, deterministic
+    per seed; lane changes are Poisson events at `lane_change_rate` per second."""
+    if duration_s <= 0:
+        raise ConfigurationError(f"duration_s must be positive, got {duration_s}")
+    if lane_change_rate < 0:
+        raise ConfigurationError(f"lane_change_rate must be >= 0, got {lane_change_rate}")
 
-
-def generate_scenario(config: ScenarioConfig) -> np.ndarray:
-    """Generate one continuous highway path of (x, y, t) rows, deterministic per seed."""
-    if config.duration_s <= 0:
-        raise ConfigurationError(f"duration_s must be positive, got {config.duration_s}")
-    if config.lane_change_rate < 0:
-        raise ConfigurationError(f"lane_change_rate must be >= 0, got {config.lane_change_rate}")
-
-    rng = Random(config.seed)
+    rng = Random(seed)
     lanes = (-LANE_WIDTH_M, 0.0, LANE_WIDTH_M)
     lane = 1  # start in the center lane
     v_mid = 0.5 * (V_MIN_MPS + V_MAX_MPS)
 
     maneuver: tuple[float, float, float] | None = None  # (t_start, x_from, x_to)
-    if config.lane_change_rate > 0:
-        next_event_t = rng.expovariate(config.lane_change_rate)
+    if lane_change_rate > 0:
+        next_event_t = rng.expovariate(lane_change_rate)
     else:
         next_event_t = math.inf
 
@@ -87,13 +82,13 @@ def generate_scenario(config: ScenarioConfig) -> np.ndarray:
     y = 0.0
     v = rng.uniform(V_MIN_MPS + 2.0, V_MAX_MPS - 2.0)
     rows: list[tuple[float, float, float]] = []
-    while t <= config.duration_s:
+    while t <= duration_s:
         if maneuver is not None:
             t0, x_from, x_to = maneuver
             u = (t - t0) / _LANE_CHANGE_DURATION_S
             if u >= 1.0:
                 maneuver = None
-                next_event_t = t + rng.expovariate(config.lane_change_rate)
+                next_event_t = t + rng.expovariate(lane_change_rate)
                 x = x_to
             else:
                 x = x_from + (x_to - x_from) * (3.0 * u * u - 2.0 * u ** 3)  # smoothstep
@@ -189,6 +184,8 @@ def window_and_split(
 
 
 _ROLES = (("train", "train"), ("val", "validation"), ("test", "test"))
+# The header of dataset.csv; `load_dataset` reads the fields by position.
+_DATASET_COLUMNS = ["pair_id", "role", "step", "x", "y", "t"]
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
@@ -200,7 +197,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
 
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["pair_id", "role", "step", "x", "y", "t"])
+        writer.writerow(_DATASET_COLUMNS)
         pair_id = 0
         for role, split in _ROLES:
             for window in getattr(dataset, split).tolist():
@@ -228,10 +225,20 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     tau = manifest["tau"]
 
     with open(src / "dataset.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    pair_ids = np.array([int(row["pair_id"]) for row in rows], dtype=np.int64)
-    steps = np.array([int(row["step"]) for row in rows], dtype=np.int64)
-    points = np.array([(float(row["x"]), float(row["y"]), float(row["t"])) for row in rows])
+        reader = csv.reader(fh)
+        if next(reader, []) != _DATASET_COLUMNS:
+            raise ContractError(f"dataset.csv header is not {','.join(_DATASET_COLUMNS)}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(_DATASET_COLUMNS):
+                raise ContractError(f"dataset.csv line {reader.line_num} has {len(row)} fields, "
+                                    f"the header {len(_DATASET_COLUMNS)}")
+            rows.append(row)
+    pair_ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
+    steps = np.array([int(row[2]) for row in rows], dtype=np.int64)
+    points = np.array([[float(v) for v in row[3:]] for row in rows])
 
     order = np.lexsort((steps, pair_ids))
     ids, first, sizes = np.unique(pair_ids[order], return_index=True, return_counts=True)
@@ -242,7 +249,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     if wrong.any():
         raise ContractError(f"pair {ids[wrong][0]} does not have steps 0 to {2 * tau - 1}")
     windows = points[order].reshape(-1, 2 * tau, 3)
-    roles = np.array([rows[i]["role"] for i in order[first]], dtype=str)
+    roles = np.array([rows[i][1] for i in order[first]], dtype=str)
     unknown = ~np.isin(roles, [role for role, _ in _ROLES])
     if unknown.any():
         raise ContractError(f"pair {ids[unknown][0]} has unknown role {str(roles[unknown][0])!r}")

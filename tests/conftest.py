@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neurotraj.objectives import ObjectiveId, ObjectiveVector
-from neurotraj.trajectory import ScenarioConfig, generate_scenario, window_and_split
+from neurotraj.trajectory import generate_scenario, window_and_split
 
 
 def make_seq(xys, dt=0.25, t0=0.0) -> np.ndarray:
@@ -78,7 +78,7 @@ class SeqRng:
 
 @pytest.fixture(scope="session")
 def small_dataset():
-    path = generate_scenario(ScenarioConfig(duration_s=120.0, lane_change_rate=0.03, seed=3))
+    path = generate_scenario(duration_s=120.0, lane_change_rate=0.03, seed=3)
     return window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=3)
 
 

@@ -341,8 +341,8 @@ class TestHypervolume:
         assert type(result) is float
 
     def test_matches_reference_sweep_across_level_blocks(self):
-        # 2,000,000 // 1,420 = 1,408 levels per block, so 1,420 distinct z
-        # levels take two blocks and carry the running sum across them.
+        # 200,000 // 1,420 = 140 levels per block, so 1,420 distinct z
+        # levels take 11 blocks and carry the running sum across them.
         rng = np.random.default_rng(3)
         front = rng.random((1_420, 3))
         front[:, :2] = np.round(front[:, :2] * 20) / 20  # ties in (f1, f2)

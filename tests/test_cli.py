@@ -2,6 +2,8 @@ import csv
 import gc
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +61,12 @@ def _edit_front_rows(exp_dir: Path, edit) -> None:
 def _edit_front_row(exp_dir: Path, column: str, value: str) -> None:
     """Overwrite one cell of the first final-front row of run 0."""
     _edit_front_rows(exp_dir, lambda rows: rows[1].__setitem__(rows[0].index(column), value))
+
+
+def _swap_last_columns(rows: list[list[str]]) -> None:
+    """Swap the last two fields of every row, the header's included."""
+    for row in rows:
+        row[-2], row[-1] = row[-1], row[-2]
 
 
 def _edit_config(exp_dir: Path, edit) -> None:
@@ -261,11 +269,20 @@ class TestAnalyze:
         ("exp8_dir", lambda d: _edit_config(d, lambda doc: doc["objectives"].__setitem__(1, "l9"))),
         ("exp8_dir", lambda d: _edit_front_rows(d, lambda rows: rows[1].extend(["999", "abc"]))),
         ("exp8_dir", lambda d: _edit_front_rows(d, lambda rows: rows[1].pop())),
+        # a numeric string and null both convert to a float array without error
+        ("exp8_dir", lambda d: _edit_snapshot(
+            d, lambda snap: snap["population"][0]["objectives"].__setitem__(0, "0.5"))),
+        ("exp8_dir", lambda d: _edit_snapshot(
+            d, lambda snap: snap["population"][0]["objectives"].__setitem__(0, None))),
+        ("exp8_dir", lambda d: _edit_snapshot(
+            d, lambda snap: snap["population"][0].update(rank=False))),  # False == 0
+        ("exp8_dir", lambda d: _edit_front_rows(d, _swap_last_columns)),
     ], ids=["no-population", "no-rank", "population-two-objectives", "no-archive",
             "archive-two-objectives", "gene-out-of-range", "nan-objective", "valid-yes",
             "spread-ok-seven", "valid-with-failed-flag", "rank-zero-string",
             "snapshot-not-utf8", "config-not-utf8", "unknown-algorithm", "population-one",
-            "unknown-objective", "extra-field", "missing-field"])
+            "unknown-objective", "extra-field", "missing-field", "string-objective",
+            "null-objective", "bool-rank", "swapped-columns"])
     def test_bad_record_contents_exit_five(self, fixture, corrupt, request, tmp_path):
         import shutil
 
@@ -359,6 +376,19 @@ class TestAnalyzeCollector:
         finally:
             gc.callbacks.remove(record)
         assert inside == []
+
+
+def test_import_defers_scipy_and_orjson():
+    """`import neurotraj.cli` loads neither: scipy.stats is most of the
+    package's import time, and only `analyze` reads snapshots with orjson."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, neurotraj.cli; print(sorted({'scipy', 'orjson'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestPresetsCommand:

@@ -26,7 +26,7 @@ CFG = SurrogateConfig()
 
 class TestSurrogateConfig:
     def test_defaults_valid(self):
-        assert CFG.noise_scales[2] <= 0.2
+        assert CFG.speed_span <= 0.2
 
     def test_speed_span_cap(self):
         with pytest.raises(ConfigurationError):

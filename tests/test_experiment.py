@@ -167,7 +167,7 @@ class TestRunExperiment:
         records = run_experiment(cfg, out_dir=tmp_path)
         loaded_cfg, loaded = load_records(tmp_path)
         assert loaded_cfg == cfg
-        assert summarize(loaded).to_dict() == summarize(records).to_dict()
+        assert summarize(loaded) == summarize(records)
 
     def test_load_records_detects_snapshot_loss(self, tmp_path):
         cfg = small_config(runs=1, generations=2, population=4)
@@ -203,20 +203,19 @@ def synth_records(per_run_valid, per_run_total, rmse_base=1.0):
 class TestSummarize:
     def test_fraction_and_percentage_display(self):
         records = synth_records([3, 3, 3, 4, 3, 2, 2, 2, 2, 2], [30] * 10)
-        report = summarize(records)
-        assert report.display == "26/300, 9%"
-        doc = report.to_dict()["valid_models"]
+        doc = summarize(records)["valid_models"]
+        assert doc["display"] == "26/300, 9%"
         assert doc["valid"] == 26 and doc["total"] == 300 and doc["percentage"] == 9
 
     def test_all_valid_metrics_coincide(self):
         records = synth_records([5, 5], [5, 5])
-        doc = summarize(records).to_dict()["metrics"]
+        doc = summarize(records)["metrics"]
         assert doc["rmse_val_all"] == doc["rmse_val_valid_only"]
         assert doc["rmse_test_all"] == doc["rmse_test_valid_only"]
 
     def test_zero_valid_metrics_absent(self):
         records = synth_records([0, 0], [4, 4])
-        doc = summarize(records).to_dict()["metrics"]
+        doc = summarize(records)["metrics"]
         assert doc["rmse_val_valid_only"] is None
         assert doc["rmse_test_valid_only"] is None
         assert doc["rmse_val_all"] is not None
@@ -224,7 +223,7 @@ class TestSummarize:
     def test_self_comparison_p_values_near_one(self):
         records = synth_records([2, 3, 2], [6, 6, 6])
         report = summarize(records, against=synth_records([2, 3, 2], [6, 6, 6]))
-        comp = report.comparison["metrics"]
+        comp = report["comparison"]["metrics"]
         for name in ("rmse_val_all", "rmse_test_all"):
             assert comp[name]["permutation_p"] >= 0.99
             assert comp[name]["ranksum_p"] >= 0.99
@@ -233,11 +232,11 @@ class TestSummarize:
     def test_bonferroni_threshold_recorded(self):
         records = synth_records([1, 1], [4, 4])
         report = summarize(records, against=synth_records([1, 1], [4, 4]))
-        assert report.comparison["bonferroni_threshold"] == 0.025
+        assert report["comparison"]["bonferroni_threshold"] == 0.025
 
     def test_mean_std_sample_standard_deviation(self):
         records = synth_records([0, 0], [1, 1], rmse_base=1.0)
-        doc = summarize(records).to_dict()["metrics"]["rmse_val_all"]
+        doc = summarize(records)["metrics"]["rmse_val_all"]
         vals = doc["per_run"]
         mean = sum(vals) / 2
         expected_std = math.sqrt(sum((v - mean) ** 2 for v in vals))

@@ -5,7 +5,6 @@ import pytest
 from conftest import SeqRng
 from neurotraj.errors import ContractError
 from neurotraj.genome import (
-    AlleleTable,
     GeneticOperators,
     Genome,
     N_LOCI,
@@ -35,10 +34,6 @@ class TestAlleleTable:
         assert table["Optimiser"] == ("RMSprop", "NAdam", "SGD", "AdaGrad", "Adadelta", "Adam", "AdaMax")
         assert table["Hidden Units"] == (100, 125, 150, 175, 200, 225, 250)
         assert table["Flattened Dropout"] == (0.05, 0.1, 0.15, 0.2, 0.25)
-
-    def test_json_round_trip(self):
-        restored = AlleleTable.from_json(TABLE.to_json())
-        assert restored == TABLE
 
     def test_decode(self):
         g = Genome((0,) * 13)

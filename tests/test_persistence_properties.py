@@ -5,6 +5,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import orjson
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +71,20 @@ def experiments(draw):
     return cfg, records
 
 
+def reference_fronts(cfg: ExperimentConfig, rec: RunRecord) -> list[np.ndarray]:
+    """Per-generation front values picked member by member from the snapshots:
+    the NSGA-II rank-0 members or the MOEA/D archive."""
+    m = len(cfg.objective_ids)
+    fronts = []
+    for snap in rec.snapshots:
+        if cfg.algorithm == "nsga2":
+            values = [ind["objectives"] for ind in snap["population"] if ind["rank"] == 0]
+        else:
+            values = [ind["objectives"] for ind in snap["archive"]]
+        fronts.append(np.array(values, dtype=float).reshape(len(values), m))
+    return fronts
+
+
 @settings(deadline=None)
 @given(experiments())
 def test_load_records_inverts_persist_experiment(experiment):
@@ -80,6 +95,12 @@ def test_load_records_inverts_persist_experiment(experiment):
     assert loaded_cfg == cfg
     assert [rec.final_front for rec in loaded] == [rec.final_front for rec in records]
     assert [rec.snapshots for rec in loaded] == [rec.snapshots for rec in records]
+    for rec in loaded:
+        expected = reference_fronts(cfg, rec)
+        assert len(rec.fronts) == len(expected)
+        for front, reference in zip(rec.fronts, expected):
+            assert front.dtype == reference.dtype and front.shape == reference.shape
+            assert front.tobytes() == reference.tobytes()
 
 
 # Full-range finite doubles (subnormals, +-1e308, -0.0) and 64-bit ints,

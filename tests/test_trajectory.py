@@ -7,7 +7,6 @@ from neurotraj.errors import ConfigurationError, ContractError, InsufficientData
 from neurotraj.trajectory import (
     DT_MAX_S,
     DT_MIN_S,
-    ScenarioConfig,
     V_MAX_MPS,
     V_MIN_MPS,
     generate_scenario,
@@ -25,11 +24,11 @@ def fake_path(n, v=30.0, dt=0.25, x=0.0):
 
 class TestGenerateScenario:
     def test_rate_zero_constant_lateral(self):
-        path = generate_scenario(ScenarioConfig(duration_s=60.0, lane_change_rate=0.0, seed=1))
+        path = generate_scenario(duration_s=60.0, lane_change_rate=0.0, seed=1)
         assert np.all(path[:, 0] == path[0, 0])
 
     def test_speed_within_band(self):
-        path = generate_scenario(ScenarioConfig(duration_s=120.0, lane_change_rate=0.05, seed=2))
+        path = generate_scenario(duration_s=120.0, lane_change_rate=0.05, seed=2)
         dt = np.diff(path[:, 2])
         assert np.all((DT_MIN_S <= dt) & (dt <= DT_MAX_S))
         v = np.diff(path[:, 1]) / dt
@@ -38,24 +37,24 @@ class TestGenerateScenario:
     def test_600s_displacement_near_mean_speed(self):
         # Integrated displacement should sit near 600 s at mid-band speed.
         for seed in (0, 1, 7):
-            path = generate_scenario(ScenarioConfig(duration_s=600.0, lane_change_rate=0.02, seed=seed))
+            path = generate_scenario(duration_s=600.0, lane_change_rate=0.02, seed=seed)
             disp = path[-1, 1] - path[0, 1]
             assert abs(disp - 17_400.0) <= 0.15 * 17_400.0
 
     def test_lane_changes_hit_adjacent_lanes(self):
-        path = generate_scenario(ScenarioConfig(duration_s=400.0, lane_change_rate=0.05, seed=5))
+        path = generate_scenario(duration_s=400.0, lane_change_rate=0.05, seed=5)
         xs = {round(x, 6) for x in path[:, 0].tolist()}
         assert 3.5 in xs or -3.5 in xs
 
     def test_deterministic_per_seed(self):
-        cfg = ScenarioConfig(duration_s=50.0, lane_change_rate=0.05, seed=9)
-        assert np.array_equal(generate_scenario(cfg), generate_scenario(cfg))
+        args = {"duration_s": 50.0, "lane_change_rate": 0.05, "seed": 9}
+        assert np.array_equal(generate_scenario(**args), generate_scenario(**args))
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
-            generate_scenario(ScenarioConfig(duration_s=0.0))
+            generate_scenario(duration_s=0.0)
         with pytest.raises(ConfigurationError):
-            generate_scenario(ScenarioConfig(duration_s=10.0, lane_change_rate=-1.0))
+            generate_scenario(duration_s=10.0, lane_change_rate=-1.0)
 
 
 class TestWindowing:
@@ -64,7 +63,7 @@ class TestWindowing:
             assert len(sliding_windows(fake_path(n), 8)) == n - 16 + 1
 
     def test_windows_are_valid_sequences(self):
-        path = generate_scenario(ScenarioConfig(duration_s=30.0, lane_change_rate=0.05, seed=4))
+        path = generate_scenario(duration_s=30.0, lane_change_rate=0.05, seed=4)
         windows = sliding_windows(path, 8)
         validate_sequence(windows[:, :8], tau=8)
         validate_sequence(windows[:, 8:], tau=8)
@@ -112,9 +111,15 @@ class TestSplit:
             window_and_split(fake_path(100), tau=8, ratio=(0.5, 0.2, 0.2), seed=0)
 
 
+def _edit_first_row(text: str, edit) -> str:
+    """Apply `edit` to the first data row of a dataset.csv text."""
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, edit(first), rest])
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        path = generate_scenario(ScenarioConfig(duration_s=40.0, lane_change_rate=0.05, seed=6))
+        path = generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6)
         ds = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6)
         save_dataset(ds, tmp_path)
         loaded = load_dataset(tmp_path)
@@ -124,7 +129,7 @@ class TestPersistence:
             assert np.array_equal(getattr(loaded, split), getattr(ds, split))
 
     def test_reexport_is_byte_identical(self, tmp_path):
-        path = generate_scenario(ScenarioConfig(duration_s=40.0, lane_change_rate=0.05, seed=6))
+        path = generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6)
         ds = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6)
         first = tmp_path / "a"
         second = tmp_path / "b"
@@ -139,9 +144,13 @@ class TestPersistence:
         lambda text: text.replace(",val,", ",valx,", 1),
         lambda text: text.rsplit("\n", 2)[0] + "\n",  # drops the last point of the last pair
         lambda text: text.replace("\n0,train,1,", "\n0,train,0,", 1),  # pair 0 has step 0 twice
-    ], ids=["unknown-role", "short-pair", "duplicated-step"])
+        lambda text: _edit_first_row(text, lambda row: row + ",999,abc"),
+        lambda text: _edit_first_row(text, lambda row: row.rsplit(",", 1)[0]),  # drops t
+        lambda text: text.replace(",t\n", ",time\n", 1),
+    ], ids=["unknown-role", "short-pair", "duplicated-step", "extra-field", "short-row",
+            "renamed-column"])
     def test_malformed_file_rejected(self, tmp_path, edit):
-        path = generate_scenario(ScenarioConfig(duration_s=40.0, lane_change_rate=0.05, seed=6))
+        path = generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6)
         save_dataset(window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6), tmp_path)
         csv_path = tmp_path / "dataset.csv"
         csv_path.write_text(edit(csv_path.read_text()))
@@ -149,7 +158,7 @@ class TestPersistence:
             load_dataset(tmp_path)
 
     def test_points_ordered_by_step_column(self, tmp_path):
-        path = generate_scenario(ScenarioConfig(duration_s=40.0, lane_change_rate=0.05, seed=6))
+        path = generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6)
         ds = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6)
         save_dataset(ds, tmp_path)
         csv_path = tmp_path / "dataset.csv"
