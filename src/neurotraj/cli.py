@@ -274,10 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", help="one of exp1..exp13")
     src.add_argument("--config", help="path to a config.json")
     run.add_argument("--scale", type=float, default=1.0,
-                     help="shrink population/generations/runs proportionally")
+                     help="shrink population/generations/runs proportionally; "
+                          "finite and greater than 0")
     run.add_argument("--seed", type=int, default=None,
                      help="base seed for the independent runs (default 1 for presets)")
-    run.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    run.add_argument("--jobs", type=int, default=1, help="parallel runs, at least 1")
     run.add_argument("--out", required=True, help="experiment directory")
     run.set_defaults(func=cmd_run)
 

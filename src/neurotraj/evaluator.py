@@ -9,7 +9,8 @@ by (quality seed, genome, split role), so results never depend on
 evaluation order.
 
 The search scores the validation split only. The test split is predicted
-with `predict_split(..., role="test")` once per final-front model.
+once per final-front model. Both read their split's target terms from the
+`Dataset`, which derives them once.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .genome import Genome, default_allele_table
-from .objectives import ObjectiveId, ObjectiveVector, assemble, rmse
-from .trajectory import Dataset, V_MAX_MPS, V_MIN_MPS
+from .objectives import Columns, ObjectiveId, ObjectiveVector, assemble, rmse
+from .trajectory import Dataset
 
 # 1-based locus subsets feeding each skill. Locus 3 (Momentum) belongs to
 # no subset: it is carried and logged but inert.
@@ -146,33 +147,42 @@ def _noise(cfg: SurrogateConfig, genome: Genome, role: str) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
 
 
-def predict_split(genome: Genome, skills: tuple[float, float, float], cfg: SurrogateConfig,
-                  split: np.ndarray, role: str) -> np.ndarray:
-    """Transform the targets of a (P, 2 * tau, 3) split into one model's
-    (P, tau, 3) predictions; `role` ("val" or "test") keys the noise.
+def predict_targets(genome: Genome, skills: tuple[float, float, float], cfg: SurrogateConfig,
+                    targets: Columns, role: str) -> Columns:
+    """Transform the (P, tau) target columns of a split into one model's
+    predictions; `role` ("val" or "test") keys the noise.
 
     Longitudinal steps are rescaled in displacement space and clamped to
     the speed band, so predictions always satisfy the velocity invariant;
-    with skills (1, 1, 0.5) the transform is the identity.
+    with skills (1, 1, 0.5) the transform is the identity. Only the noise
+    and the transform depend on the genome: the steps, the band and the
+    timestamps are terms of `targets`, derived once per `Columns`.
     """
     s_acc, s_smooth, s_speed = skills
     amp_lat = cfg.lateral_noise_max_m * (1.0 - s_acc)
     amp_jit = cfg.heading_jitter_max_rad * (1.0 - s_smooth)
     scale = 1.0 + cfg.speed_span * (2.0 * s_speed - 1.0)
 
-    target = split[:, split.shape[1] // 2:]
-    n = target.shape[1]
-    u = _noise(cfg, genome, role).random((len(target), n + 1))
+    p, n = targets.x.shape
+    u = _noise(cfg, genome, role).random((p, n + 1))
     phase, cycles, jitter = math.tau * u[:, :1], 0.5 + u[:, 1:2], 2.0 * u[:, 2:] - 1.0
 
-    dt = np.diff(target[..., 2], axis=1)
-    steps = np.clip(scale * np.diff(target[..., 1], axis=1), V_MIN_MPS * dt, V_MAX_MPS * dt)
-    y = np.cumsum(np.concatenate([target[:, :1, 1], steps], axis=1), axis=1)
+    steps = np.clip(scale * targets.dy, *targets.band)
+    y = np.cumsum(np.concatenate([targets.y[:, :1], steps], axis=1), axis=1)
     # Smooth low-frequency lateral offset (accuracy) plus independent
     # per-step heading wiggle (smoothness).
     offset = amp_lat * np.sin(math.tau * cycles * np.arange(n) / (n - 1) + phase)
     offset[:, 1:] += np.tan(amp_jit * jitter) * steps
-    return np.stack([target[..., 0] + offset, y, target[..., 2]], axis=-1)
+    return Columns(targets.x + offset, y, targets.t, dt=targets.dt)
+
+
+def predict_split(genome: Genome, skills: tuple[float, float, float], cfg: SurrogateConfig,
+                  split: np.ndarray, role: str) -> np.ndarray:
+    """One model's (P, tau, 3) predictions of the targets of a (P, 2 * tau, 3)
+    split; see `predict_targets`."""
+    split = np.asarray(split, dtype=float)
+    targets = Columns.of(split[:, split.shape[1] // 2:])
+    return predict_targets(genome, skills, cfg, targets, role).rows()
 
 
 def evaluate(
@@ -185,8 +195,8 @@ def evaluate(
     if not len(data.validation):
         raise ContractError("validation split must be non-empty")
     skills = skill_scores(genome, cfg)
-    predicted = predict_split(genome, skills, cfg, data.validation, "val")
-    actual = data.validation[:, data.tau:]
+    actual = data.validation_targets
+    predicted = predict_targets(genome, skills, cfg, actual, "val")
     objectives = assemble(ids, predicted, actual)
     rmse_validation = (objectives.value_of(ObjectiveId.RMSE) if ObjectiveId.RMSE in objectives.ids
                        else rmse(predicted, actual))

@@ -27,7 +27,7 @@ from . import moead as moead_mod
 from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
 from .errors import ConfigurationError, ContractError, MalformedRecordsError, NeurotrajError
-from .evaluator import SurrogateConfig, evaluate, predict_split
+from .evaluator import SurrogateConfig, evaluate, predict_targets
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, rmse
 from .trajectory import Dataset, generate_scenario, window_and_split
@@ -153,8 +153,8 @@ def _snap_population(algorithm: str, m: int, population: int) -> int:
 
 def scale_config(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
     """Shrink (or grow) population, generations and run count proportionally."""
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigurationError(f"scale must be finite and positive, got {scale}")
     if scale == 1.0:
         return cfg
     population = _snap_population(cfg.algorithm, len(cfg.objective_ids),
@@ -232,17 +232,17 @@ def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
 def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
                    cfg: SurrogateConfig) -> list[FrontEntry]:
     """Judge each final-front model on the test split, predicted once per model."""
-    actual_test = data.test[:, data.tau:]
+    actual = data.test_targets
     entries = []
     for ind in individuals:
         ev = ind.evaluation
-        predicted_test = predict_split(ind.genome, ev.skills, cfg, data.test, "test")
+        predicted = predict_targets(ind.genome, ev.skills, cfg, actual, "test")
         entries.append(FrontEntry(
             genome=ind.genome.indices,
             objectives=ind.objectives.values,
             rmse_validation=ev.rmse_validation,
-            rmse_test=rmse(predicted_test, actual_test),
-            validity=classify_validity(predicted_test),
+            rmse_test=rmse(predicted, actual),
+            validity=classify_validity(predicted.rows()),
             skills=ev.skills,
         ))
     return entries
@@ -320,10 +320,15 @@ def _run_moead(cfg, eval_fn, ops, rng):
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
                    jobs: int = 1) -> list[RunRecord]:
-    """Execute all independent runs; optionally persist the experiment."""
+    """Execute all independent runs, `jobs` (at least 1) at a time; optionally
+    persist the experiment."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     data = build_dataset(cfg)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers at once, so it gets no more than there are runs.
+    workers = min(jobs, cfg.runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(execute_run, [cfg] * cfg.runs, [data] * cfg.runs,
                                     range(cfg.runs)))
     else:

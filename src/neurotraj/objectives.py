@@ -4,7 +4,9 @@ A sequence is a (tau, 3) array of (x, y, t) rows. The per-sequence
 objectives (l1, l2, l3) reduce the last two axes, so one sequence gives a
 scalar and a (P, tau, 3) batch gives one value per window. RMSE and
 SignLoss compare a predicted set against the actual one and reduce every
-axis: SignLoss counts sign matches over the whole set.
+axis: SignLoss counts sign matches over the whole set. Each function also
+accepts a `Columns`, which holds a set as its x, y and t columns and keeps
+the terms derived from them.
 
 All assembled values are finite and >= 0. The longitudinal-velocity
 objective is maximized in its raw form; it enters vectors as the
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +90,78 @@ def _checked_dt(dt: np.ndarray) -> np.ndarray:
     return dt
 
 
+def _steps(a: np.ndarray) -> np.ndarray:
+    """`np.diff` along the last axis, without its call overhead."""
+    return a[..., 1:] - a[..., :-1]
+
+
+def _sign(x: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(x) < SIGN_EPS, 0.0, np.sign(x))
+
+
+class Columns:
+    """A set of sequences held as its x, y and t columns, each (..., n).
+
+    Every objective accepts a `Columns` wherever it accepts (..., n, 3)
+    rows. The terms derived from the columns are computed on first use and
+    kept, so a set scored many times (a dataset split's targets) derives
+    them once. The columns must not change while the object is in use.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, dt: np.ndarray | None = None):
+        self.x, self.y, self.t = x, y, t
+        if dt is not None:
+            # The checked steps of `t`, taken from a set with the same timestamps.
+            self.dt = dt
+
+    @classmethod
+    def of(cls, seq) -> "Columns":
+        """The columns of (..., n, 3) rows, or `seq` itself if it is already a `Columns`."""
+        if isinstance(seq, cls):
+            return seq
+        seq = _rows(seq)
+        return cls(seq[..., 0], seq[..., 1], seq[..., 2])
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the rows: (..., n, 3)."""
+        return self.x.shape + (3,)
+
+    def rows(self) -> np.ndarray:
+        """The set as (..., n, 3) rows of (x, y, t)."""
+        return np.stack([self.x, self.y, self.t], axis=-1)
+
+    @cached_property
+    def dt(self) -> np.ndarray:
+        return _checked_dt(_steps(self.t))
+
+    @cached_property
+    def dx(self) -> np.ndarray:
+        return _steps(self.x)
+
+    @cached_property
+    def dy(self) -> np.ndarray:
+        return _steps(self.y)
+
+    @cached_property
+    def band(self) -> tuple[np.ndarray, np.ndarray]:
+        """The least and the greatest longitudinal step of the speed band."""
+        return V_MIN_MPS * self.dt, V_MAX_MPS * self.dt
+
+    @cached_property
+    def dest(self) -> np.ndarray:
+        """(x, y) of each sequence's last point, (..., 2)."""
+        return np.stack([self.x[..., -1], self.y[..., -1]], axis=-1)
+
+    @cached_property
+    def abs_x(self) -> np.ndarray:
+        return np.abs(self.x)
+
+    @cached_property
+    def sign_x(self) -> np.ndarray:
+        return _sign(self.x)
+
+
 def l1_distance_feedback(seq, dest=None):
     """Sum of squared distances from every point to the destination.
 
@@ -94,10 +169,9 @@ def l1_distance_feedback(seq, dest=None):
     evaluation pipeline passes the matching ground-truth end points so the
     objective rewards progress toward where the vehicle was meant to go.
     """
-    seq = _rows(seq)
-    if dest is None:
-        dest = seq[..., -1, :]
-    offset = seq[..., :2] - np.asarray(dest, dtype=float)[..., None, :2]
+    seq = Columns.of(seq)
+    dest = seq.dest if dest is None else np.asarray(dest, dtype=float)[..., :2]
+    offset = np.stack([seq.x, seq.y], axis=-1) - dest[..., None, :]
     return (offset * offset).sum(axis=(-2, -1))
 
 
@@ -107,13 +181,17 @@ def _wrap_angle(a):
     return np.where(a == -math.pi, math.pi, a)
 
 
+def _turn_rate(h_in, h_out, dt):
+    return _wrap_angle(h_out - h_in) / dt
+
+
 def angular_velocity(p_prev, p, p_next):
     """Heading change rate at the middle rows, wrapped into (-pi, pi] (rad/s)."""
     p_prev, p, p_next = (np.asarray(q, dtype=float) for q in (p_prev, p, p_next))
     dt = _checked_dt(p[..., 2] - p_prev[..., 2])
     h_in = np.arctan2(p[..., 0] - p_prev[..., 0], p[..., 1] - p_prev[..., 1])
     h_out = np.arctan2(p_next[..., 0] - p[..., 0], p_next[..., 1] - p[..., 1])
-    return _wrap_angle(h_out - h_in) / dt
+    return _turn_rate(h_in, h_out, dt)
 
 
 def l2_lateral_velocity(seq):
@@ -122,34 +200,33 @@ def l2_lateral_velocity(seq):
     Magnitudes, not signed rates: a signed sum is unbounded below and would
     reward sustained one-direction turning.
     """
-    seq = _rows(seq)
+    seq = Columns.of(seq)
     if seq.shape[-2] < 3:
         raise ContractError(f"need at least 3 points, got {seq.shape[-2]}")
-    rates = angular_velocity(seq[..., :-2, :], seq[..., 1:-1, :], seq[..., 2:, :])
-    return np.abs(rates).sum(axis=-1)
+    dt = seq.dt
+    heading = np.arctan2(seq.dx, seq.dy)
+    return np.abs(_turn_rate(heading[..., :-1], heading[..., 1:], dt[..., :-1])).sum(axis=-1)
 
 
 def l3_longitudinal_velocity(seq):
     """Summed per-step forward speed, each step clamped to the highway band (m/s)."""
-    seq = _rows(seq)
+    seq = Columns.of(seq)
     if seq.shape[-2] < 2:
         raise ContractError(f"need at least 2 points, got {seq.shape[-2]}")
-    step = np.diff(seq, axis=-2)
-    vy = step[..., 1] / _checked_dt(step[..., 2])
-    return np.clip(vy, V_MIN_MPS, V_MAX_MPS).sum(axis=-1)
+    return np.clip(seq.dy / seq.dt, V_MIN_MPS, V_MAX_MPS).sum(axis=-1)
 
 
 def l3_minimized(seq):
     """Non-negative minimization form: (tau - 1) * v_max - raw sum."""
-    seq = _rows(seq)
+    seq = Columns.of(seq)
     return (seq.shape[-2] - 1) * V_MAX_MPS - l3_longitudinal_velocity(seq)
 
 
-def _matched(predicted, actual) -> tuple[np.ndarray, np.ndarray]:
-    predicted, actual = _rows(predicted), _rows(actual)
+def _matched(predicted, actual) -> tuple[Columns, Columns]:
+    predicted, actual = Columns.of(predicted), Columns.of(actual)
     if predicted.shape != actual.shape:
         raise ContractError(f"predicted shape {predicted.shape} vs actual {actual.shape}")
-    if not predicted.size:
+    if not predicted.x.size:
         raise ContractError("empty evaluation set")
     return predicted, actual
 
@@ -157,12 +234,7 @@ def _matched(predicted, actual) -> tuple[np.ndarray, np.ndarray]:
 def rmse(predicted, actual) -> float:
     """Mean Euclidean position error over all points of the set (m)."""
     predicted, actual = _matched(predicted, actual)
-    error = predicted[..., :2] - actual[..., :2]
-    return float(np.hypot(error[..., 0], error[..., 1]).mean())
-
-
-def _sign(x: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(x) < SIGN_EPS, 0.0, np.sign(x))
+    return float(np.hypot(predicted.x - actual.x, predicted.y - actual.y).mean())
 
 
 def signloss(predicted, actual) -> float:
@@ -173,9 +245,8 @@ def signloss(predicted, actual) -> float:
     stays defined when nothing matches.
     """
     predicted, actual = _matched(predicted, actual)
-    x_pred, x_true = predicted[..., 0], actual[..., 0]
-    error = np.abs(np.abs(x_pred) - np.abs(x_true)).mean()
-    matches = np.count_nonzero(_sign(x_pred) == _sign(x_true))
+    error = np.abs(predicted.abs_x - actual.abs_x).mean()
+    matches = np.count_nonzero(predicted.sign_x == actual.sign_x)
     return float(error / max(1, matches))
 
 
@@ -194,7 +265,7 @@ def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> ObjectiveVector:
     values = []
     for oid in ids:
         if oid is ObjectiveId.L1_DISTANCE_FEEDBACK:
-            value = l1_distance_feedback(predicted, dest=actual[..., -1, :]).mean()
+            value = l1_distance_feedback(predicted, dest=actual.dest).mean()
         elif oid is ObjectiveId.L2_LATERAL_VELOCITY:
             value = l2_lateral_velocity(predicted).mean()
         elif oid is ObjectiveId.L3_LONGITUDINAL_VELOCITY:

@@ -18,13 +18,18 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from random import Random
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ContractError, InsufficientDataError
+
+if TYPE_CHECKING:
+    from .objectives import Columns
 
 V_MIN_MPS = 80.0 / 3.6  # 80 km/h
 V_MAX_MPS = 130.0 / 3.6  # 130 km/h
@@ -62,10 +67,10 @@ def generate_scenario(duration_s: float, lane_change_rate: float = 0.0,
                       seed: int = 0) -> np.ndarray:
     """Generate one continuous highway path of (x, y, t) rows, deterministic
     per seed; lane changes are Poisson events at `lane_change_rate` per second."""
-    if duration_s <= 0:
-        raise ConfigurationError(f"duration_s must be positive, got {duration_s}")
-    if lane_change_rate < 0:
-        raise ConfigurationError(f"lane_change_rate must be >= 0, got {lane_change_rate}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ConfigurationError(f"duration_s must be finite and positive, got {duration_s}")
+    if not (math.isfinite(lane_change_rate) and lane_change_rate >= 0):
+        raise ConfigurationError(f"lane_change_rate must be finite and >= 0, got {lane_change_rate}")
 
     rng = Random(seed)
     lanes = (-LANE_WIDTH_M, 0.0, LANE_WIDTH_M)
@@ -113,9 +118,14 @@ def generate_scenario(duration_s: float, lane_change_rate: float = 0.0,
     return np.array(rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Each split is one (P, 2 * tau, 3) array of windows."""
+    """Each split is one (P, 2 * tau, 3) array of windows.
+
+    The splits are made read-only, so the target terms derived from them
+    (`validation_targets`, `test_targets`) are computed once and stay valid
+    for as long as the dataset lives.
+    """
 
     train: np.ndarray
     validation: np.ndarray
@@ -124,8 +134,33 @@ class Dataset:
     tau: int = DEFAULT_TAU
     ratio: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
+    def __post_init__(self):
+        for split in (self.train, self.validation, self.test):
+            split.flags.writeable = False
+
+    def __reduce__(self):
+        # Rebuild through __init__: a copy sent to a worker process has
+        # read-only splits too, and derives its own terms.
+        return Dataset, (self.train, self.validation, self.test, self.seed, self.tau, self.ratio)
+
+    @cached_property
+    def validation_targets(self) -> Columns:
+        """The targets of the validation windows, with the terms derived from them."""
+        return _targets(self.validation, self.tau)
+
+    @cached_property
+    def test_targets(self) -> Columns:
+        """The targets of the test windows, with the terms derived from them."""
+        return _targets(self.test, self.tau)
+
     def counts(self) -> dict:
         return {"train": len(self.train), "validation": len(self.validation), "test": len(self.test)}
+
+
+def _targets(split: np.ndarray, tau: int) -> Columns:
+    from .objectives import Columns  # objectives imports the speed band from this module
+
+    return Columns.of(split[:, tau:])
 
 
 def sliding_windows(path: np.ndarray, tau: int) -> np.ndarray:

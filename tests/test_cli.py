@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +115,12 @@ class TestGenerate:
     def test_invalid_duration_is_usage_error(self, tmp_path):
         assert main(["generate", "--duration", "0", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_non_finite_duration_is_usage_error(self, tmp_path, duration):
+        out = tmp_path / "x"
+        assert main(["generate", "--duration", duration, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unwritable_out_exit_three(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -172,6 +179,34 @@ class TestRun:
         assert cfg["population"] == 5  # 9 scaled by half, rounded half-up
         assert cfg["generations"] == 2
         assert cfg["runs"] == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--scale", "inf"],
+        ["--scale", "nan"],
+        ["--scale", "0"],
+        ["--scale", "0.1", "--jobs", "0"],
+        ["--scale", "0.1", "--jobs", "-2"],
+    ], ids=["scale-inf", "scale-nan", "scale-0", "jobs-0", "jobs-minus-2"])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "exp6", "--seed", "1", "--out", str(out)] + flags) == 2
+        assert not out.exists()
+
+    def test_help_states_flag_ranges(self, capsys):
+        assert main(["run", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "finite and greater than 0" in text
+        assert "parallel runs, at least 1" in text
+
+    @pytest.mark.parametrize("field", ["duration_s", "lane_change_rate"])
+    def test_non_finite_scenario_config_is_usage_error(self, tmp_path, exp8_dir, field):
+        doc = json.loads((exp8_dir / "config.json").read_text())
+        doc["dataset"][field] = math.inf
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))  # written as Infinity, which json.load accepts
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_engine_failure_exit_four(self, tmp_path, capsys):
         # a degenerate split leaves the evaluator nothing to validate on,

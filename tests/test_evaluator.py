@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import fields
 from random import Random
 
@@ -13,11 +15,13 @@ from neurotraj.evaluator import (
     SurrogateConfig,
     evaluate,
     predict_split,
+    predict_targets,
     skill_scores,
 )
+from neurotraj.experiment import PRESETS
 from neurotraj.genome import Genome, default_allele_table, random_genome
-from neurotraj.objectives import ObjectiveId, l3_minimized, rmse
-from neurotraj.trajectory import Dataset, validate_sequence
+from neurotraj.objectives import ObjectiveId, assemble, l3_minimized, rmse
+from neurotraj.trajectory import Dataset, generate_scenario, validate_sequence, window_and_split
 
 TABLE = default_allele_table()
 IDS = (ObjectiveId.RMSE, ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY)
@@ -186,3 +190,52 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(1))
         with pytest.raises(ContractError):
             evaluate(g, empty, IDS, CFG)
+
+
+# Every preset's objective tuple, then all five objectives.
+ID_TUPLES = list(dict.fromkeys(tuple(ObjectiveId.from_token(t) for t in entry["objectives"])
+                               for entry in PRESETS.values())) + [tuple(ObjectiveId)]
+GENES = st.tuples(*(st.integers(0, c - 1) for c in TABLE.counts))
+
+
+@pytest.fixture(scope="module")
+def scenario_pair():
+    """Datasets of a 30 s and a 150 s scenario."""
+    return tuple(window_and_split(generate_scenario(duration_s=d, lane_change_rate=0.03, seed=11),
+                                  tau=8, seed=11) for d in (30.0, 150.0))
+
+
+def reference(genome, data, ids):
+    """`evaluate`'s values from the public functions on the split arrays,
+    without the terms the dataset keeps."""
+    predicted = predict_split(genome, skill_scores(genome, CFG), CFG, data.validation, "val")
+    actual = data.validation[:, data.tau:]
+    values = assemble(ids, predicted, actual).values
+    if ObjectiveId.RMSE in ids:
+        return values, values[ids.index(ObjectiveId.RMSE)]
+    return values, rmse(predicted, actual)
+
+
+class TestDatasetTerms:
+    @pytest.mark.parametrize("ids", ID_TUPLES, ids=lambda ids: "+".join(o.token for o in ids))
+    @settings(max_examples=20, deadline=None)
+    @given(genes=GENES)
+    def test_evaluate_equals_public_reference(self, scenario_pair, ids, genes):
+        g = Genome(genes)
+        first, second = scenario_pair
+        # Interleaved, so terms kept for one dataset cannot serve the other.
+        for data in (first, second, first):
+            result = evaluate(g, data, ids, CFG)
+            assert (result.objectives.values, result.rmse_validation) == reference(g, data, ids)
+            predicted = predict_targets(g, result.skills, CFG, data.test_targets, "test")
+            assert np.array_equal(predicted.rows(),
+                                  predict_split(g, result.skills, CFG, data.test, "test"))
+
+    def test_dataset_freed_after_evaluate(self):
+        data = window_and_split(generate_scenario(duration_s=30.0, seed=2), tau=8, seed=2)
+        evaluate(random_genome(TABLE, Random(0)), data, tuple(ObjectiveId), CFG)
+        assert "validation_targets" in vars(data)
+        ref = weakref.ref(data)
+        del data
+        gc.collect()
+        assert ref() is None

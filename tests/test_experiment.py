@@ -162,6 +162,34 @@ class TestRunExperiment:
         for name in sorted(p.name for p in serial.glob("*")):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        with pytest.raises(ConfigurationError):
+            run_experiment(small_config(), out_dir=tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_no_larger_than_run_count(self, monkeypatch):
+        import neurotraj.experiment as experiment_mod
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", InlinePool)
+        run_experiment(small_config(runs=2), jobs=64)
+        assert sizes == [2]
+
     def test_load_records_round_trip(self, tmp_path):
         cfg = small_config(runs=2, generations=2, population=5)
         records = run_experiment(cfg, out_dir=tmp_path)

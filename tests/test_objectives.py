@@ -102,6 +102,14 @@ class TestL2:
         with pytest.raises(ContractError):
             l2_lateral_velocity(straight_seq(2))
 
+    def test_zero_last_step_rejected(self):
+        # The last step's dt divides no heading change, but l2 checks the
+        # whole sequence's timestamps, as l3 does.
+        seq = straight_seq(4)
+        seq[-1, 2] = seq[-2, 2]
+        with pytest.raises(DegenerateTimestepError):
+            l2_lateral_velocity(seq)
+
 
 class TestL3:
     def test_constant_speed_sum(self):

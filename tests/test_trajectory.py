@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -55,6 +58,17 @@ class TestGenerateScenario:
             generate_scenario(duration_s=0.0)
         with pytest.raises(ConfigurationError):
             generate_scenario(duration_s=10.0, lane_change_rate=-1.0)
+
+    # Each of these made the generator loop forever or pass unchecked.
+    @pytest.mark.parametrize("kwargs", [
+        {"duration_s": math.inf},
+        {"duration_s": math.nan},
+        {"duration_s": 10.0, "lane_change_rate": math.inf},
+        {"duration_s": 10.0, "lane_change_rate": math.nan},
+    ])
+    def test_non_finite_config_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            generate_scenario(**kwargs)
 
 
 class TestWindowing:
@@ -115,6 +129,28 @@ def _edit_first_row(text: str, edit) -> str:
     """Apply `edit` to the first data row of a dataset.csv text."""
     header, first, rest = text.split("\n", 2)
     return "\n".join([header, edit(first), rest])
+
+
+class TestDataset:
+    @pytest.mark.parametrize("split", ["train", "validation", "test"])
+    def test_splits_read_only(self, small_dataset, split):
+        with pytest.raises(ValueError):
+            getattr(small_dataset, split)[0, 0, 0] = 1.0
+
+    def test_fields_not_reassignable(self, small_dataset):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_dataset.validation = small_dataset.test
+
+    def test_pickled_copy_read_only(self, small_dataset):
+        small_dataset.validation_targets  # derived terms are not part of the copy
+        copy = pickle.loads(pickle.dumps(small_dataset))
+        assert np.array_equal(copy.validation, small_dataset.validation)
+        assert not copy.validation.flags.writeable
+        assert "validation_targets" not in vars(copy)
+
+    def test_loaded_splits_read_only(self, tmp_path):
+        save_dataset(window_and_split(fake_path(60), tau=4, seed=0), tmp_path)
+        assert not load_dataset(tmp_path).test.flags.writeable
 
 
 class TestPersistence:
