@@ -15,14 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import hypervolume, kde_density, spearman
+from .analysis import bonferroni, hypervolume, kde_density, spearman
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -35,11 +35,12 @@ from .experiment import (
     PRESETS,
     load_records,
     preset_config,
+    read_config,
     run_experiment,
     scale_config,
     summarize,
 )
-from .trajectory import generate_scenario, save_dataset, window_and_split
+from .trajectory import generate_scenario, save_dataset, window_and_split, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,71 +52,46 @@ ENV_SEED = "NEUROTRAJ_SEED"
 
 
 def _parse_ratio(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
+    try:
+        parts = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
-        raise ConfigurationError(f"ratio needs three comma-separated shares, got {text!r}")
-    return tuple(parts)
+        raise ConfigurationError(f"ratio needs three comma-separated numbers, got {text!r}")
+    return parts
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        ratio = _parse_ratio(args.ratios)
-        path = generate_scenario(args.duration, args.lane_change_rate, args.seed)
-        dataset = window_and_split(path, tau=args.tau, ratio=ratio, seed=args.seed)
-    except NeurotrajError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        written = save_dataset(dataset, args.out)
-    except OSError as exc:
-        print(f"error: cannot write dataset: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for p in written.values():
+    ratio = _parse_ratio(args.ratios)
+    path = generate_scenario(args.duration, args.lane_change_rate, args.seed)
+    dataset = window_and_split(path, tau=args.tau, ratio=ratio, seed=args.seed)
+    for p in save_dataset(dataset, args.out).values():
         print(p)
     return EXIT_OK
 
 
 def _resolve_run_config(args: argparse.Namespace) -> ExperimentConfig:
-    env_seed = os.environ.get(ENV_SEED)
-    seed = int(env_seed) if env_seed is not None else args.seed
-    if args.preset:
-        return preset_config(args.preset, scale=args.scale,
-                             base_seed=1 if seed is None else seed)
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_dict(json.load(fh))
-    if seed is not None and seed != cfg.base_seed:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "base_seed": seed})
-    return scale_config(cfg, args.scale)
+    seed = args.seed
+    if (env_seed := os.environ.get(ENV_SEED)) is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigurationError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
+    cfg = preset_config(args.preset) if args.preset else read_config(args.config)
+    return scale_config(cfg if seed is None else replace(cfg, base_seed=seed), args.scale)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = _resolve_run_config(args)
-    except (NeurotrajError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    cfg = _resolve_run_config(args)
     out_dir = Path(args.out)
-    try:
-        records = run_experiment(cfg, out_dir=out_dir, jobs=args.jobs)
-    except NeurotrajError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: cannot write experiment outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = run_experiment(cfg, out_dir=out_dir, jobs=args.jobs)
     failed = [rec for rec in records if rec.error]
     for p in sorted(out_dir.glob("*")):
         print(p)
-    if failed:
-        for rec in failed:
-            print(f"error: run {rec.run_index} (seed {rec.run_seed}) failed: {rec.error}",
-                  file=sys.stderr)
-        return EXIT_ENGINE
-    return EXIT_OK
+    for rec in failed:
+        print(f"error: run {rec.run_index} (seed {rec.run_seed}) failed: {rec.error}",
+              file=sys.stderr)
+    return EXIT_ENGINE if failed else EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -138,100 +114,84 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _analyze(args: argparse.Namespace) -> int:
+    if len(args.dirs) > 2:
+        raise ConfigurationError("analyze takes one or two experiment directories")
+    bonferroni(args.alpha, args.comparisons)  # checks both before anything is read
     primary_dir = Path(args.dirs[0])
     against_dir = Path(args.dirs[1]) if len(args.dirs) > 1 else None
-    try:
-        cfg, records = load_records(primary_dir)
-        against_records = None
-        if against_dir is not None:
-            against_cfg, against_records = load_records(against_dir)
-            if [o.token for o in against_cfg.objective_ids] != [o.token for o in cfg.objective_ids]:
-                raise MalformedRecordsError(
-                    "experiments optimize different objectives and cannot be compared")
-    except MalformedRecordsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    cfg, records = load_records(primary_dir)
+    against_records = None
+    if against_dir is not None:
+        against_cfg, against_records = load_records(against_dir)
+        if [o.token for o in against_cfg.objective_ids] != [o.token for o in cfg.objective_ids]:
+            raise MalformedRecordsError(
+                "experiments optimize different objectives and cannot be compared")
 
     out_dir = Path(args.out) if args.out else primary_dir
     artifacts: list[Path] = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        # Shared hypervolume reference: componentwise max over every front
-        # involved in the comparison, plus a 10% margin.
-        groups = [("hypervolume.csv", records)]
-        if against_records is not None:
-            groups.append(("hypervolume_against.csv", against_records))
-        all_points = np.concatenate([front for _, group in groups
-                                     for rec in group for front in rec.fronts])
-        if not len(all_points):
-            raise MalformedRecordsError("no front points found in the experiment records")
-        m = len(cfg.objective_ids)
-        ref = tuple(max(1e-9, 1.1 * float(v)) for v in all_points.max(axis=0))
+    # Shared hypervolume reference: componentwise max over every front
+    # involved in the comparison, plus a 10% margin.
+    groups = [("hypervolume.csv", records)]
+    if against_records is not None:
+        groups.append(("hypervolume_against.csv", against_records))
+    all_points = np.concatenate([front for _, group in groups
+                                 for rec in group for front in rec.fronts])
+    if not len(all_points):
+        raise MalformedRecordsError("no front points found in the experiment records")
+    m = len(cfg.objective_ids)
+    ref = tuple(max(1e-9, 1.1 * float(v)) for v in all_points.max(axis=0))
 
-        for name, group in groups:
-            hv_path = out_dir / name
-            with open(hv_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["generation", "run", "value"])
-                for rec in group:
-                    for gen, front in enumerate(rec.fronts, start=1):
-                        writer.writerow([gen, rec.run_index, repr(hypervolume(front, ref))])
-            artifacts.append(hv_path)
-
-        # Per-run KDE over final-front objective values, evaluated at the
-        # front points themselves (density estimated independently per run).
-        kde_path = out_dir / "kde_front.csv"
-        final_fronts = [[e.objectives for e in rec.final_front] for rec in records]
-        tokens = [oid.token for oid in cfg.objective_ids]
-        with open(kde_path, "w", newline="", encoding="utf-8") as fh:
+    for name, group in groups:
+        hv_path = out_dir / name
+        with open(hv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["run"] + tokens + ["density"])
-            for rec, front_values in zip(records, final_fronts):
-                if len(front_values) < 2:
-                    continue
-                try:
-                    dens = kde_density(front_values, front_values)
-                except NeurotrajError:
-                    continue
-                for point, d in zip(front_values, dens):
-                    writer.writerow([rec.run_index] + [repr(v) for v in point] + [repr(float(d))])
-        artifacts.append(kde_path)
+            writer.writerow(["generation", "run", "value"])
+            for rec in group:
+                for gen, front in enumerate(rec.fronts, start=1):
+                    writer.writerow([gen, rec.run_index, repr(hypervolume(front, ref))])
+        artifacts.append(hv_path)
 
-        # Pairwise rank correlations over pooled final-front values.
-        pooled = [p for front in final_fronts for p in front]
-        correlations = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                entry = {"pair": [tokens[i], tokens[j]], "n": len(pooled)}
-                try:
-                    res = spearman([p[i] for p in pooled], [p[j] for p in pooled])
-                    entry.update(res.to_dict())
-                except (UndefinedCorrelationError, ContractError) as exc:
-                    entry.update({"coefficient": None, "p_value": None, "note": str(exc)})
-                correlations.append(entry)
-        corr_path = out_dir / "correlations.json"
-        with open(corr_path, "w", encoding="utf-8") as fh:
-            json.dump(correlations, fh, indent=2)
-            fh.write("\n")
-        artifacts.append(corr_path)
+    # Per-run KDE over final-front objective values, evaluated at the
+    # front points themselves (density estimated independently per run).
+    kde_path = out_dir / "kde_front.csv"
+    final_fronts = [[e.objectives for e in rec.final_front] for rec in records]
+    tokens = [oid.token for oid in cfg.objective_ids]
+    with open(kde_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run"] + tokens + ["density"])
+        for rec, front_values in zip(records, final_fronts):
+            if len(front_values) < 2:
+                continue
+            try:
+                dens = kde_density(front_values, front_values)
+            except NeurotrajError:
+                continue
+            for point, d in zip(front_values, dens):
+                writer.writerow([rec.run_index] + [repr(v) for v in point] + [repr(float(d))])
+    artifacts.append(kde_path)
 
-        doc = summarize(records, against=against_records, alpha=args.alpha,
-                        comparisons=args.comparisons)
-        doc["hypervolume_reference"] = list(ref)
-        if against_dir is not None:
-            doc["against"] = str(against_dir)
-        summary_path = out_dir / "summary.json"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        artifacts.append(summary_path)
-    except NeurotrajError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except OSError as exc:
-        print(f"error: cannot write analysis outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # Pairwise rank correlations over pooled final-front values.
+    pooled = [p for front in final_fronts for p in front]
+    correlations = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            entry = {"pair": [tokens[i], tokens[j]], "n": len(pooled)}
+            try:
+                res = spearman([p[i] for p in pooled], [p[j] for p in pooled])
+                entry.update(res.to_dict())
+            except (UndefinedCorrelationError, ContractError) as exc:
+                entry.update({"coefficient": None, "p_value": None, "note": str(exc)})
+            correlations.append(entry)
+    artifacts.append(write_json(out_dir / "correlations.json", correlations))
+
+    doc = summarize(records, against=against_records, alpha=args.alpha,
+                    comparisons=args.comparisons)
+    doc["hypervolume_reference"] = list(ref)
+    if against_dir is not None:
+        doc["against"] = str(against_dir)
+    artifacts.append(write_json(out_dir / "summary.json", doc))
 
     for p in artifacts:
         print(p)
@@ -302,14 +262,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "command", None) == "analyze":
-        if len(args.dirs) > 2:
-            print("error: analyze takes one or two experiment directories", file=sys.stderr)
-            return EXIT_USAGE
-        if not 0.0 < args.alpha < 1.0 or args.comparisons < 1:
-            print("error: analyze needs 0 < --alpha < 1 and --comparisons >= 1", file=sys.stderr)
-            return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NeurotrajError, OSError) as exc:  # an OSError's message names the path
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, MalformedRecordsError):
+            return EXIT_MALFORMED
+        return EXIT_USAGE if isinstance(exc, NeurotrajError) else EXIT_IO
 
 
 def entrypoint() -> None:  # console-script shim

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import Config
 from .errors import ConfigurationError, ContractError
 from .genome import Genome, default_allele_table
 from .objectives import Columns, ObjectiveId, ObjectiveVector, assemble, rmse
@@ -44,29 +45,19 @@ _SKILL_INTERACTIONS = {
 
 
 @dataclass(frozen=True)
-class SurrogateConfig:
+class SurrogateConfig(Config):
     quality_seed: int = 0
     lateral_noise_max_m: float = 0.8
     heading_jitter_max_rad: float = 0.03
     speed_span: float = 0.15
 
     def __post_init__(self):
-        if self.lateral_noise_max_m <= 0 or self.heading_jitter_max_rad <= 0 or self.speed_span <= 0:
-            raise ConfigurationError("surrogate noise scales must be positive")
+        super().__post_init__()
+        if not all(0 < v < math.inf for v in (self.lateral_noise_max_m,
+                                              self.heading_jitter_max_rad, self.speed_span)):
+            raise ConfigurationError("surrogate noise scales must be positive and finite")
         if self.speed_span > 0.2:
             raise ConfigurationError(f"speed_span must be <= 0.2, got {self.speed_span}")
-
-    def to_dict(self) -> dict:
-        return {
-            "quality_seed": self.quality_seed,
-            "lateral_noise_max_m": self.lateral_noise_max_m,
-            "heading_jitter_max_rad": self.heading_jitter_max_rad,
-            "speed_span": self.speed_span,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SurrogateConfig":
-        return cls(**doc)
 
 
 @dataclass(frozen=True)

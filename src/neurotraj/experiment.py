@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from random import Random
@@ -26,39 +26,25 @@ import numpy as np
 from . import moead as moead_mod
 from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
+from .config import Config
 from .errors import ConfigurationError, ContractError, MalformedRecordsError, NeurotrajError
 from .evaluator import SurrogateConfig, evaluate, predict_targets
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, rmse
-from .trajectory import Dataset, generate_scenario, window_and_split
+from .trajectory import Dataset, generate_scenario, window_and_split, write_json
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(Config):
     duration_s: float = 600.0
     lane_change_rate: float = 0.02
     seed: int = 0
     tau: int = 8
     ratio: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
-    def to_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "lane_change_rate": self.lane_change_rate,
-            "seed": self.seed,
-            "tau": self.tau,
-            "ratio": list(self.ratio),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DatasetConfig":
-        doc = dict(doc)
-        doc["ratio"] = tuple(doc.get("ratio", (0.6, 0.2, 0.2)))
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     algorithm: str
     objective_ids: tuple[ObjectiveId, ...]
     population: int
@@ -73,43 +59,33 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
 
+    KEYS = {"objective_ids": "objectives"}  # config.json names the objectives by token
+
     def __post_init__(self):
+        super().__post_init__()
         if self.algorithm not in ("nsga2", "moead"):
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if not self.objective_ids:
-            raise ConfigurationError("objective_ids must be non-empty")
+        if len(self.objective_ids) not in (2, 3):  # all the MOEA/D lattice and hypervolume take
+            raise ConfigurationError(f"need 2 or 3 objectives, got {len(self.objective_ids)}")
         if len(set(self.objective_ids)) != len(self.objective_ids):
             raise ConfigurationError("objective_ids must be duplicate-free")
         if self.runs < 1 or self.generations < 1 or self.population < 2:
             raise ConfigurationError("runs/generations/population too small")
+        if not (0 <= self.crossover_rate <= 1 and 0 <= self.mutation_rate <= 1):
+            raise ConfigurationError("crossover_rate and mutation_rate must be in [0, 1]")
+        if min(self.tournament_size, self.neighborhood_size) < 1 or (
+                self.archive_cap is not None and self.archive_cap < 1):
+            raise ConfigurationError("tournament_size, neighborhood_size, archive_cap must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "objectives": [oid.token for oid in self.objective_ids],
-            "population": self.population,
-            "generations": self.generations,
-            "runs": self.runs,
-            "base_seed": self.base_seed,
-            "crossover_rate": self.crossover_rate,
-            "mutation_rate": self.mutation_rate,
-            "tournament_size": self.tournament_size,
-            "neighborhood_size": self.neighborhood_size,
-            "archive_cap": self.archive_cap,
-            "dataset": self.dataset.to_dict(),
-            "surrogate": self.surrogate.to_dict(),
-        }
+        # "objectives" keeps its place in the field order; its value becomes the tokens
+        return {**super().to_dict(), "objectives": [oid.token for oid in self.objective_ids]}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        tokens = doc.pop("objectives")
-        return cls(
-            objective_ids=tuple(ObjectiveId.from_token(t) for t in tokens),
-            dataset=DatasetConfig.from_dict(doc.pop("dataset", {})),
-            surrogate=SurrogateConfig.from_dict(doc.pop("surrogate", {})),
-            **doc,
-        )
+    def from_dict(cls, doc: dict) -> ExperimentConfig:
+        if isinstance(doc, dict) and isinstance(tokens := doc.get("objectives"), list):
+            doc = {**doc, "objectives": tuple(map(ObjectiveId.from_token, tokens))}
+        return super().from_dict(doc)
 
 
 # The 13-experiment catalog. Batch 1 examines loss objectives with NSGA-II
@@ -159,11 +135,8 @@ def scale_config(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
         return cfg
     population = _snap_population(cfg.algorithm, len(cfg.objective_ids),
                                   scaled_count(cfg.population, scale))
-    doc = cfg.to_dict()
-    doc.update(population=population,
-               generations=scaled_count(cfg.generations, scale),
-               runs=scaled_count(cfg.runs, scale))
-    return ExperimentConfig.from_dict(doc)
+    return replace(cfg, population=population, generations=scaled_count(cfg.generations, scale),
+                   runs=scaled_count(cfg.runs, scale))
 
 
 def preset_config(name: str, scale: float = 1.0, base_seed: int = 1) -> ExperimentConfig:
@@ -358,11 +331,7 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    config_path = out_dir / "config.json"
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
-    written.append(config_path)
+    written.append(write_json(out_dir / "config.json", cfg.to_dict()))
 
     tokens = [oid.token for oid in cfg.objective_ids]
     for rec in records:
@@ -387,19 +356,24 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
                     + [repr(s) for s in e.skills])
         written.append(csv_path)
 
-    summary_path = out_dir / "summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summarize(records), fh, indent=2)
-        fh.write("\n")
-    written.append(summary_path)
+    written.append(write_json(out_dir / "summary.json", summarize(records)))
     return written
+
+
+def read_config(path: str | Path) -> ExperimentConfig:
+    """Parse a config document; ConfigurationError if it is not a valid
+    config in UTF-8 JSON."""
+    try:  # an OSError passes; a UnicodeDecodeError is a ValueError
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ConfigurationError(f"{path} is not a JSON document in UTF-8: {exc}") from exc
+    return ExperimentConfig.from_dict(doc)
 
 
 def load_config(exp_dir: Path) -> ExperimentConfig:
     try:
-        with open(exp_dir / "config.json", encoding="utf-8") as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, NeurotrajError) as exc:
+        return read_config(exp_dir / "config.json")
+    except (OSError, NeurotrajError) as exc:
         raise MalformedRecordsError(f"cannot load config from {exp_dir}: {exc}") from exc
 
 

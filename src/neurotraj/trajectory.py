@@ -184,8 +184,8 @@ def window_and_split(
     (input or target) overlaps a test point. The head windows are shuffled
     with `seed` and then split train/validation by ratio.
     """
-    if len(ratio) != 3 or any(r < 0 for r in ratio):
-        raise ConfigurationError(f"ratio must be three non-negative shares, got {ratio}")
+    if len(ratio) != 3 or not all(math.isfinite(r) and r >= 0 for r in ratio):
+        raise ConfigurationError(f"ratio must be three finite non-negative shares, got {ratio}")
     if abs(sum(ratio) - 1.0) > 1e-9:
         raise ConfigurationError(f"ratio must sum to 1, got {ratio}")
     if tau < 2:
@@ -223,6 +223,15 @@ _ROLES = (("train", "train"), ("val", "validation"), ("test", "test"))
 _DATASET_COLUMNS = ["pair_id", "role", "step", "x", "y", "t"]
 
 
+def write_json(path: Path, doc) -> Path:
+    """Write `doc` as JSON indented by two with a final newline, the form of
+    every JSON document the package writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     """Write dataset.csv (one row per point) and manifest.json."""
     out = Path(out_dir)
@@ -246,10 +255,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         "seed": dataset.seed,
         "counts": dataset.counts(),
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return {"dataset": csv_path, "manifest": manifest_path}
+    return {"dataset": csv_path, "manifest": write_json(manifest_path, manifest)}
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:

@@ -86,6 +86,41 @@ def _latin1_byte(path: Path, text: bytes) -> None:
     path.write_bytes(raw.replace(text, text[:-2] + b"\xe9" + text[-1:], 1))
 
 
+# A valid config of one short run; `_config` edits a copy of it.
+SMALL_RUN = {
+    "algorithm": "nsga2", "objectives": ["rmse", "l2"], "population": 4, "generations": 1,
+    "runs": 1, "base_seed": 1, "crossover_rate": 1.0, "mutation_rate": 0.5,
+    "tournament_size": 3, "neighborhood_size": 7, "archive_cap": None,
+    "dataset": {"duration_s": 60.0, "lane_change_rate": 0.02, "seed": 0, "tau": 8,
+                "ratio": [0.6, 0.2, 0.2]},
+    "surrogate": {"quality_seed": 0, "lateral_noise_max_m": 0.8,
+                  "heading_jitter_max_rad": 0.03, "speed_span": 0.15},
+}
+
+
+DELETE = object()
+
+
+def _config(**changes) -> dict:
+    """SMALL_RUN with `changes`: `dataset__tau=4` sets a nested key, and the
+    value DELETE removes a key."""
+    doc = json.loads(json.dumps(SMALL_RUN))
+    for key, value in changes.items():
+        section, _, name = key.rpartition("__")
+        target = doc[section] if section else doc
+        if value is DELETE:
+            del target[name]
+        else:
+            target[name] = value
+    return doc
+
+
+def _write(path: Path, content) -> str:
+    """Write `content` (bytes as they are, anything else as JSON) and return the path."""
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    return str(path)
+
+
 class TestGenerate:
     def test_writes_manifest_with_defaults(self, tmp_path):
         out = tmp_path / "data"
@@ -126,6 +161,117 @@ class TestGenerate:
         blocker.write_text("")
         code = main(["generate", "--duration", "30", "--out", str(blocker / "nested")])
         assert code == 3
+
+    @pytest.mark.parametrize("ratios", ["a,b,c", "nan,0.5,0.5", "0.5,0.5,nan", "inf,0,0",
+                                        "0.5,0.5", ""])
+    def test_bad_ratios_usage_error(self, tmp_path, ratios, capsys):
+        out = tmp_path / "x"
+        assert main(["generate", "--duration", "30", "--ratios", ratios, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestConfigFile:
+    """`run --config` checks a config's keys, types and ranges before it
+    writes anything, and exits 2 on a bad one."""
+
+    @pytest.mark.parametrize("doc", [
+        # keys and document shape
+        _config(population_size=4),
+        _config(objectives=DELETE),
+        _config(dataset=None),
+        _config(surrogate=[]),
+        [SMALL_RUN],
+        [],
+        "nsga2",
+        # field types
+        _config(runs=1.5),
+        _config(base_seed="1"),
+        _config(runs=True),
+        _config(objectives="rmse"),
+        _config(surrogate__quality_seed="x"),
+        _config(dataset__tau=8.0),
+        _config(dataset__ratio="abc"),
+        _config(dataset__ratio=[0.5, 0.5]),
+        # ranges
+        _config(dataset__ratio=[math.nan, 0.5, 0.5]),
+        _config(objectives=["rmse"]),
+        _config(objectives=["rmse", "l1", "l2", "l3"]),
+        _config(algorithm="moead", objectives=["rmse", "l1", "l2", "l3"]),
+        _config(mutation_rate=2.0),
+        _config(crossover_rate=-0.1),
+        _config(tournament_size=0),
+        _config(algorithm="moead", neighborhood_size=0),
+        _config(algorithm="moead", archive_cap=0),
+        _config(surrogate__lateral_noise_max_m=math.nan),
+        _config(surrogate__heading_jitter_max_rad=math.inf),
+    ], ids=["unknown-key", "no-objectives", "dataset-null", "surrogate-list", "top-level-list",
+            "empty-list", "top-level-string", "float-runs", "string-base-seed", "bool-runs",
+            "string-objectives", "string-quality-seed", "float-tau", "string-ratio",
+            "two-shares", "nan-share", "one-objective", "four-objectives",
+            "four-objectives-moead", "mutation-rate-two", "negative-crossover-rate",
+            "tournament-size-zero", "neighborhood-size-zero", "archive-cap-zero",
+            "nan-noise-scale", "infinite-jitter"])
+    def test_bad_config_usage_error_before_writing(self, tmp_path, doc, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--config", _write(tmp_path / "config.json", doc), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_small_run_is_valid(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path / "config.json", SMALL_RUN),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text()) == SMALL_RUN
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(objectives=["rmse"]),
+        lambda doc: doc.update(objectives=["rmse", "l1", "l3", "l2"]),
+        lambda doc: doc.update(mutation_rate=2.0),
+        lambda doc: doc.update(runs=1.5),
+        lambda doc: doc.update(extra=1),
+    ], ids=["one-objective", "four-objectives", "mutation-rate-two", "float-runs",
+            "unknown-key"])
+    def test_hand_edited_config_analyze_exit_five(self, exp8_dir, tmp_path, edit):
+        import shutil
+
+        bad = tmp_path / "bad"
+        shutil.copytree(exp8_dir, bad)
+        _edit_config(bad, edit)
+        assert main(["analyze", str(bad)]) == 5
+
+
+class TestExitCodes:
+    """`main` maps each kind of failure to its exit code."""
+
+    @pytest.mark.parametrize("argv, env, code", [
+        (lambda d, tmp: ["run", "--config", str(d / "config.json"), "--out", str(tmp / "out")],
+         {"NEUROTRAJ_SEED": "abc"}, 2),
+        (lambda d, tmp: ["run", "--preset", "exp6", "--out", str(tmp / "out")],
+         {"NEUROTRAJ_SEED": "1.5"}, 2),
+        (lambda d, tmp: ["run", "--config", str(tmp / "missing.json"), "--out", str(tmp / "out")],
+         {}, 3),
+        (lambda d, tmp: ["run", "--config", str(tmp), "--out", str(tmp / "out")], {}, 3),
+        (lambda d, tmp: ["run", "--config", _write(tmp / "c.json", b"{not json"),
+                         "--out", str(tmp / "out")], {}, 2),
+        (lambda d, tmp: ["run", "--config", _write(tmp / "c.json", b'{"algorithm\xe9": 1}'),
+                         "--out", str(tmp / "out")], {}, 2),
+        (lambda d, tmp: ["run", "--config", _write(tmp / "c.json", b"[" * 100_000 + b"]" * 100_000),
+                         "--out", str(tmp / "out")], {}, 2),
+        (lambda d, tmp: ["analyze", str(d), "--out", _write(tmp / "blocker", b"") + "/nested"],
+         {}, 3),
+        (lambda d, tmp: ["run", "--config", _write(tmp / "c.json", _config(
+            dataset={"duration_s": 60.0, "lane_change_rate": 0.0, "seed": 1,
+                     "ratio": [1.0, 0.0, 0.0]})), "--out", str(tmp / "out")], {}, 4),
+    ], ids=["env-seed-not-int", "env-seed-float", "missing-config", "config-is-directory",
+            "config-not-json", "config-not-utf8", "config-nested-too-deep",
+            "analyze-out-unwritable", "failed-run"])
+    def test_exit_code(self, exp8_dir, tmp_path, monkeypatch, capsys, argv, env, code):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv(exp8_dir, tmp_path)) == code
+        assert "error: " in capsys.readouterr().err
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -17,6 +18,7 @@ from neurotraj.experiment import (
     execute_run,
     load_records,
     preset_config,
+    read_config,
     run_experiment,
     scaled_count,
     summarize,
@@ -83,6 +85,68 @@ class TestPresets:
     def test_config_round_trip(self):
         cfg = preset_config("exp8", scale=0.2, base_seed=5)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestConfigDocument:
+    def test_keys_in_config_json_order(self):
+        doc = preset_config("exp7").to_dict()
+        assert list(doc) == ["algorithm", "objectives", "population", "generations", "runs",
+                             "base_seed", "crossover_rate", "mutation_rate", "tournament_size",
+                             "neighborhood_size", "archive_cap", "dataset", "surrogate"]
+        assert doc["objectives"] == ["rmse", "l2", "l3"]
+        assert list(doc["dataset"]) == ["duration_s", "lane_change_rate", "seed", "tau", "ratio"]
+        assert list(doc["surrogate"]) == ["quality_seed", "lateral_noise_max_m",
+                                          "heading_jitter_max_rad", "speed_span"]
+
+    def test_defaulted_fields_may_be_left_out(self):
+        cfg = ExperimentConfig.from_dict({"algorithm": "nsga2", "objectives": ["rmse", "l1"],
+                                          "population": 4, "generations": 1, "runs": 1})
+        assert cfg.dataset == DatasetConfig() and cfg.surrogate == SurrogateConfig()
+
+    def test_int_accepted_where_float_declared(self):
+        assert DatasetConfig(duration_s=60, ratio=(1, 0, 0)).duration_s == 60
+
+    @pytest.mark.parametrize("build", [
+        lambda: DatasetConfig(tau=8.0),
+        lambda: DatasetConfig(seed=True),  # a bool is not an int
+        lambda: DatasetConfig(ratio=(0.5, 0.5)),
+        lambda: DatasetConfig(ratio=[0.6, 0.2, 0.2]),
+        lambda: DatasetConfig(ratio=(0.6, "0.2", 0.2)),
+        lambda: SurrogateConfig(quality_seed="x"),
+        lambda: small_config(runs=1.0),
+        lambda: small_config(archive_cap=2.5),
+        lambda: ExperimentConfig("nsga2", ("rmse", "l1"), 4, 1, 1),
+        lambda: ExperimentConfig.from_dict({"algorithm": "nsga2", "objectives": ["rmse", "l1"],
+                                            "population": 4, "generations": 1, "runs": 1,
+                                            "dataset": {"duration_s": 60.0, "rate": 0.1}}),
+    ], ids=["float-tau", "bool-seed", "two-shares", "list-ratio", "string-share",
+            "string-quality-seed", "float-runs", "float-archive-cap", "string-objectives",
+            "unknown-dataset-key"])
+    def test_mistyped_field_rejected(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
+    @pytest.mark.parametrize("changes", [
+        {"objective_ids": (ObjectiveId.RMSE,)},
+        {"objective_ids": tuple(ObjectiveId)[:4]},
+        {"crossover_rate": -0.1}, {"mutation_rate": 2.0}, {"mutation_rate": math.nan},
+        {"tournament_size": 0}, {"neighborhood_size": 0}, {"archive_cap": 0},
+    ], ids=["one-objective", "four-objectives", "crossover-negative", "mutation-two",
+            "mutation-nan", "tournament-zero", "neighborhood-zero", "archive-cap-zero"])
+    def test_out_of_range_field_rejected(self, changes):
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(small_config(algorithm="moead"), **changes)
+
+    def test_read_config_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(small_config().to_dict()).encode().replace(b"nsga2", b"nsg\xe92"))
+        with pytest.raises(ConfigurationError, match="UTF-8"):
+            read_config(path)
+
+    def test_read_config_round_trip(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_config().to_dict()))
+        assert read_config(path) == small_config()
 
 
 class TestExecuteRun:

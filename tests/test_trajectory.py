@@ -124,6 +124,13 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             window_and_split(fake_path(100), tau=8, ratio=(0.5, 0.2, 0.2), seed=0)
 
+    @pytest.mark.parametrize("ratio", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
+                                       (math.inf, 0.0, 0.0)])
+    def test_non_finite_ratio_rejected(self, ratio):
+        # NaN passes both the sign and the sum check, and round(nan) raises later
+        with pytest.raises(ConfigurationError, match="finite"):
+            window_and_split(fake_path(100), tau=8, ratio=ratio, seed=0)
+
 
 def _edit_first_row(text: str, edit) -> str:
     """Apply `edit` to the first data row of a dataset.csv text."""
