@@ -5,7 +5,7 @@ highway data."""
 __version__ = "0.1.0"
 
 from .genome import AlleleTable, GeneticOperators, Genome, default_allele_table
-from .objectives import ObjectiveId, ObjectiveVector
+from .objectives import ObjectiveId
 from .trajectory import Dataset
 from .evaluator import EvaluationResult, SurrogateConfig, evaluate
 from .experiment import ExperimentConfig, PRESETS, preset_config, run_experiment, summarize
@@ -18,7 +18,6 @@ __all__ = [
     "GeneticOperators",
     "Genome",
     "ObjectiveId",
-    "ObjectiveVector",
     "PRESETS",
     "SurrogateConfig",
     "default_allele_table",

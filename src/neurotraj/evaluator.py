@@ -26,7 +26,7 @@ import numpy as np
 from .config import Config
 from .errors import ConfigurationError, ContractError
 from .genome import Genome, default_allele_table
-from .objectives import Columns, ObjectiveId, ObjectiveVector, assemble, rmse
+from .objectives import Columns, ObjectiveId, Objectives, assemble, rmse
 from .trajectory import Dataset
 
 # 1-based locus subsets feeding each skill. Locus 3 (Momentum) belongs to
@@ -62,7 +62,7 @@ class SurrogateConfig(Config):
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    objectives: ObjectiveVector  # computed on the validation split
+    objectives: Objectives  # computed on the validation split
     skills: tuple[float, float, float]
     # Plain validation RMSE regardless of the objective subset; the
     # experiment summaries need it even when RMSE is not searched on.
@@ -189,6 +189,6 @@ def evaluate(
     actual = data.validation_targets
     predicted = predict_targets(genome, skills, cfg, actual, "val")
     objectives = assemble(ids, predicted, actual)
-    rmse_validation = (objectives.value_of(ObjectiveId.RMSE) if ObjectiveId.RMSE in objectives.ids
+    rmse_validation = (objectives[ids.index(ObjectiveId.RMSE)] if ObjectiveId.RMSE in ids
                        else rmse(predicted, actual))
     return EvaluationResult(objectives=objectives, skills=skills, rmse_validation=rmse_validation)

@@ -128,11 +128,10 @@ def _snap_population(algorithm: str, m: int, population: int) -> int:
 
 
 def scale_config(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
-    """Shrink (or grow) population, generations and run count proportionally."""
+    """Shrink (or grow) population, generations and run count proportionally.
+    A MOEA/D population snaps to a lattice size at every scale, 1 included."""
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigurationError(f"scale must be finite and positive, got {scale}")
-    if scale == 1.0:
-        return cfg
     population = _snap_population(cfg.algorithm, len(cfg.objective_ids),
                                   scaled_count(cfg.population, scale))
     return replace(cfg, population=population, generations=scaled_count(cfg.generations, scale),
@@ -193,7 +192,7 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
     doc = {
         "genome": list(ind.genome.indices),
-        "objectives": list(ind.objectives.values),
+        "objectives": list(ind.objectives),
         "skills": list(ind.evaluation.skills) if ind.evaluation is not None else None,
     }
     if with_rank:
@@ -212,7 +211,7 @@ def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
         predicted = predict_targets(ind.genome, ev.skills, cfg, actual, "test")
         entries.append(FrontEntry(
             genome=ind.genome.indices,
-            objectives=ind.objectives.values,
+            objectives=ind.objectives,
             rmse_validation=ev.rmse_validation,
             rmse_test=rmse(predicted, actual),
             validity=classify_validity(predicted.rows()),
@@ -251,7 +250,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
         run_seed=run_seed,
         snapshots=snapshots,
         final_front=entries,
-        initial_front_objectives=[ind.objectives.values for ind in initial_front],
+        initial_front_objectives=[ind.objectives for ind in initial_front],
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -298,6 +297,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     data = build_dataset(cfg)
+    if not (len(data.validation) and len(data.test)):
+        raise ConfigurationError(f"dataset ratio {list(cfg.dataset.ratio)} leaves "
+                                 f"{len(data.validation)} validation and {len(data.test)} test windows")
     # The pool starts all its workers at once, so it gets no more than there are runs.
     workers = min(jobs, cfg.runs)
     if workers > 1:
@@ -536,7 +538,7 @@ def summarize(
     pct = round(100.0 * valid / total) if total else 0
     doc = {
         "valid_models": {"valid": valid, "total": total, "fraction": frac,
-                         "percentage": round(100.0 * frac), "display": f"{valid}/{total}, {pct}%"},
+                         "percentage": pct, "display": f"{valid}/{total}, {pct}%"},
         "runs": len(records),
         "metrics": {name: _mean_std(vals) for name, vals in per_run.items()},
         "errors": [f"run {rec.run_index}: {rec.error}" for rec in records if rec.error],

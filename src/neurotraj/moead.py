@@ -11,7 +11,7 @@ from typing import Sequence
 from .errors import ConfigurationError, ContractError
 from .genome import GeneticOperators, random_genome
 from .nsga2 import EvaluateFn, Individual, dominates
-from .objectives import ObjectiveVector
+from .objectives import Objectives
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,18 @@ def build_neighborhoods(lattice: WeightLattice, t: int) -> list[tuple[int, ...]]
     return neighborhoods
 
 
-def tchebycheff(f: ObjectiveVector, lam: Sequence[float], z: Sequence[float]) -> float:
+def tchebycheff(f: Objectives, lam: Sequence[float], z: Sequence[float]) -> float:
     """max_j lam_j * |f_j - z_j|."""
-    if len(f.values) != len(lam) or len(f.values) != len(z):
+    if len(f) != len(lam) or len(f) != len(z):
         raise ContractError("objective vector, weights and ideal point must share dimension")
-    return max(l * abs(v - zj) for l, v, zj in zip(lam, f.values, z))
+    return max(l * abs(v - zj) for l, v, zj in zip(lam, f, z))
 
 
-def update_ideal(z: Sequence[float], f: ObjectiveVector) -> tuple[float, ...]:
+def update_ideal(z: Sequence[float], f: Objectives) -> tuple[float, ...]:
     """Componentwise minimum of the running ideal point and a new vector."""
-    if len(z) != len(f.values):
+    if len(z) != len(f):
         raise ContractError("ideal point dimension mismatch")
-    return tuple(min(zj, v) for zj, v in zip(z, f.values))
+    return tuple(min(zj, v) for zj, v in zip(z, f))
 
 
 @dataclass
@@ -97,7 +97,7 @@ def archive_insert(archive: list[Individual], candidate: Individual) -> None:
         if dominates(member.objectives, candidate.objectives):
             return
         if (member.genome.indices == candidate.genome.indices
-                and member.objectives.values == candidate.objectives.values):
+                and member.objectives == candidate.objectives):
             return
     archive[:] = [m for m in archive if not dominates(candidate.objectives, m.objectives)]
     archive.append(candidate)
@@ -111,7 +111,7 @@ def init_state(lattice: WeightLattice, evaluate_fn: EvaluateFn, ops: GeneticOper
         g = random_genome(ops.table, rng)
         obj, payload = evaluate_fn(g)
         solutions.append(Individual(genome=g, objectives=obj, evaluation=payload))
-    ideal = solutions[0].objectives.values
+    ideal = solutions[0].objectives
     for ind in solutions[1:]:
         ideal = update_ideal(ideal, ind.objectives)
     state = MoeadState(solutions=solutions, ideal=ideal)

@@ -11,26 +11,24 @@ import numpy as np
 
 from .errors import ContractError
 from .genome import GeneticOperators, Genome, random_genome
-from .objectives import ObjectiveVector
+from .objectives import Objectives
 
-EvaluateFn = Callable[[Genome], tuple[ObjectiveVector, Any]]
+EvaluateFn = Callable[[Genome], tuple[Objectives, Any]]
 
 
 @dataclass
 class Individual:
     genome: Genome
-    objectives: ObjectiveVector
+    objectives: Objectives
     rank: int = 0
     crowding: float = 0.0
     evaluation: Any = None  # engine-agnostic payload (e.g. EvaluationResult)
 
 
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
+def dominates(a: Objectives, b: Objectives) -> bool:
     """True iff a <= b componentwise with at least one strict improvement."""
-    if a.ids != b.ids:
-        raise ContractError("objective vectors have different ids or order")
     better = False
-    for va, vb in zip(a.values, b.values):
+    for va, vb in zip(a, b, strict=True):
         if va > vb:
             return False
         if va < vb:
@@ -48,10 +46,7 @@ def nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
     so tournaments and crowding truncation see the same populations."""
     if not pop:
         raise ContractError("population must be non-empty")
-    ids = pop[0].objectives.ids
-    if any(ind.objectives.ids != ids for ind in pop):
-        raise ContractError("objective vectors have different ids or order")
-    f = np.array([ind.objectives.values for ind in pop], dtype=float)
+    f = np.array([ind.objectives for ind in pop], dtype=float)
     dom = ~(f[:, None] > f[None]).any(2) & (f[:, None] < f[None]).any(2)  # dom[p, q]: p dominates q
     counts = dom.sum(0)
     front = np.flatnonzero(counts == 0)
@@ -83,17 +78,17 @@ def crowding_distance(front: list[Individual]) -> None:
         for ind in front:
             ind.crowding = float("inf")
         return
-    m = len(front[0].objectives.values)
+    m = len(front[0].objectives)
     for j in range(m):
-        ordered = sorted(front, key=lambda ind: ind.objectives.values[j])
-        lo = ordered[0].objectives.values[j]
-        hi = ordered[-1].objectives.values[j]
+        ordered = sorted(front, key=lambda ind: ind.objectives[j])
+        lo = ordered[0].objectives[j]
+        hi = ordered[-1].objectives[j]
         ordered[0].crowding = float("inf")
         ordered[-1].crowding = float("inf")
         if hi == lo:
             continue
         for i in range(1, len(ordered) - 1):
-            gap = ordered[i + 1].objectives.values[j] - ordered[i - 1].objectives.values[j]
+            gap = ordered[i + 1].objectives[j] - ordered[i - 1].objectives[j]
             ordered[i].crowding += gap / (hi - lo)
 
 

@@ -17,7 +17,6 @@ minimized on the same footing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -28,6 +27,9 @@ from .errors import ContractError, DegenerateTimestepError
 from .trajectory import V_MAX_MPS, V_MIN_MPS
 
 SIGN_EPS = 1e-9
+
+# An objective vector: one value per objective, in the order of the run's ids.
+Objectives = tuple[float, ...]
 
 
 class ObjectiveId(Enum):
@@ -47,32 +49,6 @@ class ObjectiveId(Enum):
             if member.value == token:
                 return member
         raise ContractError(f"unknown objective token {token!r}")
-
-
-@dataclass(frozen=True)
-class ObjectiveVector:
-    ids: tuple[ObjectiveId, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.values):
-            raise ContractError(f"{len(self.ids)} ids vs {len(self.values)} values")
-        if len(set(self.ids)) != len(self.ids):
-            raise ContractError("duplicate objective ids")
-        if not self.ids:
-            raise ContractError("objective vector must not be empty")
-        for oid, v in zip(self.ids, self.values):
-            if not math.isfinite(v):
-                raise ContractError(f"non-finite value {v} for {oid.token}")
-
-    def value_of(self, oid: ObjectiveId) -> float:
-        try:
-            return self.values[self.ids.index(oid)]
-        except ValueError:
-            raise ContractError(f"{oid.token} not in vector") from None
-
-    def as_dict(self) -> dict[str, float]:
-        return {oid.token: v for oid, v in zip(self.ids, self.values)}
 
 
 def _rows(seq) -> np.ndarray:
@@ -250,8 +226,9 @@ def signloss(predicted, actual) -> float:
     return float(error / max(1, matches))
 
 
-def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> ObjectiveVector:
-    """Build the minimization vector for one evaluated model.
+def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> Objectives:
+    """Build the minimization vector for one evaluated model: one finite
+    float per id, in the order of `ids`.
 
     Per-sequence objectives (l1, l2, minimized l3) are computed on the
     predicted sequences and averaged over the set; l1 measures against
@@ -260,6 +237,8 @@ def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> ObjectiveVector:
     """
     if not ids:
         raise ContractError("objective id list must not be empty")
+    if len(set(ids)) != len(ids):
+        raise ContractError("duplicate objective ids")
     predicted, actual = _matched(predicted, actual)
 
     values = []
@@ -276,5 +255,7 @@ def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> ObjectiveVector:
             value = signloss(predicted, actual)
         else:  # pragma: no cover
             raise ContractError(f"unhandled objective {oid}")
+        if not math.isfinite(value):
+            raise ContractError(f"non-finite value {value} for {oid.token}")
         values.append(float(value))
-    return ObjectiveVector(tuple(ids), tuple(values))
+    return tuple(values)

@@ -7,7 +7,6 @@ from random import Random
 import numpy as np
 import pytest
 
-from neurotraj.objectives import ObjectiveId, ObjectiveVector
 from neurotraj.trajectory import generate_scenario, window_and_split
 
 
@@ -20,9 +19,10 @@ def straight_seq(n=8, v=30.0, dt=0.25, x=0.0) -> np.ndarray:
     return make_seq([(x, v * dt * i) for i in range(n)], dt=dt)
 
 
-def vec(tokens, values) -> ObjectiveVector:
-    return ObjectiveVector(tuple(ObjectiveId.from_token(t) for t in tokens),
-                           tuple(float(v) for v in values))
+def vec(tokens, values) -> tuple[float, ...]:
+    """An objective vector: `values` as floats, one per token of `tokens`."""
+    assert len(tokens) == len(values), f"{len(tokens)} tokens vs {len(values)} values"
+    return tuple(float(v) for v in values)
 
 
 def vals_dominate(a, b) -> bool:

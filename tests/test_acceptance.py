@@ -203,7 +203,7 @@ def test_criterion_6_conflict_sign_reproduction():
     l1s, l2s, l3_raw = [], [], []
     for _ in range(500):
         g = random_genome(TABLE, rng)
-        values = evaluate(g, data, cfg.objective_ids, surrogate).objectives.values
+        values = evaluate(g, data, cfg.objective_ids, surrogate).objectives
         l1s.append(values[0])
         l2s.append(values[1])
         l3_raw.append((tau - 1) * V_MAX_MPS - values[2])  # recover the raw sum
@@ -371,12 +371,12 @@ def test_criterion_11_objective_examples():
         predicted.append(make_seq(noisy))
     ids = (ObjectiveId.RMSE, ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY)
     v = assemble(ids, predicted, actual)
-    assert v.ids == ids and len(v.values) == 3
-    assert assemble((ObjectiveId.RMSE,), actual, actual).values[0] == 0.0
+    assert len(v) == len(ids) == 3
+    assert assemble((ObjectiveId.RMSE,), actual, actual)[0] == 0.0
     n = len(predicted)
     expected = (rmse(predicted, actual),
                 sum(l2_lateral_velocity(p) for p in predicted) / n,
                 sum(l3_minimized(p) for p in predicted) / n)
-    for got, want in zip(v.values, expected):
+    for got, want in zip(v, expected, strict=True):
         assert abs(got - want) <= tol
     _report("11 objective examples", started)

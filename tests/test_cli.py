@@ -12,6 +12,7 @@ import pytest
 
 from neurotraj import cli
 from neurotraj.cli import main
+from neurotraj.errors import ContractError
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -205,13 +206,16 @@ class TestConfigFile:
         _config(algorithm="moead", archive_cap=0),
         _config(surrogate__lateral_noise_max_m=math.nan),
         _config(surrogate__heading_jitter_max_rad=math.inf),
+        # splits
+        _config(dataset__ratio=[0.8, 0.0, 0.2]),
+        _config(dataset__ratio=[0.8, 0.2, 0.0]),
     ], ids=["unknown-key", "no-objectives", "dataset-null", "surrogate-list", "top-level-list",
             "empty-list", "top-level-string", "float-runs", "string-base-seed", "bool-runs",
             "string-objectives", "string-quality-seed", "float-tau", "string-ratio",
             "two-shares", "nan-share", "one-objective", "four-objectives",
             "four-objectives-moead", "mutation-rate-two", "negative-crossover-rate",
             "tournament-size-zero", "neighborhood-size-zero", "archive-cap-zero",
-            "nan-noise-scale", "infinite-jitter"])
+            "nan-noise-scale", "infinite-jitter", "no-validation-windows", "no-test-windows"])
     def test_bad_config_usage_error_before_writing(self, tmp_path, doc, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", _write(tmp_path / "config.json", doc), "--out", str(out)])
@@ -242,10 +246,16 @@ class TestConfigFile:
         assert main(["analyze", str(bad)]) == 5
 
 
-class TestExitCodes:
-    """`main` maps each kind of failure to its exit code."""
+def _engine_error(*args, **kwargs):
+    raise ContractError("injected evaluator failure")
 
-    @pytest.mark.parametrize("argv, env, code", [
+
+class TestExitCodes:
+    """`main` maps each kind of failure to its exit code. Of `patches`, a
+    string is set as the named environment variable, anything else replaces
+    the attribute at the dotted path."""
+
+    @pytest.mark.parametrize("argv, patches, code", [
         (lambda d, tmp: ["run", "--config", str(d / "config.json"), "--out", str(tmp / "out")],
          {"NEUROTRAJ_SEED": "abc"}, 2),
         (lambda d, tmp: ["run", "--preset", "exp6", "--out", str(tmp / "out")],
@@ -261,15 +271,18 @@ class TestExitCodes:
                          "--out", str(tmp / "out")], {}, 2),
         (lambda d, tmp: ["analyze", str(d), "--out", _write(tmp / "blocker", b"") + "/nested"],
          {}, 3),
-        (lambda d, tmp: ["run", "--config", _write(tmp / "c.json", _config(
-            dataset={"duration_s": 60.0, "lane_change_rate": 0.0, "seed": 1,
-                     "ratio": [1.0, 0.0, 0.0]})), "--out", str(tmp / "out")], {}, 4),
+        (lambda d, tmp: ["run", "--config", _write(tmp / "c.json", SMALL_RUN),
+                         "--out", str(tmp / "out")],
+         {"neurotraj.experiment.evaluate": _engine_error}, 4),
     ], ids=["env-seed-not-int", "env-seed-float", "missing-config", "config-is-directory",
             "config-not-json", "config-not-utf8", "config-nested-too-deep",
             "analyze-out-unwritable", "failed-run"])
-    def test_exit_code(self, exp8_dir, tmp_path, monkeypatch, capsys, argv, env, code):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_exit_code(self, exp8_dir, tmp_path, monkeypatch, capsys, argv, patches, code):
+        for name, value in patches.items():
+            if isinstance(value, str):
+                monkeypatch.setenv(name, value)
+            else:
+                monkeypatch.setattr(name, value)
         assert main(argv(exp8_dir, tmp_path)) == code
         assert "error: " in capsys.readouterr().err
 
@@ -326,6 +339,15 @@ class TestRun:
         assert cfg["generations"] == 2
         assert cfg["runs"] == 1
 
+    def test_config_file_moead_population_snaps_at_scale_one(self, tmp_path):
+        out = tmp_path / "out"
+        doc = _config(algorithm="moead", objectives=["rmse", "l2", "l3"], population=40)
+        assert main(["run", "--config", _write(tmp_path / "config.json", doc),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["population"] == 45  # H = 8
+        snapshot = json.loads((out / "run_0.jsonl").read_text().splitlines()[0])
+        assert len(snapshot["subproblems"]) == 45
+
     @pytest.mark.parametrize("flags", [
         ["--scale", "inf"],
         ["--scale", "nan"],
@@ -354,22 +376,11 @@ class TestRun:
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_engine_failure_exit_four(self, tmp_path, capsys):
-        # a degenerate split leaves the evaluator nothing to validate on,
-        # which must surface as a per-run engine failure
-        from neurotraj.experiment import DatasetConfig, ExperimentConfig
-        from neurotraj.objectives import ObjectiveId
-
-        cfg = ExperimentConfig(
-            algorithm="nsga2",
-            objective_ids=(ObjectiveId.RMSE, ObjectiveId.L2_LATERAL_VELOCITY),
-            population=4, generations=1, runs=1,
-            dataset=DatasetConfig(duration_s=60.0, lane_change_rate=0.0, seed=1,
-                                  ratio=(1.0, 0.0, 0.0)),
-        )
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(cfg.to_dict()))
-        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    def test_engine_failure_exit_four(self, tmp_path, capsys, monkeypatch):
+        # an evaluator failure must surface as a per-run engine failure
+        monkeypatch.setattr("neurotraj.experiment.evaluate", _engine_error)
+        config_path = _write(tmp_path / "config.json", SMALL_RUN)
+        code = main(["run", "--config", config_path, "--out", str(tmp_path / "out")])
         assert code == 4
         assert "run 0" in capsys.readouterr().err
 

@@ -121,22 +121,24 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(6))
         a = evaluate(g, small_dataset, IDS, CFG)
         b = evaluate(g, small_dataset, IDS, CFG)
-        assert a.objectives.values == b.objectives.values
+        assert a.objectives == b.objectives
         assert a.rmse_validation == b.rmse_validation
         assert a.skills == b.skills
 
     def test_order_independent(self, small_dataset):
         rng = Random(9)
         genomes = [random_genome(TABLE, rng) for _ in range(4)]
-        forward = {g: evaluate(g, small_dataset, IDS, CFG).objectives.values for g in genomes}
-        backward = {g: evaluate(g, small_dataset, IDS, CFG).objectives.values
+        forward = {g: evaluate(g, small_dataset, IDS, CFG).objectives for g in genomes}
+        backward = {g: evaluate(g, small_dataset, IDS, CFG).objectives
                     for g in reversed(genomes)}
         assert forward == backward
 
     def test_vector_order_matches_ids(self, small_dataset):
         g = random_genome(TABLE, Random(1))
         res = evaluate(g, small_dataset, IDS, CFG)
-        assert res.objectives.ids == IDS
+        assert type(res.objectives) is tuple and len(res.objectives) == len(IDS)
+        assert all(type(v) is float for v in res.objectives)
+        assert res.objectives[IDS.index(ObjectiveId.RMSE)] == res.rmse_validation
 
     def test_skill_fields_logged(self, small_dataset):
         g = random_genome(TABLE, Random(1))
@@ -159,7 +161,7 @@ class TestEvaluate:
         # numpy scalars would be persisted as "np.float64(...)" by repr().
         g = random_genome(TABLE, Random(6))
         res = evaluate(g, small_dataset, tuple(ObjectiveId), CFG)
-        assert all(type(v) is float for v in res.objectives.values)
+        assert all(type(v) is float for v in res.objectives)
         assert type(res.rmse_validation) is float
         predicted = predict_split(g, res.skills, CFG, small_dataset.test, "test")
         assert all(type(v) is float for v in classify_validity(predicted).measured)
@@ -210,7 +212,7 @@ def reference(genome, data, ids):
     without the terms the dataset keeps."""
     predicted = predict_split(genome, skill_scores(genome, CFG), CFG, data.validation, "val")
     actual = data.validation[:, data.tau:]
-    values = assemble(ids, predicted, actual).values
+    values = assemble(ids, predicted, actual)
     if ObjectiveId.RMSE in ids:
         return values, values[ids.index(ObjectiveId.RMSE)]
     return values, rmse(predicted, actual)
@@ -226,7 +228,7 @@ class TestDatasetTerms:
         # Interleaved, so terms kept for one dataset cannot serve the other.
         for data in (first, second, first):
             result = evaluate(g, data, ids, CFG)
-            assert (result.objectives.values, result.rmse_validation) == reference(g, data, ids)
+            assert (result.objectives, result.rmse_validation) == reference(g, data, ids)
             predicted = predict_targets(g, result.skills, CFG, data.test_targets, "test")
             assert np.array_equal(predicted.rows(),
                                   predict_split(g, result.skills, CFG, data.test, "test"))

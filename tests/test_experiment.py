@@ -182,7 +182,7 @@ class TestExecuteRun:
         rec = execute_run(cfg, data, 0)
         for entry in rec.final_front:
             res = evaluate(Genome(entry.genome), data, cfg.objective_ids, cfg.surrogate)
-            assert res.objectives.values == entry.objectives
+            assert res.objectives == entry.objectives
             assert res.rmse_validation == entry.rmse_validation
             predicted_test = predict_split(Genome(entry.genome), res.skills, cfg.surrogate,
                                            data.test, "test")
@@ -298,6 +298,12 @@ class TestSummarize:
         doc = summarize(records)["valid_models"]
         assert doc["display"] == "26/300, 9%"
         assert doc["valid"] == 26 and doc["total"] == 300 and doc["percentage"] == 9
+
+    def test_percentage_agrees_with_display(self):
+        # 100 * (23 / 40) is 57.49999...; 100 * 23 / 40 is 57.5, which rounds to 58.
+        records = synth_records([23], [40])
+        doc = summarize(records)["valid_models"]
+        assert doc["percentage"] == 58 and doc["display"] == "23/40, 58%"
 
     def test_all_valid_metrics_coincide(self):
         records = synth_records([5, 5], [5, 5])

@@ -138,7 +138,7 @@ class TestArchive:
         ]
         cand = Individual(genome=Genome((2,) + (0,) * 12), objectives=vec(("rmse", "l2"), (2, 2)))
         archive_insert(archive, cand)
-        values = {i.objectives.values for i in archive}
+        values = {i.objectives for i in archive}
         assert values == {(1.0, 5.0), (2.0, 2.0)}
 
     def test_exact_duplicate_is_noop(self):
@@ -165,7 +165,7 @@ class TestArchive:
         for gene, values in candidates:
             archive_insert(archive, Individual(genome=Genome((gene,) + (0,) * 12),
                                                objectives=vec(tokens, values)))
-        members = [m.objectives.values for m in archive]
+        members = [m.objectives for m in archive]
         assert not any(vals_dominate(a, b) for a in members for b in members)
         # Every candidate is covered: a member is at least as good everywhere.
         assert all(any(all(x <= y for x, y in zip(kept, values)) for kept in members)
@@ -174,7 +174,7 @@ class TestArchive:
         member = data.draw(st.sampled_from(archive))
         before = list(archive)
         archive_insert(archive, Individual(genome=Genome(member.genome.indices),
-                                           objectives=vec(tokens, member.objectives.values)))
+                                           objectives=vec(tokens, member.objectives)))
         assert len(archive) == len(before)
         assert all(a is b for a, b in zip(archive, before))
 
@@ -214,7 +214,7 @@ class TestStep:
         )
         eval_fn = lambda genome: (obj, None)
         moead_step(state, lattice, nbhd, eval_fn, ops, Random(4))
-        assert all(i.genome == g and i.objectives.values == (1.0, 2.0) for i in state.solutions)
+        assert all(i.genome == g and i.objectives == (1.0, 2.0) for i in state.solutions)
         assert len(state.archive) == 1
 
     def test_archive_nondominated_after_steps(self):
@@ -224,7 +224,7 @@ class TestStep:
             for a in state.archive:
                 for b in state.archive:
                     if a is not b:
-                        assert not vals_dominate(a.objectives.values, b.objectives.values)
+                        assert not vals_dominate(a.objectives, b.objectives)
 
     def test_ideal_is_lower_bound_of_all_evaluations(self):
         seen = []
@@ -232,7 +232,7 @@ class TestStep:
 
         def tracking_eval(genome):
             obj, payload = base(genome)
-            seen.append(obj.values)
+            seen.append(obj)
             return obj, payload
 
         lattice = simplex_lattice(2, 5)
@@ -266,5 +266,5 @@ class TestStep:
         eval_fn = synth_eval()
         moead_step(a_state, lattice, nbhd, eval_fn, ops, Random(8))
         moead_step(b_state, lattice, nbhd, eval_fn, ops, Random(8))
-        assert [i.objectives.values for i in a_state.solutions] == \
-               [i.objectives.values for i in b_state.solutions]
+        assert [i.objectives for i in a_state.solutions] == \
+               [i.objectives for i in b_state.solutions]

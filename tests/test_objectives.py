@@ -8,7 +8,6 @@ from conftest import make_seq, straight_seq
 from neurotraj.errors import ContractError, DegenerateTimestepError
 from neurotraj.objectives import (
     ObjectiveId,
-    ObjectiveVector,
     angular_velocity,
     assemble,
     l1_distance_feedback,
@@ -207,13 +206,14 @@ class TestAssemble:
         predicted, actual = self._pairs()
         ids = (ObjectiveId.RMSE, ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY)
         v = assemble(ids, predicted, actual)
-        assert v.ids == ids
-        assert len(v.values) == 3
+        assert len(v) == 3
+        assert v[0] == rmse(predicted, actual)
+        assert v[1] == l2_lateral_velocity(predicted).mean()
 
     def test_perfect_prediction_rmse_component_zero(self):
         _, actual = self._pairs()
         v = assemble((ObjectiveId.RMSE,), actual, actual)
-        assert v.value_of(ObjectiveId.RMSE) == 0.0
+        assert v == (0.0,)
 
     def test_compositional_oracle(self):
         predicted, actual = self._pairs()
@@ -225,14 +225,14 @@ class TestAssemble:
         l2 = sum(l2_lateral_velocity(p) for p in predicted) / n
         l3m = sum(l3_minimized(p) for p in predicted) / n
         expected = (l1, l2, l3m, rmse(predicted, actual), signloss(predicted, actual))
-        for got, want in zip(v.values, expected):
+        for got, want in zip(v, expected, strict=True):
             assert abs(got - want) <= TOL
 
     def test_all_values_finite_nonnegative(self):
         predicted, actual = self._pairs()
         ids = tuple(ObjectiveId)
         v = assemble(ids, predicted, actual)
-        assert all(math.isfinite(x) and x >= 0 for x in v.values)
+        assert all(math.isfinite(x) and x >= 0 for x in v)
 
     def test_empty_ids_rejected(self):
         predicted, actual = self._pairs()
@@ -242,6 +242,17 @@ class TestAssemble:
     def test_empty_set_rejected(self):
         with pytest.raises(ContractError):
             assemble((ObjectiveId.RMSE,), [], [])
+
+    def test_duplicate_ids_rejected(self):
+        predicted, actual = self._pairs()
+        with pytest.raises(ContractError, match="duplicate"):
+            assemble((ObjectiveId.RMSE, ObjectiveId.RMSE), predicted, actual)
+
+    def test_non_finite_prediction_rejected(self):
+        predicted, actual = self._pairs()
+        predicted[0][3, 0] = float("nan")
+        with pytest.raises(ContractError, match="non-finite"):
+            assemble((ObjectiveId.RMSE,), predicted, actual)
 
 
 def loop_objectives(predicted, actual):
@@ -281,7 +292,7 @@ class TestLoopReference:
             genome = random_genome(default_allele_table(), rng)
             predicted = predict_split(genome, skills, SurrogateConfig(), small_dataset.validation,
                                       "val")
-            got = assemble(tuple(ObjectiveId), predicted, actual).values
+            got = assemble(tuple(ObjectiveId), predicted, actual)
             for g, want in zip(got, loop_objectives(predicted, actual)):
                 assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -292,11 +303,3 @@ class TestObjectiveVector:
         assert ObjectiveId.from_token("rmse") is ObjectiveId.RMSE
         with pytest.raises(ContractError):
             ObjectiveId.from_token("nope")
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ContractError):
-            ObjectiveVector((ObjectiveId.RMSE,), (float("nan"),))
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ContractError):
-            ObjectiveVector((ObjectiveId.RMSE, ObjectiveId.RMSE), (1.0, 2.0))
