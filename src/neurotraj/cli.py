@@ -95,15 +95,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    # The cyclic collector is paused for the whole command. The decoded
-    # snapshot trees and the records built from them hold no reference
-    # cycles, so reference counting frees all of it when the command returns;
-    # a collection here finds no garbage, it only walks every dict and list
-    # decoded so far. On the five comparisons of the analyze-compare
-    # benchmark (2-core x86-64, Python 3.11) those walks took 0.29 s of a
-    # 1.0 s operation: about 570 collections, 4-5 of them full. Pausing
-    # around the decode alone still left 100 collections and 0.1 s, spent
-    # walking the decoded objects after collection resumed.
+    # The cyclic collector is paused for the whole command. Nothing analyze
+    # builds holds a reference cycle, so reference counting frees all of it
+    # when the command returns; a collection here finds no garbage, it only
+    # walks the objects allocated so far. load_records decodes one snapshot
+    # at a time and keeps only its front, so these walks are short: on the
+    # five comparisons of the analyze-compare benchmark (2-core x86-64,
+    # Python 3.11) leaving the collector on costs about 67 collections, one
+    # full every other operation, and 0.03 s of a 0.7 s operation.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -136,10 +135,10 @@ def _analyze(args: argparse.Namespace) -> int:
     groups = [("hypervolume.csv", records)]
     if against_records is not None:
         groups.append(("hypervolume_against.csv", against_records))
-    all_points = np.concatenate([front for _, group in groups
-                                 for rec in group for front in rec.fronts])
-    if not len(all_points):
+    fronts = [front for _, group in groups for rec in group for front in rec.fronts]
+    if not sum(map(len, fronts)):
         raise MalformedRecordsError("no front points found in the experiment records")
+    all_points = np.concatenate(fronts)
     m = len(cfg.objective_ids)
     ref = tuple(max(1e-9, 1.1 * float(v)) for v in all_points.max(axis=0))
 

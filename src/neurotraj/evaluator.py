@@ -167,15 +167,6 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], cfg: Sur
     return Columns(targets.x + offset, y, targets.t, dt=targets.dt)
 
 
-def predict_split(genome: Genome, skills: tuple[float, float, float], cfg: SurrogateConfig,
-                  split: np.ndarray, role: str) -> np.ndarray:
-    """One model's (P, tau, 3) predictions of the targets of a (P, 2 * tau, 3)
-    split; see `predict_targets`."""
-    split = np.asarray(split, dtype=float)
-    targets = Columns.of(split[:, split.shape[1] // 2:])
-    return predict_targets(genome, skills, cfg, targets, role).rows()
-
-
 def evaluate(
     genome: Genome,
     data: Dataset,

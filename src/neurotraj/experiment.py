@@ -3,7 +3,7 @@ persistence of per-generation snapshots and run summaries.
 
 Directory layout per experiment:
     config.json          resolved configuration
-    run_<k>.jsonl        one JSON snapshot per generation
+    run_<k>.jsonl        one JSON snapshot per generation, or a failed run's error
     final_front_<k>.csv  final front/archive with validity flags
     summary.json         pooled valid-model counts and RMSE metrics
 """
@@ -147,7 +147,7 @@ def preset_config(name: str, scale: float = 1.0, base_seed: int = 1) -> Experime
     cfg = ExperimentConfig(
         algorithm=entry["algorithm"],
         objective_ids=ids,
-        population=_snap_population(entry["algorithm"], len(ids), entry["population"]),
+        population=entry["population"],
         generations=entry["generations"],
         runs=entry["runs"],
         base_seed=base_seed,
@@ -171,9 +171,10 @@ class FrontEntry:
 class RunRecord:
     run_index: int
     run_seed: int
-    snapshots: list[dict]
-    final_front: list[FrontEntry]
-    initial_front_objectives: list[tuple[float, ...]]
+    final_front: list[FrontEntry] = field(default_factory=list)
+    # Set by execute_run only: load_records keeps the fronts, not the trees.
+    snapshots: list[dict] = field(default_factory=list)
+    initial_front_objectives: list[tuple[float, ...]] = field(default_factory=list)
     wall_time_s: float = 0.0
     error: str | None = None
     # Set by load_records: the searched set of each generation (the NSGA-II
@@ -241,8 +242,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
             snapshots, final_front, initial_front = _run_moead(cfg, eval_fn, ops, rng)
         entries = _front_entries(final_front, data, cfg.surrogate)
     except NeurotrajError as exc:  # a failed run must not abort siblings
-        return RunRecord(run_index=run_index, run_seed=run_seed, snapshots=[],
-                         final_front=[], initial_front_objectives=[],
+        return RunRecord(run_index=run_index, run_seed=run_seed,
                          wall_time_s=time.perf_counter() - start,
                          error=f"{type(exc).__name__}: {exc}")
     return RunRecord(
@@ -339,7 +339,7 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
     for rec in records:
         jsonl_path = out_dir / f"run_{rec.run_index}.jsonl"
         with open(jsonl_path, "w", encoding="utf-8") as fh:
-            for snap in rec.snapshots:
+            for snap in [{"error": rec.error}] if rec.error else rec.snapshots:
                 fh.write(json.dumps(snap))
                 fh.write("\n")
         written.append(jsonl_path)
@@ -396,40 +396,50 @@ def _flag(text: str) -> bool:
 _NUMBER_TYPES = {int, float, bool}
 
 
-def _checked_fronts(path: Path, snapshots: list, algorithm: str, m: int) -> list[np.ndarray]:
-    """The searched set of each generation as a (k, m) array: the rank-0
-    members of the NSGA-II population or the MOEA/D archive. Every member
-    read (the whole population, whose ranks are non-negative ints, or the
-    archive) must carry m finite numbers as objective values."""
+def _read_run(path: Path, algorithm: str, m: int) -> tuple[list[np.ndarray], str | None]:
+    """Read run_<k>.jsonl one line at a time, each reduced to its generation's
+    searched set, a (k, m) array of the rank-0 NSGA-II members or the MOEA/D
+    archive, before the next is read. Every member read (the population,
+    whose ranks are non-negative ints, or the archive) must carry m finite
+    numbers as objectives. A failed run's file is one {"error": message} line."""
+    import orjson  # imported here so that run, generate and presets do not load it
+
     nsga2 = algorithm == "nsga2"
-    fronts = []
+    fronts, error = [], None
     try:
-        for gen, snap in enumerate(snapshots, start=1):
-            members = snap["population" if nsga2 else "archive"]
-            rows = [ind["objectives"] for ind in members]
-            flat = list(chain.from_iterable(rows))
-            if (any(len(row) != m for row in rows) or not set(map(type, flat)) <= _NUMBER_TYPES
-                    or not np.isfinite(values := np.array(flat, dtype=float)).all()):
-                raise MalformedRecordsError(
-                    f"{path}: generation {gen}: member without {m} finite objectives")
-            values = values.reshape(len(rows), m)
-            if nsga2:
-                ranks = [ind["rank"] for ind in members]
-                bad = [rank for rank in ranks if type(rank) is not int or rank < 0]
-                if bad:
+        with open(path, "rb") as fh:
+            for gen, line in enumerate(filter(bytes.strip, fh), start=1):
+                snap = orjson.loads(line)
+                if gen == 1 and type(snap) is dict and snap.keys() == {"error"}:
+                    error = snap["error"]
+                    continue
+                members = snap["population" if nsga2 else "archive"]
+                rows = [ind["objectives"] for ind in members]
+                flat = list(chain.from_iterable(rows))
+                if (any(len(row) != m for row in rows) or not set(map(type, flat)) <= _NUMBER_TYPES
+                        or not np.isfinite(values := np.array(flat, dtype=float)).all()):
                     raise MalformedRecordsError(
-                        f"{path}: generation {gen}: rank {bad[0]!r} is not a non-negative int")
-                values = values[[rank == 0 for rank in ranks]]
-            fronts.append(values)
+                        f"{path}: generation {gen}: member without {m} finite objectives")
+                values = values.reshape(len(rows), m)
+                if nsga2:
+                    ranks = [ind["rank"] for ind in members]
+                    bad = [rank for rank in ranks if type(rank) is not int or rank < 0]
+                    if bad:
+                        raise MalformedRecordsError(
+                            f"{path}: generation {gen}: rank {bad[0]!r} is not a non-negative int")
+                    values = values[[rank == 0 for rank in ranks]]
+                fronts.append(values)
+    except (OSError, orjson.JSONDecodeError) as exc:
+        raise MalformedRecordsError(f"bad snapshots in {path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise MalformedRecordsError(f"bad snapshots in {path}: {exc!r}") from exc
-    return fronts
+    if error is not None and (fronts or not isinstance(error, str) or not error):
+        raise MalformedRecordsError(f"{path}: a failed run's file holds one error message only")
+    return fronts, error
 
 
 def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
     """Reload persisted records; raises MalformedRecordsError on inconsistency."""
-    import orjson  # imported here so that run, generate and presets do not load it
-
     exp_dir = Path(exp_dir)
     cfg = load_config(exp_dir)
     m = len(cfg.objective_ids)
@@ -438,15 +448,10 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
     for k in range(cfg.runs):
         jsonl_path = exp_dir / f"run_{k}.jsonl"
         csv_path = exp_dir / f"final_front_{k}.csv"
-        try:
-            with open(jsonl_path, "rb") as fh:
-                snapshots = [orjson.loads(line) for line in fh if line.strip()]
-        except (OSError, orjson.JSONDecodeError) as exc:
-            raise MalformedRecordsError(f"bad snapshots in {jsonl_path}: {exc}") from exc
-        if len(snapshots) != cfg.generations:
+        fronts, error = _read_run(jsonl_path, cfg.algorithm, m)
+        if error is None and len(fronts) != cfg.generations:
             raise MalformedRecordsError(
-                f"{jsonl_path}: {len(snapshots)} snapshots, expected {cfg.generations}")
-        fronts = _checked_fronts(jsonl_path, snapshots, cfg.algorithm, m)
+                f"{jsonl_path}: {len(fronts)} snapshots, expected {cfg.generations}")
         entries = []
         try:
             with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -477,9 +482,10 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
                     ))
         except (OSError, ValueError, TypeError, ContractError) as exc:
             raise MalformedRecordsError(f"bad final front in {csv_path}: {exc}") from exc
+        if error is not None and entries:
+            raise MalformedRecordsError(f"{csv_path}: run {k} failed but has a final front")
         records.append(RunRecord(run_index=k, run_seed=cfg.base_seed + k,
-                                 snapshots=snapshots, final_front=entries,
-                                 initial_front_objectives=[], fronts=fronts))
+                                 final_front=entries, fronts=fronts, error=error))
     return cfg, records
 
 

@@ -85,3 +85,24 @@ def small_dataset():
 @pytest.fixture()
 def rng():
     return Random(1234)
+
+
+@pytest.fixture()
+def fail_run_one(monkeypatch):
+    """Run 1 of an experiment fails: its evaluator raises ContractError("boom").
+    Runs must execute in this process (jobs=1)."""
+    import neurotraj.experiment as experiment_mod
+    from neurotraj.errors import ContractError
+
+    real_execute_run = experiment_mod.execute_run
+
+    def boom(*args):
+        raise ContractError("boom")
+
+    def execute_run(cfg, data, run_index):
+        with monkeypatch.context() as patch:
+            if run_index == 1:
+                patch.setattr(experiment_mod, "evaluate", boom)
+            return real_execute_run(cfg, data, run_index)
+
+    monkeypatch.setattr(experiment_mod, "execute_run", execute_run)

@@ -483,6 +483,23 @@ class TestAnalyze:
         corrupt(bad)
         assert main(["analyze", str(bad)]) == 5
 
+    def test_experiment_with_a_failed_run_analyzed(self, tmp_path, fail_run_one):
+        out = tmp_path / "out"
+        config_path = _write(tmp_path / "config.json", _config(runs=2, generations=2))
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 4
+        assert main(["analyze", str(out)]) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["errors"] == ["run 1: ContractError: boom"]
+
+    def test_every_run_failed_exit_five(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("neurotraj.experiment.evaluate", _engine_error)
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path / "config.json", SMALL_RUN),
+                     "--out", str(out)]) == 4
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 5
+        assert "no front points" in capsys.readouterr().err
+
     def test_three_dirs_usage_error(self, exp8_dir):
         assert main(["analyze", str(exp8_dir), str(exp8_dir), str(exp8_dir)]) == 2
 

@@ -14,13 +14,12 @@ from neurotraj.evaluator import (
     EvaluationResult,
     SurrogateConfig,
     evaluate,
-    predict_split,
     predict_targets,
     skill_scores,
 )
 from neurotraj.experiment import PRESETS
 from neurotraj.genome import Genome, default_allele_table, random_genome
-from neurotraj.objectives import ObjectiveId, assemble, l3_minimized, rmse
+from neurotraj.objectives import Columns, ObjectiveId, assemble, l3_minimized, rmse
 from neurotraj.trajectory import Dataset, generate_scenario, validate_sequence, window_and_split
 
 TABLE = default_allele_table()
@@ -83,23 +82,27 @@ class TestSkillScores:
 class TestPredictSequence:
     def test_perfect_skills_identity(self, small_dataset):
         g = random_genome(TABLE, Random(7))
-        pred = predict_split(g, (1.0, 1.0, 0.5), CFG, small_dataset.test[:20], "test")
+        pred = predict_targets(g, (1.0, 1.0, 0.5), CFG, Columns.of(small_dataset.test[:20, 8:]),
+                               "test").rows()
         assert rmse(pred, small_dataset.test[:20, 8:]) == 0.0
 
     def test_speed_skill_monotone_in_l3(self, small_dataset):
         g = random_genome(TABLE, Random(7))
-        fast = predict_split(g, (1.0, 1.0, 1.0), CFG, small_dataset.validation, "val")
-        slow = predict_split(g, (1.0, 1.0, 0.0), CFG, small_dataset.validation, "val")
+        targets = small_dataset.validation_targets
+        fast = predict_targets(g, (1.0, 1.0, 1.0), CFG, targets, "val").rows()
+        slow = predict_targets(g, (1.0, 1.0, 0.0), CFG, targets, "val").rows()
         assert l3_minimized(fast).mean() < l3_minimized(slow).mean()
 
     def test_predictions_keep_velocity_invariants(self, small_dataset):
         g = random_genome(TABLE, Random(2))
-        pred = predict_split(g, skill_scores(g, CFG), CFG, small_dataset.test[:40], "test")
+        targets = Columns.of(small_dataset.test[:40, 8:])
+        pred = predict_targets(g, skill_scores(g, CFG), CFG, targets, "test").rows()
         validate_sequence(pred, tau=8)
 
     def test_timestamps_preserved(self, small_dataset):
         g = random_genome(TABLE, Random(0))
-        pred = predict_split(g, (0.2, 0.3, 0.9), CFG, small_dataset.test[:1], "test")
+        pred = predict_targets(g, (0.2, 0.3, 0.9), CFG, Columns.of(small_dataset.test[:1, 8:]),
+                               "test").rows()
         assert pred[0, :, 2].tolist() == small_dataset.test[0, 8:, 2].tolist()
 
     @settings(max_examples=50, deadline=None)
@@ -109,11 +112,12 @@ class TestPredictSequence:
         g = Genome(genes)
         for split, role in ((small_dataset.validation, "val"), (small_dataset.test, "test")):
             target = split[:, 8:]
-            pred = predict_split(g, skills, CFG, split, role)
+            pred = predict_targets(g, skills, CFG, Columns.of(target), role).rows()
             assert pred.shape == target.shape
             assert np.array_equal(pred[..., 2], target[..., 2])
             validate_sequence(pred, tau=8)
-            assert np.array_equal(predict_split(g, (1.0, 1.0, 0.5), CFG, split, role), target)
+            perfect = predict_targets(g, (1.0, 1.0, 0.5), CFG, Columns.of(target), role).rows()
+            assert np.array_equal(perfect, target)
 
 
 class TestEvaluate:
@@ -153,9 +157,10 @@ class TestEvaluate:
     def test_test_split_streams_keyed_by_role(self, small_dataset):
         g = random_genome(TABLE, Random(6))
         skills = skill_scores(g, CFG)
-        a = predict_split(g, skills, CFG, small_dataset.test, "test")
-        assert np.array_equal(a, predict_split(g, skills, CFG, small_dataset.test, "test"))
-        assert not np.array_equal(a, predict_split(g, skills, CFG, small_dataset.test, "val"))
+        targets = small_dataset.test_targets
+        a = predict_targets(g, skills, CFG, targets, "test").rows()
+        assert np.array_equal(a, predict_targets(g, skills, CFG, targets, "test").rows())
+        assert not np.array_equal(a, predict_targets(g, skills, CFG, targets, "val").rows())
 
     def test_values_are_python_floats(self, small_dataset):
         # numpy scalars would be persisted as "np.float64(...)" by repr().
@@ -163,7 +168,7 @@ class TestEvaluate:
         res = evaluate(g, small_dataset, tuple(ObjectiveId), CFG)
         assert all(type(v) is float for v in res.objectives)
         assert type(res.rmse_validation) is float
-        predicted = predict_split(g, res.skills, CFG, small_dataset.test, "test")
+        predicted = predict_targets(g, res.skills, CFG, small_dataset.test_targets, "test").rows()
         assert all(type(v) is float for v in classify_validity(predicted).measured)
 
     @pytest.mark.parametrize("ids, calls", [
@@ -174,7 +179,8 @@ class TestEvaluate:
         import neurotraj.evaluator as evaluator_mod
 
         g = random_genome(TABLE, Random(6))
-        predicted = predict_split(g, skill_scores(g, CFG), CFG, small_dataset.validation, "val")
+        predicted = predict_targets(g, skill_scores(g, CFG), CFG, small_dataset.validation_targets,
+                                    "val").rows()
         expected = rmse(predicted, small_dataset.validation[:, small_dataset.tau:])
         counted = []
 
@@ -210,8 +216,9 @@ def scenario_pair():
 def reference(genome, data, ids):
     """`evaluate`'s values from the public functions on the split arrays,
     without the terms the dataset keeps."""
-    predicted = predict_split(genome, skill_scores(genome, CFG), CFG, data.validation, "val")
     actual = data.validation[:, data.tau:]
+    predicted = predict_targets(genome, skill_scores(genome, CFG), CFG, Columns.of(actual),
+                                "val").rows()
     values = assemble(ids, predicted, actual)
     if ObjectiveId.RMSE in ids:
         return values, values[ids.index(ObjectiveId.RMSE)]
@@ -230,8 +237,9 @@ class TestDatasetTerms:
             result = evaluate(g, data, ids, CFG)
             assert (result.objectives, result.rmse_validation) == reference(g, data, ids)
             predicted = predict_targets(g, result.skills, CFG, data.test_targets, "test")
+            fresh = Columns.of(data.test[:, data.tau:])
             assert np.array_equal(predicted.rows(),
-                                  predict_split(g, result.skills, CFG, data.test, "test"))
+                                  predict_targets(g, result.skills, CFG, fresh, "test").rows())
 
     def test_dataset_freed_after_evaluate(self):
         data = window_and_split(generate_scenario(duration_s=30.0, seed=2), tau=8, seed=2)

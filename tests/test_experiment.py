@@ -7,7 +7,7 @@ import pytest
 
 from neurotraj.analysis import ValidityReport, classify_validity
 from neurotraj.errors import ConfigurationError, MalformedRecordsError
-from neurotraj.evaluator import SurrogateConfig, evaluate, predict_split
+from neurotraj.evaluator import SurrogateConfig, evaluate, predict_targets
 from neurotraj.experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -184,8 +184,8 @@ class TestExecuteRun:
             res = evaluate(Genome(entry.genome), data, cfg.objective_ids, cfg.surrogate)
             assert res.objectives == entry.objectives
             assert res.rmse_validation == entry.rmse_validation
-            predicted_test = predict_split(Genome(entry.genome), res.skills, cfg.surrogate,
-                                           data.test, "test")
+            predicted_test = predict_targets(Genome(entry.genome), res.skills, cfg.surrogate,
+                                             data.test_targets, "test").rows()
             assert rmse(predicted_test, data.test[:, data.tau:]) == entry.rmse_test
             assert classify_validity(predicted_test) == entry.validity
 
@@ -267,6 +267,34 @@ class TestRunExperiment:
         jsonl = tmp_path / "run_0.jsonl"
         lines = jsonl.read_text().splitlines()
         jsonl.write_text("\n".join(lines[:1]) + "\n")
+        with pytest.raises(MalformedRecordsError):
+            load_records(tmp_path)
+
+    def test_failed_run_round_trips(self, tmp_path, fail_run_one):
+        cfg = small_config(runs=2, generations=2, population=4)
+        records = run_experiment(cfg, out_dir=tmp_path)
+        assert [rec.error for rec in records] == [None, "ContractError: boom"]
+        assert (tmp_path / "run_1.jsonl").read_text() == '{"error": "ContractError: boom"}\n'
+        _, loaded = load_records(tmp_path)
+        assert loaded[1].error == "ContractError: boom"
+        assert loaded[1].final_front == [] and loaded[1].fronts == []
+        assert summarize(loaded) == summarize(records)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: (d / "run_1.jsonl").write_text('{"error": 5}\n'),
+        lambda d: (d / "run_1.jsonl").write_text('{"error": ""}\n'),
+        lambda d: (d / "run_1.jsonl").write_text('{"error": "boom", "generation": 1}\n'),
+        lambda d: (d / "run_1.jsonl").write_text('{"error": "boom"}\n{"error": "boom"}\n'),
+        lambda d: (d / "run_1.jsonl").write_text(
+            (d / "run_1.jsonl").read_text() + (d / "run_0.jsonl").read_text()),
+        lambda d: (d / "final_front_1.csv").write_text(
+            (d / "final_front_1.csv").read_text()
+            + (d / "final_front_0.csv").read_text().splitlines(keepends=True)[1]),
+    ], ids=["error-not-text", "error-empty", "extra-key", "two-errors", "error-then-snapshots",
+            "error-with-front-rows"])
+    def test_load_records_rejects_bad_failed_run(self, tmp_path, fail_run_one, corrupt):
+        run_experiment(small_config(runs=2, generations=2, population=4), out_dir=tmp_path)
+        corrupt(tmp_path)
         with pytest.raises(MalformedRecordsError):
             load_records(tmp_path)
 

@@ -64,11 +64,24 @@ def experiments(draw):
         })
     records = []
     for k in range(cfg.runs):
+        if draw(st.booleans()):  # a failed run: its message, no snapshots, no final front
+            # orjson rejects the lone surrogates that json.dumps escapes.
+            error = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1))
+            records.append(RunRecord(run_index=k, run_seed=cfg.base_seed + k, error=error))
+            continue
         snapshots = [{"generation": g + 1, **draw(snapshot)} for g in range(cfg.generations)]
         records.append(RunRecord(run_index=k, run_seed=cfg.base_seed + k, snapshots=snapshots,
-                                 final_front=draw(front_entries(m)),
-                                 initial_front_objectives=[]))
+                                 final_front=draw(front_entries(m))))
     return cfg, records
+
+
+def read_snapshots(path: Path) -> list[dict]:
+    """run_<k>.jsonl decoded as load_records decodes it, with orjson, one
+    JSON object per line and no blank lines."""
+    with open(path, "rb") as fh:
+        snapshots = [orjson.loads(line) for line in fh]
+    assert all(type(snap) is dict for snap in snapshots)
+    return snapshots
 
 
 def reference_fronts(cfg: ExperimentConfig, rec: RunRecord) -> list[np.ndarray]:
@@ -92,11 +105,14 @@ def test_load_records_inverts_persist_experiment(experiment):
     with tempfile.TemporaryDirectory() as tmp:
         persist_experiment(Path(tmp), cfg, records)
         loaded_cfg, loaded = load_records(Path(tmp))
+        decoded = [read_snapshots(Path(tmp) / f"run_{rec.run_index}.jsonl") for rec in records]
     assert loaded_cfg == cfg
     assert [rec.final_front for rec in loaded] == [rec.final_front for rec in records]
-    assert [rec.snapshots for rec in loaded] == [rec.snapshots for rec in records]
-    for rec in loaded:
-        expected = reference_fronts(cfg, rec)
+    assert [rec.error for rec in loaded] == [rec.error for rec in records]
+    assert decoded == [[{"error": rec.error}] if rec.error else rec.snapshots for rec in records]
+    assert all(rec.snapshots == [] for rec in loaded)  # the loader keeps fronts, not trees
+    for rec, persisted in zip(loaded, records):
+        expected = reference_fronts(cfg, persisted)
         assert len(rec.fronts) == len(expected)
         for front, reference in zip(rec.fronts, expected):
             assert front.dtype == reference.dtype and front.shape == reference.shape
