@@ -1,12 +1,13 @@
 """Deterministic surrogate mapping genomes to predicted trajectories.
 
-Each genome gets three latent skills derived from hashed per-allele
-weights over disjoint locus subsets. Skills control how faithfully the
-surrogate reproduces ground-truth targets: lateral offset noise (accuracy),
-per-step heading jitter (smoothness) and a longitudinal speed rescale
-(speed). A split's noise comes from one counter-based Philox stream keyed
-by (quality seed, genome, split role), so results never depend on
-evaluation order.
+Each genome gets three latent skills, each read from its own disjoint set
+of loci: the hashed weights of the genome's alleles there, summed, plus the
+product of one pair of them, scaled to [0, 1] by the least and greatest
+value any genome reaches. Skills control how faithfully the surrogate
+reproduces ground-truth targets: lateral offset noise (accuracy), per-step
+heading jitter (smoothness) and a longitudinal speed rescale (speed). A
+split's noise comes from one counter-based Philox stream keyed by (quality
+seed, genome, split role), so results never depend on evaluation order.
 
 The search scores the validation split only. The test split is predicted
 once per final-front model. Both read their split's target terms from the
@@ -19,6 +20,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -29,19 +31,14 @@ from .genome import Genome, default_allele_table
 from .objectives import Columns, ObjectiveId, Objectives, assemble, rmse
 from .trajectory import Dataset
 
-# 1-based locus subsets feeding each skill. Locus 3 (Momentum) belongs to
-# no subset: it is carried and logged but inert.
-_SKILL_LOCI = {
-    "acc": (1, 2, 4, 5),
-    "smooth": (6, 7, 8),
-    "speed": (9, 10, 11, 12, 13),
-}
-# One pairwise interaction per skill (product of the two locus weights).
-_SKILL_INTERACTIONS = {
-    "acc": (2, 5),
-    "smooth": (6, 8),
-    "speed": (9, 12),
-}
+# Per skill: its name (which keys its weights), its 1-based loci and the
+# pair of those loci whose weights also enter as a product. Locus 3
+# (Momentum) belongs to no skill: it is carried and logged but inert.
+_SKILLS = (
+    ("acc", (1, 2, 4, 5), (2, 5)),
+    ("smooth", (6, 7, 8), (6, 8)),
+    ("speed", (9, 10, 11, 12, 13), (9, 12)),
+)
 
 
 @dataclass(frozen=True)
@@ -76,57 +73,41 @@ def _unit_weight(quality_seed: int, locus: int, allele: int, name: str) -> float
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
+def _raw_skill(alleles: Sequence[int], weights: tuple[tuple[float, ...], ...],
+               pair: tuple[int, int]) -> float:
+    """The weights of one skill's alleles, summed, plus the product of the
+    two at positions `pair`. Explicit adds keep the sum's rounding fixed."""
+    raw = 0.0
+    for w, allele in zip(weights, alleles):
+        raw += w[allele]
+    i, j = pair
+    return raw + weights[i][alleles[i]] * weights[j][alleles[j]]
+
+
 @lru_cache(maxsize=32)
-def _weight_table(quality_seed: int) -> dict[str, tuple[tuple[float, ...], ...]]:
-    """Per skill: weights[locus_0based][allele] for that skill's loci (zeros elsewhere)."""
-    table: dict[str, tuple[tuple[float, ...], ...]] = {}
+def _skill_table(quality_seed: int) -> tuple[tuple, ...]:
+    """Per skill: a getter of its alleles from a genome's indices, its loci's
+    allele weights, the pair's positions among its loci and the least and
+    greatest raw score."""
     counts = default_allele_table().counts
-    for name, loci in _SKILL_LOCI.items():
-        per_locus = []
-        for locus_1b, count in enumerate(counts, start=1):
-            if locus_1b in loci:
-                per_locus.append(tuple(
-                    _unit_weight(quality_seed, locus_1b, a, name) for a in range(count)
-                ))
-            else:
-                per_locus.append(())
-        table[name] = tuple(per_locus)
-    return table
-
-
-@lru_cache(maxsize=32)
-def _skill_bounds(quality_seed: int) -> dict[str, tuple[float, float]]:
-    """Achievable (min, max) of each skill's raw score, for normalization."""
-    weights = _weight_table(quality_seed)
-    bounds = {}
-    for name, loci in _SKILL_LOCI.items():
-        a, b = _SKILL_INTERACTIONS[name]
-        lo = hi = 0.0
-        for locus_1b in loci:
-            w = weights[name][locus_1b - 1]
-            lo += min(w)
-            hi += max(w)
-        # The interaction term is increasing in both factors, so the joint
-        # extremes coincide with the per-locus extremes.
-        lo += min(weights[name][a - 1]) * min(weights[name][b - 1])
-        hi += max(weights[name][a - 1]) * max(weights[name][b - 1])
-        bounds[name] = (lo, hi)
-    return bounds
+    table = []
+    for name, loci, pair in _SKILLS:
+        weights = tuple(tuple(_unit_weight(quality_seed, locus, a, name)
+                              for a in range(counts[locus - 1])) for locus in loci)
+        at = (loci.index(pair[0]), loci.index(pair[1]))
+        # Weights are non-negative, so the raw score grows with every chosen
+        # weight: the alleles of least (greatest) weight at each locus give
+        # the least (greatest) score, and some genome reaches it.
+        lo, hi = (_raw_skill([w.index(best(w)) for w in weights], weights, at) for best in (min, max))
+        table.append((itemgetter(*(locus - 1 for locus in loci)), weights, at, lo, hi))
+    return tuple(table)
 
 
 def skill_scores(genome: Genome, cfg: SurrogateConfig) -> tuple[float, float, float]:
     """Deterministic (accuracy, smoothness, speed) skills in [0, 1]."""
-    weights = _weight_table(cfg.quality_seed)
-    bounds = _skill_bounds(cfg.quality_seed)
     out = []
-    for name in ("acc", "smooth", "speed"):
-        raw = 0.0
-        for locus_1b in _SKILL_LOCI[name]:
-            raw += weights[name][locus_1b - 1][genome.indices[locus_1b - 1]]
-        a, b = _SKILL_INTERACTIONS[name]
-        raw += (weights[name][a - 1][genome.indices[a - 1]]
-                * weights[name][b - 1][genome.indices[b - 1]])
-        lo, hi = bounds[name]
+    for alleles_of, weights, at, lo, hi in _skill_table(cfg.quality_seed):
+        raw = _raw_skill(alleles_of(genome.indices), weights, at)
         out.append((raw - lo) / (hi - lo) if hi > lo else 0.5)
     return tuple(out)
 

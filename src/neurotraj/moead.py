@@ -5,12 +5,13 @@ replacement and an external archive of non-dominated solutions."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from random import Random
 from typing import Sequence
 
 from .errors import ConfigurationError, ContractError
 from .genome import GeneticOperators, random_genome
-from .nsga2 import EvaluateFn, Individual, dominates
+from .nsga2 import EvaluateFn, Individual, dominates, scored
 from .objectives import Objectives
 
 
@@ -106,14 +107,8 @@ def archive_insert(archive: list[Individual], candidate: Individual) -> None:
 def init_state(lattice: WeightLattice, evaluate_fn: EvaluateFn, ops: GeneticOperators, rng: Random) -> MoeadState:
     """Random population, ideal point from its objectives, archive seeded
     with the non-dominated initial solutions."""
-    solutions = []
-    for _ in range(lattice.size):
-        g = random_genome(ops.table, rng)
-        obj, payload = evaluate_fn(g)
-        solutions.append(Individual(genome=g, objectives=obj, evaluation=payload))
-    ideal = solutions[0].objectives
-    for ind in solutions[1:]:
-        ideal = update_ideal(ideal, ind.objectives)
+    solutions = scored([random_genome(ops.table, rng) for _ in range(lattice.size)], evaluate_fn)
+    ideal = reduce(update_ideal, (ind.objectives for ind in solutions))
     state = MoeadState(solutions=solutions, ideal=ideal)
     for ind in solutions:
         archive_insert(state.archive, ind)
@@ -144,9 +139,8 @@ def moead_step(
         l = rng.choice(nbhd)
         while l == k and len(set(nbhd)) > 1:
             l = rng.choice(nbhd)
-        child_genome = ops.offspring(state.solutions[k].genome, state.solutions[l].genome, rng)[0]
-        obj, payload = evaluate_fn(child_genome)
-        child = Individual(genome=child_genome, objectives=obj, evaluation=payload)
+        child, = scored(ops.offspring(state.solutions[k].genome, state.solutions[l].genome, rng)[:1],
+                        evaluate_fn)
 
         state.ideal = update_ideal(state.ideal, child.objectives)
         for j in nbhd:

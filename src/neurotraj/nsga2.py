@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -107,13 +107,19 @@ def tournament_select(pop: list[Individual], k: int, rng: Random) -> Individual:
     return winner
 
 
+def scored(genomes: Iterable[Genome], evaluate_fn: EvaluateFn) -> list[Individual]:
+    """One individual per genome, each scored once and in order: the one
+    place either engine calls `evaluate_fn`."""
+    individuals = []
+    for genome in genomes:
+        objectives, payload = evaluate_fn(genome)
+        individuals.append(Individual(genome=genome, objectives=objectives, evaluation=payload))
+    return individuals
+
+
 def init_population(size: int, evaluate_fn: EvaluateFn, ops: GeneticOperators, rng: Random) -> list[Individual]:
     """Random evaluated population with ranks and crowding assigned."""
-    pop = []
-    for _ in range(size):
-        g = random_genome(ops.table, rng)
-        obj, payload = evaluate_fn(g)
-        pop.append(Individual(genome=g, objectives=obj, evaluation=payload))
+    pop = scored([random_genome(ops.table, rng) for _ in range(size)], evaluate_fn)
     for front in nondominated_sort(pop):
         crowding_distance(front)
     return pop
@@ -126,19 +132,16 @@ def nsga2_step(
     rng: Random,
     tournament_k: int = 3,
 ) -> list[Individual]:
-    """One generation: breed N offspring, merge with parents, peel fronts
-    into the next population, truncating the overflow front by crowding."""
+    """One generation: breed and score N offspring, merge with parents, peel
+    fronts into the next population, truncating the overflow front by crowding."""
     n = len(pop)
-    offspring: list[Individual] = []
-    while len(offspring) < n:
+    children: list[Genome] = []
+    while len(children) < n:
         p1 = tournament_select(pop, tournament_k, rng)
         p2 = tournament_select(pop, tournament_k, rng)
-        for child in ops.offspring(p1.genome, p2.genome, rng):
-            if len(offspring) < n:
-                obj, payload = evaluate_fn(child)
-                offspring.append(Individual(genome=child, objectives=obj, evaluation=payload))
+        children.extend(ops.offspring(p1.genome, p2.genome, rng))
 
-    merged = pop + offspring
+    merged = pop + scored(children[:n], evaluate_fn)
     next_pop: list[Individual] = []
     for front in nondominated_sort(merged):
         crowding_distance(front)

@@ -106,3 +106,30 @@ def fail_run_one(monkeypatch):
             return real_execute_run(cfg, data, run_index)
 
     monkeypatch.setattr(experiment_mod, "execute_run", execute_run)
+
+
+class RecordingEval:
+    """An `evaluate_fn` that records each genome it scores, in call order;
+    its two objective values are drawn from the genome alone."""
+
+    def __init__(self):
+        self.genomes = []
+
+    def __call__(self, genome):
+        self.genomes.append(genome)
+        r = Random(hash(genome.indices) & 0xFFFFF)
+        return (r.uniform(0, 5), r.uniform(0, 5)), None
+
+
+class BreedingLog:
+    """Genetic operators that record each child they breed, in draw order."""
+
+    def __init__(self, ops):
+        self.table = ops.table
+        self.ops = ops
+        self.children = []
+
+    def offspring(self, p1, p2, rng):
+        children = self.ops.offspring(p1, p2, rng)
+        self.children.extend(children)
+        return children

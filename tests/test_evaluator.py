@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from dataclasses import fields
 from random import Random
@@ -72,6 +73,23 @@ class TestSkillScores:
                 maxs[i] = max(maxs[i], s[i])
         assert all(v <= 0.1 for v in mins)
         assert all(v >= 0.9 for v in maxs)
+
+    @pytest.mark.parametrize("quality_seed", range(4))
+    def test_bounds_are_reached(self, quality_seed):
+        """Over every allele combination of one skill's loci, the other loci
+        fixed, the skill's least score is exactly 0 and its greatest exactly 1."""
+        cfg = SurrogateConfig(quality_seed=quality_seed)
+        base = random_genome(TABLE, Random(quality_seed))
+        skills = (((1, 2, 4, 5), 280), ((6, 7, 8), 168), ((9, 10, 11, 12, 13), 1280))
+        for skill, (loci, combinations) in enumerate(skills):
+            scores = []
+            for alleles in itertools.product(*(range(TABLE.counts[locus - 1]) for locus in loci)):
+                indices = list(base.indices)
+                for locus, allele in zip(loci, alleles):
+                    indices[locus - 1] = allele
+                scores.append(skill_scores(Genome(tuple(indices)), cfg)[skill])
+            assert len(scores) == combinations
+            assert (min(scores), max(scores)) == (0.0, 1.0)
 
     def test_different_quality_seed_changes_landscape(self):
         g = random_genome(TABLE, Random(5))

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import vals_dominate, vec
+from conftest import BreedingLog, RecordingEval, vals_dominate, vec
 from neurotraj.errors import ConfigurationError, ContractError
 from neurotraj.genome import GeneticOperators, Genome, default_allele_table, random_genome
 from neurotraj.moead import (
@@ -268,3 +268,23 @@ class TestStep:
         moead_step(b_state, lattice, nbhd, eval_fn, ops, Random(8))
         assert [i.objectives for i in a_state.solutions] == \
                [i.objectives for i in b_state.solutions]
+
+
+class TestScoring:
+    """The engine scores each genome it breeds for a subproblem once, in draw order."""
+
+    def test_init_state_and_step_score_once_per_subproblem(self):
+        lattice = simplex_lattice(2, 7)
+        nbhd = build_neighborhoods(lattice, 3)
+        evaluate_fn = RecordingEval()
+        ops = BreedingLog(GeneticOperators(table=TABLE))
+        state = init_state(lattice, evaluate_fn, ops, Random(3))
+        rng = Random(3)
+        assert evaluate_fn.genomes == [random_genome(TABLE, rng) for _ in range(lattice.size)]
+        for _ in range(2):
+            evaluate_fn.genomes.clear()
+            ops.children.clear()
+            moead_step(state, lattice, nbhd, evaluate_fn, ops, Random(4))
+            # Each subproblem breeds a pair and scores its first child only.
+            assert len(evaluate_fn.genomes) == lattice.size
+            assert evaluate_fn.genomes == ops.children[::2]

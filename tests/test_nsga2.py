@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SeqRng, brute_force_fronts, vals_dominate, vec
+from conftest import BreedingLog, RecordingEval, SeqRng, brute_force_fronts, vals_dominate, vec
 from neurotraj.errors import ContractError
 from neurotraj.genome import GeneticOperators, Genome, default_allele_table, random_genome
 from neurotraj.nsga2 import (
@@ -247,3 +247,25 @@ class TestStep:
             for a in front:
                 for b in front:
                     assert not dominates(a.objectives, b.objectives) or a is b
+
+
+class TestScoring:
+    """The engine scores each genome it breeds for the next population once, in draw order."""
+
+    def test_init_population_scores_each_drawn_genome(self):
+        evaluate_fn = RecordingEval()
+        pop = init_population(7, evaluate_fn, GeneticOperators(table=TABLE), Random(2))
+        rng = Random(2)
+        assert evaluate_fn.genomes == [random_genome(TABLE, rng) for _ in range(7)]
+        assert [i.genome for i in pop] == evaluate_fn.genomes
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_step_scores_the_first_n_children(self, n):
+        rng = Random(n)
+        pop = init_population(n, RecordingEval(), GeneticOperators(table=TABLE), rng)
+        evaluate_fn = RecordingEval()
+        ops = BreedingLog(GeneticOperators(table=TABLE))
+        nsga2_step(pop, evaluate_fn, ops, rng)
+        assert evaluate_fn.genomes == ops.children[:n]
+        # An odd n breeds one child more than it scores: the last pair's second.
+        assert len(ops.children) == n + n % 2
