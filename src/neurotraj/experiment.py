@@ -3,7 +3,7 @@ persistence of per-generation snapshots and run summaries.
 
 Directory layout per experiment:
     config.json          resolved configuration
-    run_<k>.jsonl        one JSON snapshot per generation, or a failed run's error
+    run_<k>.jsonl        one compact JSON snapshot per generation, or a failed run's error
     final_front_<k>.csv  final front/archive with validity flags
     summary.json         pooled valid-model counts and RMSE metrics
 """
@@ -242,9 +242,11 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
             snapshots, final_front, initial_front = _run_moead(cfg, eval_fn, ops, rng)
         entries = _front_entries(final_front, data, cfg.surrogate)
     except NeurotrajError as exc:  # a failed run must not abort siblings
+        # Escaped, so that a lone surrogate (from a path decoded with
+        # surrogateescape) can be written as UTF-8.
+        error = f"{type(exc).__name__}: {exc}".encode("utf-8", "backslashreplace").decode()
         return RunRecord(run_index=run_index, run_seed=run_seed,
-                         wall_time_s=time.perf_counter() - start,
-                         error=f"{type(exc).__name__}: {exc}")
+                         wall_time_s=time.perf_counter() - start, error=error)
     return RunRecord(
         run_index=run_index,
         run_seed=run_seed,
@@ -330,6 +332,8 @@ def front_header(tokens: list[str]) -> list[str]:
 
 
 def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRecord]) -> list[Path]:
+    import orjson  # imported here, as in _read_run: only commands that write or read runs load it
+
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
@@ -338,10 +342,9 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
     tokens = [oid.token for oid in cfg.objective_ids]
     for rec in records:
         jsonl_path = out_dir / f"run_{rec.run_index}.jsonl"
-        with open(jsonl_path, "w", encoding="utf-8") as fh:
+        with open(jsonl_path, "wb") as fh:
             for snap in [{"error": rec.error}] if rec.error else rec.snapshots:
-                fh.write(json.dumps(snap))
-                fh.write("\n")
+                fh.write(orjson.dumps(snap, option=orjson.OPT_APPEND_NEWLINE))
         written.append(jsonl_path)
 
         csv_path = out_dir / f"final_front_{rec.run_index}.csv"
@@ -402,7 +405,7 @@ def _read_run(path: Path, algorithm: str, m: int) -> tuple[list[np.ndarray], str
     archive, before the next is read. Every member read (the population,
     whose ranks are non-negative ints, or the archive) must carry m finite
     numbers as objectives. A failed run's file is one {"error": message} line."""
-    import orjson  # imported here so that run, generate and presets do not load it
+    import orjson  # imported here, as in persist_experiment: generate and presets do not load it
 
     nsga2 = algorithm == "nsga2"
     fronts, error = [], None

@@ -88,16 +88,18 @@ def rng():
 
 
 @pytest.fixture()
-def fail_run_one(monkeypatch):
-    """Run 1 of an experiment fails: its evaluator raises ContractError("boom").
-    Runs must execute in this process (jobs=1)."""
+def fail_run_one(monkeypatch, request):
+    """Run 1 of an experiment fails: its evaluator raises ContractError with
+    the message given by indirect parametrization, "boom" by default. Runs
+    must execute in this process (jobs=1)."""
     import neurotraj.experiment as experiment_mod
     from neurotraj.errors import ContractError
 
     real_execute_run = experiment_mod.execute_run
+    message = getattr(request, "param", "boom")
 
     def boom(*args):
-        raise ContractError("boom")
+        raise ContractError(message)
 
     def execute_run(cfg, data, run_index):
         with monkeypatch.context() as patch:

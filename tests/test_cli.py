@@ -491,6 +491,16 @@ class TestAnalyze:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["errors"] == ["run 1: ContractError: boom"]
 
+    @pytest.mark.parametrize("fail_run_one", ["cannot read /data/caf\udce9.csv"], indirect=True,
+                             ids=["lone-surrogate"])
+    def test_failed_run_message_escaped_for_analyze(self, tmp_path, fail_run_one):
+        out = tmp_path / "out"
+        config_path = _write(tmp_path / "config.json", _config(runs=2, generations=2))
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 4
+        assert main(["analyze", str(out)]) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["errors"] == ["run 1: ContractError: cannot read /data/caf\\udce9.csv"]
+
     def test_every_run_failed_exit_five(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("neurotraj.experiment.evaluate", _engine_error)
         out = tmp_path / "out"
@@ -589,7 +599,8 @@ class TestAnalyzeCollector:
 
 def test_import_defers_scipy_and_orjson():
     """`import neurotraj.cli` loads neither: scipy.stats is most of the
-    package's import time, and only `analyze` reads snapshots with orjson."""
+    package's import time, and orjson is imported only where `run` writes
+    snapshots and `analyze` reads them."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

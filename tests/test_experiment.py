@@ -274,7 +274,7 @@ class TestRunExperiment:
         cfg = small_config(runs=2, generations=2, population=4)
         records = run_experiment(cfg, out_dir=tmp_path)
         assert [rec.error for rec in records] == [None, "ContractError: boom"]
-        assert (tmp_path / "run_1.jsonl").read_text() == '{"error": "ContractError: boom"}\n'
+        assert (tmp_path / "run_1.jsonl").read_text() == '{"error":"ContractError: boom"}\n'
         _, loaded = load_records(tmp_path)
         assert loaded[1].error == "ContractError: boom"
         assert loaded[1].final_front == [] and loaded[1].fronts == []

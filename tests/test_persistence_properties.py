@@ -65,7 +65,8 @@ def experiments(draw):
     records = []
     for k in range(cfg.runs):
         if draw(st.booleans()):  # a failed run: its message, no snapshots, no final front
-            # orjson rejects the lone surrogates that json.dumps escapes.
+            # No lone surrogates: orjson refuses to write them, and execute_run
+            # escapes them before a message reaches a record.
             error = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1))
             records.append(RunRecord(run_index=k, run_seed=cfg.base_seed + k, error=error))
             continue
@@ -120,7 +121,7 @@ def test_load_records_inverts_persist_experiment(experiment):
 
 
 # Full-range finite doubles (subnormals, +-1e308, -0.0) and 64-bit ints,
-# as `persist_experiment` writes them with json.dumps.
+# as `persist_experiment` writes them with orjson.dumps.
 EDGE_FLOATS = st.sampled_from((5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
                                1e308, -1e308, 1.7976931348623157e308, -0.0, 0.0, 0.1))
 SCALARS = (st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
@@ -139,8 +140,12 @@ def _bits(value):
 
 
 @settings(deadline=None)
-@given(st.lists(SCALARS, max_size=40) | st.dictionaries(st.text(max_size=8), SCALARS, max_size=20))
+@given(st.lists(SCALARS, max_size=40)
+       | st.dictionaries(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8), SCALARS,
+                         max_size=20))
 def test_orjson_decodes_json_dumps_bit_for_bit(doc):
-    line = json.dumps(doc).encode() + b"\n"
+    """A line as `persist_experiment` writes it decodes to the written values
+    bit for bit, with orjson as `load_records` reads it and with json."""
+    line = orjson.dumps(doc, option=orjson.OPT_APPEND_NEWLINE)
     assert _bits(orjson.loads(line)) == _bits(json.loads(line))
     assert _bits(orjson.loads(line)) == _bits(doc)
