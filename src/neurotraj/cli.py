@@ -102,7 +102,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # at a time and keeps only its front, so these walks are short: on the
     # five comparisons of the analyze-compare benchmark (2-core x86-64,
     # Python 3.11) leaving the collector on costs about 67 collections, one
-    # full every other operation, and 0.03 s of a 0.7 s operation.
+    # full every other operation, and raised the median operation time from
+    # 0.560 to 0.596 s (5 seeds each).
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -139,8 +139,8 @@ def moead_step(
         l = rng.choice(nbhd)
         while l == k and len(set(nbhd)) > 1:
             l = rng.choice(nbhd)
-        child, = scored(ops.offspring(state.solutions[k].genome, state.solutions[l].genome, rng)[:1],
-                        evaluate_fn)
+        children = ops.offspring(state.solutions[k].genome, state.solutions[l].genome, rng)
+        child = scored(children[:1], evaluate_fn)[0]
 
         state.ideal = update_ideal(state.ideal, child.objectives)
         for j in nbhd:
