@@ -4,6 +4,7 @@ from random import Random
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_seq, mc_hypervolume
 from neurotraj.analysis import (
     _average_ranks,
+    _t_two_sided,
     bonferroni,
     classify_validity,
     hypervolume,
@@ -169,6 +171,67 @@ class TestSpearman:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractError):
             spearman([1, 2, 3], [1, 2])
+
+    def test_large_n_perfect_correlation_has_zero_p(self):
+        assert spearman(range(600), range(600)).p_value == 0.0
+        assert spearman(range(600), range(600, 0, -1)).p_value == 0.0
+
+
+def oracle_t_tail(rho, n):
+    """scipy's two-sided tail of Spearman's t statistic on n - 2 degrees of freedom."""
+    t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    return float(scipy.special.stdtr(n - 2, -abs(t_stat)) * 2)
+
+
+class TestTwoSidedTail:
+    EDGE_RHOS = (0.0, 1e-170, -1e-170, 1e-9, 0.5, -0.5, 1 - 1e-12, -(1 - 1e-12))
+
+    def test_matches_scipy_stdtr(self):
+        rng = Random(13)
+        ns = [500, 501, 1_000, 99_999, 100_000]
+        ns += [round(math.exp(rng.uniform(math.log(500), math.log(100_000)))) for _ in range(60)]
+        smallest = 1.0
+        for n in ns:
+            # Uniform rho gives p far below 1e-300 at large n; rho of a few
+            # standard errors gives p near 1 and takes the symmetric form.
+            rhos = list(self.EDGE_RHOS) + [rng.uniform(-1.0, 1.0) for _ in range(8)]
+            rhos += [rng.gauss(0.0, 3.0 / math.sqrt(n)) for _ in range(8)]
+            for rho in rhos:
+                ours, ref = _t_two_sided(rho, n - 2), oracle_t_tail(rho, n)
+                if ref >= 1e-290:
+                    assert abs(ours - ref) <= 1e-10 * ref, (n, rho, ours, ref)
+                else:
+                    assert abs(ours - ref) <= 1e-290, (n, rho, ours, ref)
+                smallest = min(smallest, ref)
+        assert smallest < 1e-300
+
+    @pytest.mark.parametrize("rho", [0.0, -0.0, 1e-170, -1e-170])
+    def test_zero_or_underflowing_rho_gives_one(self, rho):
+        assert _t_two_sided(rho, 998) == 1.0
+
+
+NON_FINITE_CASES = {
+    # entry point, the shapes of its valid inputs
+    "spearman": (lambda x, y: spearman(x, y, resamples=10), ((20,), (20,))),
+    "permutation_test": (lambda a, b: permutation_test(a, b, resamples=10), ((7,), (9,))),
+    "ranksum_test": (ranksum_test, ((7,), (9,))),
+    "kde_density": (kde_density, ((12, 2), (5, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), bad=st.sampled_from((math.nan, math.inf, -math.inf)))
+def test_non_finite_value_rejected(name, data, bad):
+    """One NaN or infinity in otherwise valid inputs raises ContractError."""
+    fn, shapes = NON_FINITE_CASES[name]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    args = [rng.normal(size=shape) for shape in shapes]
+    fn(*args)
+    flat = args[data.draw(st.integers(0, len(args) - 1))].reshape(-1)
+    flat[data.draw(st.integers(0, flat.size - 1))] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        fn(*args)
 
 
 class TestClassifyValidity:

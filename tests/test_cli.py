@@ -597,18 +597,33 @@ class TestAnalyzeCollector:
         assert inside == []
 
 
-def test_import_defers_scipy_and_orjson():
-    """`import neurotraj.cli` loads neither: scipy.stats is most of the
-    package's import time, and orjson is imported only where `run` writes
-    snapshots and `analyze` reads them."""
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports this package."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, neurotraj.cli; print(sorted({'scipy', 'orjson'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_defers_scipy_and_orjson():
+    """`import neurotraj.cli` loads neither: scipy is a test-only dependency
+    (its `scipy.stats` used to be most of the package's import time), and
+    orjson is imported only where `run` writes snapshots and `analyze` reads
+    them."""
+    code = "import sys, neurotraj.cli; print(sorted({'scipy', 'orjson'} & set(sys.modules)))"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_spearman_t_branch_loads_no_scipy():
+    """At 600 points `spearman` takes the t tail (n >= 500), which the
+    package computes itself: the process never imports scipy."""
+    code = ("import sys; from neurotraj.analysis import spearman; "
+            "r = spearman(range(600), [(7 * i) % 600 for i in range(600)]); "
+            "print(0.0 < r.p_value < 1.0, 'scipy' in sys.modules)")
+    assert _fresh_interpreter(code) == "True False"
 
 
 class TestPresetsCommand:
