@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage, 3 I/O failure, 4 engine failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import os
 import sys
@@ -40,7 +39,7 @@ from .experiment import (
     scale_config,
     summarize,
 )
-from .trajectory import generate_scenario, save_dataset, window_and_split, write_json
+from .trajectory import generate_scenario, save_dataset, window_and_split, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,33 +143,25 @@ def _analyze(args: argparse.Namespace) -> int:
     ref = tuple(max(1e-9, 1.1 * float(v)) for v in all_points.max(axis=0))
 
     for name, group in groups:
-        hv_path = out_dir / name
-        with open(hv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["generation", "run", "value"])
-            for rec in group:
-                for gen, front in enumerate(rec.fronts, start=1):
-                    writer.writerow([gen, rec.run_index, repr(hypervolume(front, ref))])
-        artifacts.append(hv_path)
+        artifacts.append(write_csv(out_dir / name, ["generation", "run", "value"], (
+            [gen, rec.run_index, repr(hypervolume(front, ref))]
+            for rec in group for gen, front in enumerate(rec.fronts, start=1))))
 
     # Per-run KDE over final-front objective values, evaluated at the
     # front points themselves (density estimated independently per run).
-    kde_path = out_dir / "kde_front.csv"
     final_fronts = [[e.objectives for e in rec.final_front] for rec in records]
     tokens = [oid.token for oid in cfg.objective_ids]
-    with open(kde_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run"] + tokens + ["density"])
-        for rec, front_values in zip(records, final_fronts):
-            if len(front_values) < 2:
-                continue
-            try:
-                dens = kde_density(front_values, front_values)
-            except NeurotrajError:
-                continue
-            for point, d in zip(front_values, dens):
-                writer.writerow([rec.run_index] + [repr(v) for v in point] + [repr(float(d))])
-    artifacts.append(kde_path)
+    kde_rows = []
+    for rec, front_values in zip(records, final_fronts):
+        if len(front_values) < 2:
+            continue
+        try:
+            dens = kde_density(front_values, front_values)
+        except NeurotrajError:
+            continue
+        kde_rows += ([rec.run_index] + [repr(v) for v in point] + [repr(float(d))]
+                     for point, d in zip(front_values, dens))
+    artifacts.append(write_csv(out_dir / "kde_front.csv", ["run"] + tokens + ["density"], kde_rows))
 
     # Pairwise rank correlations over pooled final-front values.
     pooled = [p for front in final_fronts for p in front]

@@ -10,7 +10,6 @@ Directory layout per experiment:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -31,7 +30,7 @@ from .errors import ConfigurationError, ContractError, MalformedRecordsError, Ne
 from .evaluator import SurrogateConfig, evaluate, predict_targets
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, rmse
-from .trajectory import Dataset, generate_scenario, window_and_split, write_json
+from .trajectory import Dataset, generate_scenario, read_csv, window_and_split, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -339,7 +338,7 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
 
     written.append(write_json(out_dir / "config.json", cfg.to_dict()))
 
-    tokens = [oid.token for oid in cfg.objective_ids]
+    header = front_header([oid.token for oid in cfg.objective_ids])
     for rec in records:
         jsonl_path = out_dir / f"run_{rec.run_index}.jsonl"
         with open(jsonl_path, "wb") as fh:
@@ -347,19 +346,14 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
                 fh.write(orjson.dumps(snap, option=orjson.OPT_APPEND_NEWLINE))
         written.append(jsonl_path)
 
-        csv_path = out_dir / f"final_front_{rec.run_index}.csv"
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(front_header(tokens))
-            for e in rec.final_front:
-                writer.writerow(
-                    list(e.genome) + [repr(v) for v in e.objectives]
-                    + [repr(e.rmse_validation), repr(e.rmse_test),
-                       int(e.validity.valid), int(e.validity.spread_ok),
-                       int(e.validity.symmetry_ok), int(e.validity.final_position_ok)]
-                    + [repr(v) for v in e.validity.measured]
-                    + [repr(s) for s in e.skills])
-        written.append(csv_path)
+        written.append(write_csv(out_dir / f"final_front_{rec.run_index}.csv", header, (
+            list(e.genome) + [repr(v) for v in e.objectives]
+            + [repr(e.rmse_validation), repr(e.rmse_test),
+               int(e.validity.valid), int(e.validity.spread_ok),
+               int(e.validity.symmetry_ok), int(e.validity.final_position_ok)]
+            + [repr(v) for v in e.validity.measured]
+            + [repr(s) for s in e.skills]
+            for e in rec.final_front)))
 
     written.append(write_json(out_dir / "summary.json", summarize(records)))
     return written
@@ -457,32 +451,23 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
                 f"{jsonl_path}: {len(fronts)} snapshots, expected {cfg.generations}")
         entries = []
         try:
-            with open(csv_path, newline="", encoding="utf-8") as fh:
-                rows = csv.reader(fh)
-                if next(rows, []) != header:
-                    raise ValueError(f"the header is not {','.join(header)}")
-                for row in rows:
-                    if not row:
-                        continue
-                    if len(row) != len(header):
-                        raise ValueError(f"line {rows.line_num} has {len(row)} fields, "
-                                         f"the header {len(header)}")
-                    genome = Genome(tuple(map(int, row[:N_LOCI])))
-                    default_allele_table().validate_genome(genome)
-                    # FRONT_COLUMNS: then three test flags, three measures, three skills
-                    rmse_validation, rmse_test, valid, *tail = row[N_LOCI + m:]
-                    tests = [_flag(text) for text in tail[:3]]
-                    if _flag(valid) != all(tests):
-                        raise ValueError(f"valid {valid} contradicts the test flags {tests}")
-                    entries.append(FrontEntry(
-                        genome=genome.indices,
-                        objectives=tuple(map(_finite, row[N_LOCI:N_LOCI + m])),
-                        rmse_validation=_finite(rmse_validation),
-                        rmse_test=_finite(rmse_test),
-                        validity=ValidityReport(all(tests), *tests,
-                                                measured=tuple(map(_finite, tail[3:6]))),
-                        skills=tuple(map(_finite, tail[6:])),
-                    ))
+            for row in read_csv(csv_path, header):
+                genome = Genome(tuple(map(int, row[:N_LOCI])))
+                default_allele_table().validate_genome(genome)
+                # FRONT_COLUMNS: then three test flags, three measures, three skills
+                rmse_validation, rmse_test, valid, *tail = row[N_LOCI + m:]
+                tests = [_flag(text) for text in tail[:3]]
+                if _flag(valid) != all(tests):
+                    raise ValueError(f"valid {valid} contradicts the test flags {tests}")
+                entries.append(FrontEntry(
+                    genome=genome.indices,
+                    objectives=tuple(map(_finite, row[N_LOCI:N_LOCI + m])),
+                    rmse_validation=_finite(rmse_validation),
+                    rmse_test=_finite(rmse_test),
+                    validity=ValidityReport(all(tests), *tests,
+                                            measured=tuple(map(_finite, tail[3:6]))),
+                    skills=tuple(map(_finite, tail[6:])),
+                ))
         except (OSError, ValueError, TypeError, ContractError) as exc:
             raise MalformedRecordsError(f"bad final front in {csv_path}: {exc}") from exc
         if error is not None and entries:

@@ -232,22 +232,44 @@ def write_json(path: Path, doc) -> Path:
     return path
 
 
+def write_csv(path: Path, header, rows) -> Path:
+    """Write `header` and then each of `rows`, an iterable consumed as it is
+    written, as CSV in UTF-8: the form of every CSV file the package writes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def read_csv(path: Path, header):
+    """Yield each row of a CSV file in the form of `write_csv`, skipping blank
+    lines. ContractError, naming the file, unless the first row is exactly
+    `header` and every row has as many fields."""
+    header, name = list(header), Path(path).name
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, []) != header:
+                raise ContractError(f"{name} header is not {','.join(header)}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ContractError(f"{name} line {reader.line_num} has {len(row)} fields, "
+                                        f"the header {len(header)}")
+                yield row
+        except csv.Error as exc:  # such as a field beyond the reader's size limit
+            raise ContractError(f"{name} line {reader.line_num}: {exc}") from exc
+
+
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     """Write dataset.csv (one row per point) and manifest.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "dataset.csv"
-    manifest_path = out / "manifest.json"
-
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DATASET_COLUMNS)
-        pair_id = 0
-        for role, split in _ROLES:
-            for window in getattr(dataset, split).tolist():
-                writer.writerows([pair_id, role, step, repr(x), repr(y), repr(t)]
-                                 for step, (x, y, t) in enumerate(window))
-                pair_id += 1
+    windows = ((role, window) for role, split in _ROLES
+               for window in getattr(dataset, split).tolist())
+    csv_path = write_csv(out / "dataset.csv", _DATASET_COLUMNS, (
+        [pair_id, role, step, repr(x), repr(y), repr(t)]
+        for pair_id, (role, window) in enumerate(windows) for step, (x, y, t) in enumerate(window)))
 
     manifest = {
         "tau": dataset.tau,
@@ -255,7 +277,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         "seed": dataset.seed,
         "counts": dataset.counts(),
     }
-    return {"dataset": csv_path, "manifest": write_json(manifest_path, manifest)}
+    return {"dataset": csv_path, "manifest": write_json(out / "manifest.json", manifest)}
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:
@@ -265,18 +287,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         manifest = json.load(fh)
     tau = manifest["tau"]
 
-    with open(src / "dataset.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, []) != _DATASET_COLUMNS:
-            raise ContractError(f"dataset.csv header is not {','.join(_DATASET_COLUMNS)}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(_DATASET_COLUMNS):
-                raise ContractError(f"dataset.csv line {reader.line_num} has {len(row)} fields, "
-                                    f"the header {len(_DATASET_COLUMNS)}")
-            rows.append(row)
+    rows = list(read_csv(src / "dataset.csv", _DATASET_COLUMNS))
     pair_ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
     steps = np.array([int(row[2]) for row in rows], dtype=np.int64)
     points = np.array([[float(v) for v in row[3:]] for row in rows])

@@ -483,6 +483,15 @@ class TestAnalyze:
         corrupt(bad)
         assert main(["analyze", str(bad)]) == 5
 
+    def test_oversized_front_field_exit_five(self, exp8_dir, tmp_path, capsys):
+        import shutil
+
+        bad = tmp_path / "bad"
+        shutil.copytree(exp8_dir, bad)
+        _edit_front_row(bad, "rmse", "1" * 200_000)  # beyond the csv reader's field size limit
+        assert main(["analyze", str(bad)]) == 5
+        assert "field larger than field limit" in capsys.readouterr().err
+
     def test_experiment_with_a_failed_run_analyzed(self, tmp_path, fail_run_one):
         out = tmp_path / "out"
         config_path = _write(tmp_path / "config.json", _config(runs=2, generations=2))
