@@ -184,13 +184,14 @@ def _swept_areas(f1: np.ndarray, f2: np.ndarray, ref0: float, ref1: float) -> np
 def hypervolume(front: np.ndarray | Sequence[Sequence[float]], ref: Sequence[float]) -> float:
     """Exact Lebesgue measure of the space dominated by `front`, an (n, m)
     array or a sequence of points, and bounded by `ref` (minimization).
-    Points not componentwise <= ref are dropped with a logged warning."""
-    ref_t = tuple(float(v) for v in ref)
+    Points not componentwise <= ref are dropped with a logged warning. A NaN
+    or infinity in either raises ContractError."""
+    ref_t = tuple(float(v) for v in _finite_array(ref, "reference coordinates"))
     m = len(ref_t)
     if m not in (2, 3):
         raise ConfigurationError(f"hypervolume supports 2 or 3 objectives, got {m}")
     try:
-        points = np.asarray(front, dtype=float)
+        points = _finite_array(front, "front points")
     except ValueError as exc:
         raise ContractError(f"front points of unequal dimension: {exc}") from exc
     if len(points) and (points.ndim != 2 or points.shape[1] != m):
@@ -273,8 +274,9 @@ def bonferroni(alpha: float, comparisons: int) -> float:
 
 
 def scott_bandwidths(samples: np.ndarray) -> np.ndarray:
-    """Per-dimension bandwidth sigma_k * n^(-1 / (d + 4))."""
-    s = np.asarray(samples, dtype=float)
+    """Per-dimension bandwidth sigma_k * n^(-1 / (d + 4)). A NaN or infinity
+    raises ContractError."""
+    s = _finite_array(samples, "samples")
     n, d = s.shape
     sigma = s.std(axis=0, ddof=1)
     if np.any(sigma == 0):

@@ -216,6 +216,8 @@ NON_FINITE_CASES = {
     "permutation_test": (lambda a, b: permutation_test(a, b, resamples=10), ((7,), (9,))),
     "ranksum_test": (ranksum_test, ((7,), (9,))),
     "kde_density": (kde_density, ((12, 2), (5, 2))),
+    "hypervolume": (hypervolume, ((30, 3), (3,))),
+    "scott_bandwidths": (scott_bandwidths, ((12, 2),)),
 }
 
 
