@@ -281,16 +281,22 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:
-    """Inverse of save_dataset."""
+    """Inverse of save_dataset. ContractError if either file is malformed."""
     src = Path(in_dir)
-    with open(src / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    tau = manifest["tau"]
-
-    rows = list(read_csv(src / "dataset.csv", _DATASET_COLUMNS))
-    pair_ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
-    steps = np.array([int(row[2]) for row in rows], dtype=np.int64)
-    points = np.array([[float(v) for v in row[3:]] for row in rows])
+    try:
+        with open(src / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        tau, seed, ratio = manifest["tau"], manifest["seed"], tuple(manifest["ratio"])
+        rows = list(read_csv(src / "dataset.csv", _DATASET_COLUMNS))
+        pair_ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
+        steps = np.array([int(row[2]) for row in rows], dtype=np.int64)
+        points = np.array([[float(v) for v in row[3:]] for row in rows])
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ContractError(f"malformed dataset in {src}: {exc!r}") from exc
+    if type(tau) is not int or tau < 2:
+        raise ContractError(f"manifest tau {tau!r} is not an integer of at least 2")
+    if not np.isfinite(points).all():
+        raise ContractError("dataset.csv holds a non-finite value")
 
     order = np.lexsort((steps, pair_ids))
     ids, first, sizes = np.unique(pair_ids[order], return_index=True, return_counts=True)
@@ -306,4 +312,4 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     if unknown.any():
         raise ContractError(f"pair {ids[unknown][0]} has unknown role {str(roles[unknown][0])!r}")
     splits = {split: windows[roles == role] for role, split in _ROLES}
-    return Dataset(**splits, seed=manifest["seed"], tau=tau, ratio=tuple(manifest["ratio"]))
+    return Dataset(**splits, seed=seed, tau=tau, ratio=ratio)

@@ -138,6 +138,15 @@ def _edit_first_row(text: str, edit) -> str:
     return "\n".join([header, edit(first), rest])
 
 
+def _with_x(value: str):
+    """An edit for `_edit_first_row` that sets the row's x field to `value`."""
+    def edit(row: str) -> str:
+        fields = row.split(",")
+        fields[3] = value
+        return ",".join(fields)
+    return edit
+
+
 class TestDataset:
     @pytest.mark.parametrize("split", ["train", "validation", "test"])
     def test_splits_read_only(self, small_dataset, split):
@@ -197,6 +206,22 @@ class TestPersistence:
         save_dataset(window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6), tmp_path)
         csv_path = tmp_path / "dataset.csv"
         csv_path.write_text(edit(csv_path.read_text()))
+        with pytest.raises(ContractError):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("dataset.csv", lambda text: _edit_first_row(text, _with_x("abc"))),
+        ("dataset.csv", lambda text: _edit_first_row(text, _with_x("nan"))),
+        ("dataset.csv", lambda text: _edit_first_row(text, _with_x("inf"))),
+        ("manifest.json", lambda text: "{}"),
+        ("manifest.json", lambda text: text.replace('"tau": 4,', '"tau": 4.0,')),
+    ], ids=["x-not-a-number", "x-nan", "x-inf", "empty-manifest", "float-tau"])
+    def test_malformed_value_rejected(self, tmp_path, name, edit):
+        save_dataset(window_and_split(fake_path(60), tau=4, seed=0), tmp_path)
+        path = tmp_path / name
+        edited = edit(path.read_text())
+        assert edited != path.read_text()
+        path.write_text(edited)
         with pytest.raises(ContractError):
             load_dataset(tmp_path)
 
