@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .errors import ConfigurationError, ContractError
 from .genome import GeneticOperators, random_genome
-from .nsga2 import EvaluateFn, Individual, dominates, scored
+from .nsga2 import EvaluateFn, Individual, crowding_distance, dominates, scored
 from .objectives import Objectives
 
 
@@ -159,8 +159,6 @@ def moead_step(
 
 def _truncate_archive(archive: list[Individual], cap: int) -> None:
     """Soft cap: keep the `cap` least crowded archive members."""
-    from .nsga2 import crowding_distance
-
     crowding_distance(archive)
     ordered = sorted(range(len(archive)), key=lambda i: archive[i].crowding, reverse=True)
     keep = sorted(ordered[:cap])
