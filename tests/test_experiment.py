@@ -299,6 +299,58 @@ class TestRunExperiment:
             load_records(tmp_path)
 
 
+def _scaling_config(preset: str) -> ExperimentConfig:
+    cfg = preset_config(preset, scale=0.34)
+    return dataclasses.replace(cfg, runs=1,
+                               dataset=dataclasses.replace(cfg.dataset, duration_s=120.0))
+
+
+def _divided_back(snapshots: list[dict], k: int, factor: float) -> list[dict]:
+    """The snapshots with objective k of every member divided by `factor`,
+    and the MOEA/D ideal point's too."""
+    snapshots = json.loads(json.dumps(snapshots))
+    for snap in snapshots:
+        if "ideal" in snap:
+            snap["ideal"][k] /= factor
+        for key in ("population", "subproblems", "archive"):
+            for member in snap.get(key, ()):
+                member["objectives"][k] /= factor
+    return snapshots
+
+
+class TestObjectiveScaling:
+    """The paper's first finding, as a mechanism: a power-of-two factor on
+    one objective scales it exactly, so NSGA-II's sort and range-normalized
+    crowding distance see the same order and its run does not change, while
+    MOEA/D's raw Tchebycheff weighs the scaled objective differently."""
+
+    @pytest.mark.parametrize("preset, invariant", [
+        ("exp6", True), ("exp10", True), ("exp7", False), ("exp11", False)])
+    def test_only_nsga2_is_scale_invariant(self, preset, invariant, monkeypatch):
+        import neurotraj.experiment as experiment_mod
+
+        cfg = _scaling_config(preset)
+        data = build_dataset(cfg)
+        plain = execute_run(cfg, data, 0)
+        assert plain.error is None
+        for k in range(len(cfg.objective_ids)):
+            for factor in (2.0 ** 6, 2.0 ** -6):
+                def scaled(*args, k=k, factor=factor):
+                    result = evaluate(*args)
+                    objectives = list(result.objectives)
+                    objectives[k] *= factor
+                    return dataclasses.replace(result, objectives=tuple(objectives))
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(experiment_mod, "evaluate", scaled)
+                    rec = execute_run(cfg, data, 0)
+                same_snapshots = (json.dumps(_divided_back(rec.snapshots, k, factor))
+                                  == json.dumps(plain.snapshots))
+                same_front = ([e.genome for e in rec.final_front]
+                              == [e.genome for e in plain.final_front])
+                assert (same_snapshots and same_front) == invariant, (k, factor)
+
+
 def synth_records(per_run_valid, per_run_total, rmse_base=1.0):
     records = []
     for k, (n_valid, n_total) in enumerate(zip(per_run_valid, per_run_total)):
