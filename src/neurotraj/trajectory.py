@@ -293,8 +293,9 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         points = np.array([[float(v) for v in row[3:]] for row in rows])
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ContractError(f"malformed dataset in {src}: {exc!r}") from exc
-    if type(tau) is not int or tau < 2:
-        raise ContractError(f"manifest tau {tau!r} is not an integer of at least 2")
+    if not (type(tau) is int and tau >= 2 and type(seed) is int and len(ratio) == 3
+            and all(type(r) in (int, float) and math.isfinite(r) for r in ratio)):
+        raise ContractError(f"manifest tau {tau!r}, seed {seed!r} or ratio {ratio!r} is malformed")
     if not np.isfinite(points).all():
         raise ContractError("dataset.csv holds a non-finite value")
 

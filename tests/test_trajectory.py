@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import pickle
 
@@ -147,6 +148,11 @@ def _with_x(value: str):
     return edit
 
 
+def _with_manifest(**changes):
+    """An edit of a manifest.json text that sets the given keys."""
+    return lambda text: json.dumps({**json.loads(text), **changes})
+
+
 class TestDataset:
     @pytest.mark.parametrize("split", ["train", "validation", "test"])
     def test_splits_read_only(self, small_dataset, split):
@@ -215,7 +221,11 @@ class TestPersistence:
         ("dataset.csv", lambda text: _edit_first_row(text, _with_x("inf"))),
         ("manifest.json", lambda text: "{}"),
         ("manifest.json", lambda text: text.replace('"tau": 4,', '"tau": 4.0,')),
-    ], ids=["x-not-a-number", "x-nan", "x-inf", "empty-manifest", "float-tau"])
+        ("manifest.json", _with_manifest(seed="0")),
+        ("manifest.json", _with_manifest(ratio="abc")),
+        ("manifest.json", _with_manifest(ratio=[0.6, math.nan, 0.2])),
+    ], ids=["x-not-a-number", "x-nan", "x-inf", "empty-manifest", "float-tau", "string-seed",
+            "string-ratio", "nan-ratio"])
     def test_malformed_value_rejected(self, tmp_path, name, edit):
         save_dataset(window_and_split(fake_path(60), tau=4, seed=0), tmp_path)
         path = tmp_path / name
