@@ -59,7 +59,7 @@ def function_imports(node: ast.AST, function: str | None = None):
 def test_imports_match_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = _names(project["dependencies"])
-    assert imported_third_party(PACKAGE) == declared == {"numpy", "orjson"}
+    assert imported_third_party(ROOT / "src" / "neurotraj") == declared == {"numpy", "orjson"}
     assert {"scipy", "pytest", "hypothesis"} <= _names(project["optional-dependencies"]["test"])
 
 

@@ -220,7 +220,7 @@ class TestPersistence:
         ("dataset.csv", lambda text: _edit_first_row(text, _with_x("nan"))),
         ("dataset.csv", lambda text: _edit_first_row(text, _with_x("inf"))),
         ("manifest.json", lambda text: "{}"),
-        ("manifest.json", lambda text: text.replace('"tau": 4,', '"tau": 4.0,')),
+        ("manifest.json", _with_manifest(tau=4.0)),
         ("manifest.json", _with_manifest(seed="0")),
         ("manifest.json", _with_manifest(ratio="abc")),
         ("manifest.json", _with_manifest(ratio=[0.6, math.nan, 0.2])),
