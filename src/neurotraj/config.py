@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import MISSING, asdict, fields
 from functools import cache
-from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
@@ -18,8 +17,6 @@ _hints = cache(get_type_hints)
 def _conforms(value, hint) -> bool:
     """Whether `value` has the declared type `hint`. A bool is not an int,
     and an int is accepted where a float is declared."""
-    if isinstance(hint, UnionType):
-        return any(_conforms(value, option) for option in get_args(hint))
     if get_origin(hint) is tuple:
         items = get_args(hint)
         if items[1:] == (...,) and isinstance(value, tuple):

@@ -54,7 +54,6 @@ class ExperimentConfig(Config):
     mutation_rate: float = 0.5
     tournament_size: int = 3
     neighborhood_size: int = 7
-    archive_cap: int | None = None
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
 
@@ -72,9 +71,8 @@ class ExperimentConfig(Config):
             raise ConfigurationError("runs/generations/population too small")
         if not (0 <= self.crossover_rate <= 1 and 0 <= self.mutation_rate <= 1):
             raise ConfigurationError("crossover_rate and mutation_rate must be in [0, 1]")
-        if min(self.tournament_size, self.neighborhood_size) < 1 or (
-                self.archive_cap is not None and self.archive_cap < 1):
-            raise ConfigurationError("tournament_size, neighborhood_size, archive_cap must be >= 1")
+        if min(self.tournament_size, self.neighborhood_size) < 1:
+            raise ConfigurationError("tournament_size and neighborhood_size must be >= 1")
 
     def to_dict(self) -> dict:
         # "objectives" keeps its place in the field order; its value becomes the tokens
@@ -280,8 +278,7 @@ def _run_moead(cfg, eval_fn, ops, rng):
     initial_front = list(state.archive)
     snapshots = []
     for gen in range(cfg.generations):
-        state = moead_mod.moead_step(state, lattice, neighborhoods, eval_fn, ops, rng,
-                                     archive_cap=cfg.archive_cap)
+        state = moead_mod.moead_step(state, lattice, neighborhoods, eval_fn, ops, rng)
         snapshots.append({
             "generation": gen + 1,
             "ideal": list(state.ideal),

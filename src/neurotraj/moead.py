@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .errors import ConfigurationError, ContractError
 from .genome import GeneticOperators, random_genome
-from .nsga2 import EvaluateFn, Individual, crowding_distance, dominates, scored
+from .nsga2 import EvaluateFn, Individual, dominates, scored
 from .objectives import Objectives
 
 
@@ -122,7 +122,6 @@ def moead_step(
     evaluate_fn: EvaluateFn,
     ops: GeneticOperators,
     rng: Random,
-    archive_cap: int | None = None,
     replacement_log: list[tuple[float, float]] | None = None,
 ) -> MoeadState:
     """One pass over all subproblems in index order.
@@ -151,15 +150,4 @@ def moead_step(
                     replacement_log.append((g_child, g_incumbent))
                 state.solutions[j] = child
         archive_insert(state.archive, child)
-
-    if archive_cap is not None and len(state.archive) > archive_cap:
-        _truncate_archive(state.archive, archive_cap)
     return state
-
-
-def _truncate_archive(archive: list[Individual], cap: int) -> None:
-    """Soft cap: keep the `cap` least crowded archive members."""
-    crowding_distance(archive)
-    ordered = sorted(range(len(archive)), key=lambda i: archive[i].crowding, reverse=True)
-    keep = sorted(ordered[:cap])
-    archive[:] = [archive[i] for i in keep]

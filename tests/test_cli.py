@@ -91,7 +91,7 @@ def _latin1_byte(path: Path, text: bytes) -> None:
 SMALL_RUN = {
     "algorithm": "nsga2", "objectives": ["rmse", "l2"], "population": 4, "generations": 1,
     "runs": 1, "base_seed": 1, "crossover_rate": 1.0, "mutation_rate": 0.5,
-    "tournament_size": 3, "neighborhood_size": 7, "archive_cap": None,
+    "tournament_size": 3, "neighborhood_size": 7,
     "dataset": {"duration_s": 60.0, "lane_change_rate": 0.02, "seed": 0, "tau": 8,
                 "ratio": [0.6, 0.2, 0.2]},
     "surrogate": {"quality_seed": 0, "lateral_noise_max_m": 0.8,
@@ -203,7 +203,7 @@ class TestConfigFile:
         _config(crossover_rate=-0.1),
         _config(tournament_size=0),
         _config(algorithm="moead", neighborhood_size=0),
-        _config(algorithm="moead", archive_cap=0),
+        _config(algorithm="moead", archive_cap=None),  # a config.json from before archive_cap went
         _config(surrogate__lateral_noise_max_m=math.nan),
         _config(surrogate__heading_jitter_max_rad=math.inf),
         # splits
@@ -214,7 +214,7 @@ class TestConfigFile:
             "string-objectives", "string-quality-seed", "float-tau", "string-ratio",
             "two-shares", "nan-share", "one-objective", "four-objectives",
             "four-objectives-moead", "mutation-rate-two", "negative-crossover-rate",
-            "tournament-size-zero", "neighborhood-size-zero", "archive-cap-zero",
+            "tournament-size-zero", "neighborhood-size-zero", "legacy-archive-cap",
             "nan-noise-scale", "infinite-jitter", "no-validation-windows", "no-test-windows"])
     def test_bad_config_usage_error_before_writing(self, tmp_path, doc, capsys):
         out = tmp_path / "out"
@@ -235,8 +235,9 @@ class TestConfigFile:
         lambda doc: doc.update(mutation_rate=2.0),
         lambda doc: doc.update(runs=1.5),
         lambda doc: doc.update(extra=1),
+        lambda doc: doc.update(archive_cap=None),  # written before archive_cap went
     ], ids=["one-objective", "four-objectives", "mutation-rate-two", "float-runs",
-            "unknown-key"])
+            "unknown-key", "legacy-archive-cap"])
     def test_hand_edited_config_analyze_exit_five(self, exp8_dir, tmp_path, edit):
         import shutil
 

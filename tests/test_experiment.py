@@ -92,7 +92,7 @@ class TestConfigDocument:
         doc = preset_config("exp7").to_dict()
         assert list(doc) == ["algorithm", "objectives", "population", "generations", "runs",
                              "base_seed", "crossover_rate", "mutation_rate", "tournament_size",
-                             "neighborhood_size", "archive_cap", "dataset", "surrogate"]
+                             "neighborhood_size", "dataset", "surrogate"]
         assert doc["objectives"] == ["rmse", "l2", "l3"]
         assert list(doc["dataset"]) == ["duration_s", "lane_change_rate", "seed", "tau", "ratio"]
         assert list(doc["surrogate"]) == ["quality_seed", "lateral_noise_max_m",
@@ -114,13 +114,12 @@ class TestConfigDocument:
         lambda: DatasetConfig(ratio=(0.6, "0.2", 0.2)),
         lambda: SurrogateConfig(quality_seed="x"),
         lambda: small_config(runs=1.0),
-        lambda: small_config(archive_cap=2.5),
         lambda: ExperimentConfig("nsga2", ("rmse", "l1"), 4, 1, 1),
         lambda: ExperimentConfig.from_dict({"algorithm": "nsga2", "objectives": ["rmse", "l1"],
                                             "population": 4, "generations": 1, "runs": 1,
                                             "dataset": {"duration_s": 60.0, "rate": 0.1}}),
     ], ids=["float-tau", "bool-seed", "two-shares", "list-ratio", "string-share",
-            "string-quality-seed", "float-runs", "float-archive-cap", "string-objectives",
+            "string-quality-seed", "float-runs", "string-objectives",
             "unknown-dataset-key"])
     def test_mistyped_field_rejected(self, build):
         with pytest.raises(ConfigurationError):
@@ -130,9 +129,9 @@ class TestConfigDocument:
         {"objective_ids": (ObjectiveId.RMSE,)},
         {"objective_ids": tuple(ObjectiveId)[:4]},
         {"crossover_rate": -0.1}, {"mutation_rate": 2.0}, {"mutation_rate": math.nan},
-        {"tournament_size": 0}, {"neighborhood_size": 0}, {"archive_cap": 0},
+        {"tournament_size": 0}, {"neighborhood_size": 0},
     ], ids=["one-objective", "four-objectives", "crossover-negative", "mutation-two",
-            "mutation-nan", "tournament-zero", "neighborhood-zero", "archive-cap-zero"])
+            "mutation-nan", "tournament-zero", "neighborhood-zero"])
     def test_out_of_range_field_rejected(self, changes):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(small_config(algorithm="moead"), **changes)

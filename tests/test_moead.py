@@ -254,12 +254,6 @@ class TestStep:
         for g_child, g_incumbent in log:
             assert g_child <= g_incumbent
 
-    def test_archive_cap_enforced(self):
-        state, lattice, nbhd, eval_fn, ops, rng = self._setup(seed=13)
-        for _ in range(6):
-            moead_step(state, lattice, nbhd, eval_fn, ops, rng, archive_cap=4)
-            assert len(state.archive) <= 4
-
     def test_deterministic_per_seed(self):
         a_state, lattice, nbhd, _, ops, _ = self._setup(seed=3)
         b_state, _, _, _, _, _ = self._setup(seed=3)
