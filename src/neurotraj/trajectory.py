@@ -286,12 +286,13 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     try:
         with open(src / "manifest.json", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        tau, seed, ratio = manifest["tau"], manifest["seed"], tuple(manifest["ratio"])
+        tau, seed, ratio, counts = (manifest["tau"], manifest["seed"], tuple(manifest["ratio"]),
+                                    manifest["counts"])
         rows = list(read_csv(src / "dataset.csv", _DATASET_COLUMNS))
         pair_ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
         steps = np.array([int(row[2]) for row in rows], dtype=np.int64)
         points = np.array([[float(v) for v in row[3:]] for row in rows])
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ContractError(f"malformed dataset in {src}: {exc!r}") from exc
     if not (type(tau) is int and tau >= 2 and type(seed) is int and len(ratio) == 3
             and all(type(r) in (int, float) and math.isfinite(r) for r in ratio)):
@@ -312,5 +313,8 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     unknown = ~np.isin(roles, [role for role, _ in _ROLES])
     if unknown.any():
         raise ContractError(f"pair {ids[unknown][0]} has unknown role {str(roles[unknown][0])!r}")
-    splits = {split: windows[roles == role] for role, split in _ROLES}
-    return Dataset(**splits, seed=seed, tau=tau, ratio=ratio)
+    dataset = Dataset(**{split: windows[roles == role] for role, split in _ROLES},
+                      seed=seed, tau=tau, ratio=ratio)
+    if counts != dataset.counts():
+        raise ContractError(f"manifest counts {counts!r} are not dataset.csv's {dataset.counts()}")
+    return dataset

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
-
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "neurotraj"
 
@@ -57,6 +55,7 @@ def function_imports(node: ast.AST, function: str | None = None):
 
 
 def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = _names(project["dependencies"])
     assert imported_third_party(ROOT / "src" / "neurotraj") == declared == {"numpy", "orjson"}

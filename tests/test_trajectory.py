@@ -224,8 +224,10 @@ class TestPersistence:
         ("manifest.json", _with_manifest(seed="0")),
         ("manifest.json", _with_manifest(ratio="abc")),
         ("manifest.json", _with_manifest(ratio=[0.6, math.nan, 0.2])),
+        ("manifest.json", _with_manifest(counts={"train": 1, "validation": 2, "test": 3})),
+        ("manifest.json", lambda text: "[" * 100_000 + "]" * 100_000),
     ], ids=["x-not-a-number", "x-nan", "x-inf", "empty-manifest", "float-tau", "string-seed",
-            "string-ratio", "nan-ratio"])
+            "string-ratio", "nan-ratio", "wrong-counts", "nested-too-deep"])
     def test_malformed_value_rejected(self, tmp_path, name, edit):
         save_dataset(window_and_split(fake_path(60), tau=4, seed=0), tmp_path)
         path = tmp_path / name
