@@ -203,7 +203,7 @@ class TestConfigFile:
         _config(crossover_rate=-0.1),
         _config(tournament_size=0),
         _config(algorithm="moead", neighborhood_size=0),
-        _config(algorithm="moead", archive_cap=None),  # a config.json from before archive_cap went
+        _config(algorithm="moead", archive_cap=None),  # as written before archive_cap was removed
         _config(surrogate__lateral_noise_max_m=math.nan),
         _config(surrogate__heading_jitter_max_rad=math.inf),
         # splits
@@ -235,7 +235,7 @@ class TestConfigFile:
         lambda doc: doc.update(mutation_rate=2.0),
         lambda doc: doc.update(runs=1.5),
         lambda doc: doc.update(extra=1),
-        lambda doc: doc.update(archive_cap=None),  # written before archive_cap went
+        lambda doc: doc.update(archive_cap=None),  # as written before archive_cap was removed
     ], ids=["one-objective", "four-objectives", "mutation-rate-two", "float-runs",
             "unknown-key", "legacy-archive-cap"])
     def test_hand_edited_config_analyze_exit_five(self, exp8_dir, tmp_path, edit):
