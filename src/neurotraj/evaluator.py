@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import Config
-from .errors import ConfigurationError, ContractError
+from .errors import ContractError
 from .genome import Genome, default_allele_table
 from .objectives import Columns, ObjectiveId, Objectives, assemble, rmse
 from .trajectory import Dataset
@@ -40,21 +40,16 @@ _SKILLS = (
     ("speed", (9, 10, 11, 12, 13), (9, 12)),
 )
 
+# The noise scales at skill 0: the lateral offset's amplitude (m), the
+# heading jitter's (rad), and the speed rescale's half-span around 1.
+_LATERAL_NOISE_MAX_M = 0.8
+_HEADING_JITTER_MAX_RAD = 0.03
+_SPEED_SPAN = 0.15
+
 
 @dataclass(frozen=True)
 class SurrogateConfig(Config):
     quality_seed: int = 0
-    lateral_noise_max_m: float = 0.8
-    heading_jitter_max_rad: float = 0.03
-    speed_span: float = 0.15
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not all(0 < v < math.inf for v in (self.lateral_noise_max_m,
-                                              self.heading_jitter_max_rad, self.speed_span)):
-            raise ConfigurationError("surrogate noise scales must be positive and finite")
-        if self.speed_span > 0.2:
-            raise ConfigurationError(f"speed_span must be <= 0.2, got {self.speed_span}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +126,9 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], cfg: Sur
     timestamps are terms of `targets`, derived once per `Columns`.
     """
     s_acc, s_smooth, s_speed = skills
-    amp_lat = cfg.lateral_noise_max_m * (1.0 - s_acc)
-    amp_jit = cfg.heading_jitter_max_rad * (1.0 - s_smooth)
-    scale = 1.0 + cfg.speed_span * (2.0 * s_speed - 1.0)
+    amp_lat = _LATERAL_NOISE_MAX_M * (1.0 - s_acc)
+    amp_jit = _HEADING_JITTER_MAX_RAD * (1.0 - s_smooth)
+    scale = 1.0 + _SPEED_SPAN * (2.0 * s_speed - 1.0)
 
     p, n = targets.x.shape
     u = _noise(cfg, genome, role).random((p, n + 1))

@@ -50,10 +50,6 @@ class ExperimentConfig(Config):
     generations: int
     runs: int
     base_seed: int = 1
-    crossover_rate: float = 1.0
-    mutation_rate: float = 0.5
-    tournament_size: int = 3
-    neighborhood_size: int = 7
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
 
@@ -69,10 +65,6 @@ class ExperimentConfig(Config):
             raise ConfigurationError("objective_ids must be duplicate-free")
         if self.runs < 1 or self.generations < 1 or self.population < 2:
             raise ConfigurationError("runs/generations/population too small")
-        if not (0 <= self.crossover_rate <= 1 and 0 <= self.mutation_rate <= 1):
-            raise ConfigurationError("crossover_rate and mutation_rate must be in [0, 1]")
-        if min(self.tournament_size, self.neighborhood_size) < 1:
-            raise ConfigurationError("tournament_size and neighborhood_size must be >= 1")
 
     def to_dict(self) -> dict:
         # "objectives" keeps its place in the field order; its value becomes the tokens
@@ -223,9 +215,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
     raised; any other exception is a bug and propagates."""
     run_seed = cfg.base_seed + run_index
     rng = Random(run_seed)
-    table = default_allele_table()
-    ops = GeneticOperators(table=table, crossover_rate=cfg.crossover_rate,
-                           mutation_rate=cfg.mutation_rate)
+    ops = GeneticOperators(table=default_allele_table())
 
     def eval_fn(genome: Genome):
         result = evaluate(genome, data, cfg.objective_ids, cfg.surrogate)
@@ -259,7 +249,7 @@ def _run_nsga2(cfg, eval_fn, ops, rng):
     initial_front = [ind for ind in pop if ind.rank == 0]
     snapshots = []
     for gen in range(cfg.generations):
-        pop = nsga2_mod.nsga2_step(pop, eval_fn, ops, rng, tournament_k=cfg.tournament_size)
+        pop = nsga2_mod.nsga2_step(pop, eval_fn, ops, rng)
         snapshots.append({
             "generation": gen + 1,
             "population": [_individual_snapshot(ind, with_rank=True) for ind in pop],
@@ -272,7 +262,7 @@ def _run_moead(cfg, eval_fn, ops, rng):
     m = len(cfg.objective_ids)
     h = moead_mod.lattice_resolution_for(m, cfg.population)
     lattice = moead_mod.simplex_lattice(m, h)
-    t = min(cfg.neighborhood_size, lattice.size)
+    t = min(moead_mod.NEIGHBORHOOD_SIZE, lattice.size)
     neighborhoods = moead_mod.build_neighborhoods(lattice, t)
     state = moead_mod.init_state(lattice, eval_fn, ops, rng)
     initial_front = list(state.archive)

@@ -14,6 +14,8 @@ from .genome import GeneticOperators, random_genome
 from .nsga2 import EvaluateFn, Individual, dominates, scored
 from .objectives import Objectives
 
+NEIGHBORHOOD_SIZE = 7  # T, the weight vectors each subproblem breeds from and replaces
+
 
 @dataclass(frozen=True)
 class WeightLattice:

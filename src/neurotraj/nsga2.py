@@ -15,6 +15,8 @@ from .objectives import Objectives
 
 EvaluateFn = Callable[[Genome], tuple[Objectives, Any]]
 
+TOURNAMENT_SIZE = 3
+
 
 @dataclass
 class Individual:
@@ -130,15 +132,14 @@ def nsga2_step(
     evaluate_fn: EvaluateFn,
     ops: GeneticOperators,
     rng: Random,
-    tournament_k: int = 3,
 ) -> list[Individual]:
     """One generation: breed and score N offspring, merge with parents, peel
     fronts into the next population, truncating the overflow front by crowding."""
     n = len(pop)
     children: list[Genome] = []
     while len(children) < n:
-        p1 = tournament_select(pop, tournament_k, rng)
-        p2 = tournament_select(pop, tournament_k, rng)
+        p1 = tournament_select(pop, TOURNAMENT_SIZE, rng)
+        p2 = tournament_select(pop, TOURNAMENT_SIZE, rng)
         children.extend(ops.offspring(p1.genome, p2.genome, rng))
 
     merged = pop + scored(children[:n], evaluate_fn)

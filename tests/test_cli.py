@@ -90,13 +90,16 @@ def _latin1_byte(path: Path, text: bytes) -> None:
 # A valid config of one short run; `_config` edits a copy of it.
 SMALL_RUN = {
     "algorithm": "nsga2", "objectives": ["rmse", "l2"], "population": 4, "generations": 1,
-    "runs": 1, "base_seed": 1, "crossover_rate": 1.0, "mutation_rate": 0.5,
-    "tournament_size": 3, "neighborhood_size": 7,
+    "runs": 1, "base_seed": 1,
     "dataset": {"duration_s": 60.0, "lane_change_rate": 0.02, "seed": 0, "tau": 8,
                 "ratio": [0.6, 0.2, 0.2]},
-    "surrogate": {"quality_seed": 0, "lateral_noise_max_m": 0.8,
-                  "heading_jitter_max_rad": 0.03, "speed_span": 0.15},
+    "surrogate": {"quality_seed": 0},
 }
+
+# The keys, at their last defaults, of the engine constants that config.json
+# held before they were fixed in code.
+LEGACY_ENGINE_KEYS = {"crossover_rate": 1.0, "mutation_rate": 0.5, "tournament_size": 3,
+                      "neighborhood_size": 7}
 
 
 DELETE = object()
@@ -199,13 +202,10 @@ class TestConfigFile:
         _config(objectives=["rmse"]),
         _config(objectives=["rmse", "l1", "l2", "l3"]),
         _config(algorithm="moead", objectives=["rmse", "l1", "l2", "l3"]),
-        _config(mutation_rate=2.0),
-        _config(crossover_rate=-0.1),
-        _config(tournament_size=0),
-        _config(algorithm="moead", neighborhood_size=0),
-        _config(algorithm="moead", archive_cap=None),  # as written before archive_cap was removed
-        _config(surrogate__lateral_noise_max_m=math.nan),
-        _config(surrogate__heading_jitter_max_rad=math.inf),
+        # keys written before their values were fixed in code
+        _config(algorithm="moead", archive_cap=None),
+        _config(**LEGACY_ENGINE_KEYS),
+        _config(surrogate__speed_span=0.15),
         # splits
         _config(dataset__ratio=[0.8, 0.0, 0.2]),
         _config(dataset__ratio=[0.8, 0.2, 0.0]),
@@ -213,9 +213,8 @@ class TestConfigFile:
             "empty-list", "top-level-string", "float-runs", "string-base-seed", "bool-runs",
             "string-objectives", "string-quality-seed", "float-tau", "string-ratio",
             "two-shares", "nan-share", "one-objective", "four-objectives",
-            "four-objectives-moead", "mutation-rate-two", "negative-crossover-rate",
-            "tournament-size-zero", "neighborhood-size-zero", "legacy-archive-cap",
-            "nan-noise-scale", "infinite-jitter", "no-validation-windows", "no-test-windows"])
+            "four-objectives-moead", "legacy-archive-cap", "legacy-engine-keys",
+            "legacy-speed-span", "no-validation-windows", "no-test-windows"])
     def test_bad_config_usage_error_before_writing(self, tmp_path, doc, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", _write(tmp_path / "config.json", doc), "--out", str(out)])
@@ -232,11 +231,11 @@ class TestConfigFile:
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(objectives=["rmse"]),
         lambda doc: doc.update(objectives=["rmse", "l1", "l3", "l2"]),
-        lambda doc: doc.update(mutation_rate=2.0),
+        lambda doc: doc.update(LEGACY_ENGINE_KEYS),
         lambda doc: doc.update(runs=1.5),
         lambda doc: doc.update(extra=1),
         lambda doc: doc.update(archive_cap=None),  # as written before archive_cap was removed
-    ], ids=["one-objective", "four-objectives", "mutation-rate-two", "float-runs",
+    ], ids=["one-objective", "four-objectives", "legacy-engine-keys", "float-runs",
             "unknown-key", "legacy-archive-cap"])
     def test_hand_edited_config_analyze_exit_five(self, exp8_dir, tmp_path, edit):
         import shutil

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurotraj.analysis import classify_validity
-from neurotraj.errors import ConfigurationError, ContractError
+from neurotraj.errors import ContractError
 from neurotraj.evaluator import (
     EvaluationResult,
     SurrogateConfig,
@@ -29,17 +29,6 @@ CFG = SurrogateConfig()
 
 
 class TestSurrogateConfig:
-    def test_defaults_valid(self):
-        assert CFG.speed_span <= 0.2
-
-    def test_speed_span_cap(self):
-        with pytest.raises(ConfigurationError):
-            SurrogateConfig(speed_span=0.25)
-
-    def test_scales_positive(self):
-        with pytest.raises(ConfigurationError):
-            SurrogateConfig(lateral_noise_max_m=0.0)
-
     def test_round_trip(self):
         assert SurrogateConfig.from_dict(CFG.to_dict()) == CFG
 

@@ -91,12 +91,10 @@ class TestConfigDocument:
     def test_keys_in_config_json_order(self):
         doc = preset_config("exp7").to_dict()
         assert list(doc) == ["algorithm", "objectives", "population", "generations", "runs",
-                             "base_seed", "crossover_rate", "mutation_rate", "tournament_size",
-                             "neighborhood_size", "dataset", "surrogate"]
+                             "base_seed", "dataset", "surrogate"]
         assert doc["objectives"] == ["rmse", "l2", "l3"]
         assert list(doc["dataset"]) == ["duration_s", "lane_change_rate", "seed", "tau", "ratio"]
-        assert list(doc["surrogate"]) == ["quality_seed", "lateral_noise_max_m",
-                                          "heading_jitter_max_rad", "speed_span"]
+        assert doc["surrogate"] == {"quality_seed": 0}
 
     def test_defaulted_fields_may_be_left_out(self):
         cfg = ExperimentConfig.from_dict({"algorithm": "nsga2", "objectives": ["rmse", "l1"],
@@ -128,10 +126,7 @@ class TestConfigDocument:
     @pytest.mark.parametrize("changes", [
         {"objective_ids": (ObjectiveId.RMSE,)},
         {"objective_ids": tuple(ObjectiveId)[:4]},
-        {"crossover_rate": -0.1}, {"mutation_rate": 2.0}, {"mutation_rate": math.nan},
-        {"tournament_size": 0}, {"neighborhood_size": 0},
-    ], ids=["one-objective", "four-objectives", "crossover-negative", "mutation-two",
-            "mutation-nan", "tournament-zero", "neighborhood-zero"])
+    ], ids=["one-objective", "four-objectives"])
     def test_out_of_range_field_rejected(self, changes):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(small_config(algorithm="moead"), **changes)
