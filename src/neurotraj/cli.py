@@ -30,6 +30,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .experiment import (
+    DatasetConfig,
     ExperimentConfig,
     PRESETS,
     load_records,
@@ -211,12 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    gen.add_argument("--duration", type=float, default=600.0, help="scenario length in seconds")
-    gen.add_argument("--lane-change-rate", type=float, default=0.02,
+    # The defaults are the presets' dataset, so `generate` alone writes it.
+    gen.add_argument("--duration", type=float, default=DatasetConfig.duration_s,
+                     help="scenario length in seconds")
+    gen.add_argument("--lane-change-rate", type=float, default=DatasetConfig.lane_change_rate,
                      help="lane-change events per second")
-    gen.add_argument("--seed", type=int, default=7)
-    gen.add_argument("--tau", type=int, default=8, help="window length in samples")
-    gen.add_argument("--ratios", default="0.6,0.2,0.2", help="train,val,test shares")
+    gen.add_argument("--seed", type=int, default=DatasetConfig.seed)
+    gen.add_argument("--tau", type=int, default=DatasetConfig.tau,
+                     help="window length in samples")
+    gen.add_argument("--ratios", default=",".join(map(str, DatasetConfig.ratio)),
+                     help="train,val,test shares")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_generate)
 

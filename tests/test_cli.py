@@ -8,11 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from neurotraj import cli
 from neurotraj.cli import main
 from neurotraj.errors import ContractError
+from neurotraj.experiment import build_dataset, preset_config
+from neurotraj.trajectory import load_dataset
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -137,6 +140,13 @@ class TestGenerate:
         counts = manifest["counts"]
         total = sum(counts.values())
         assert abs(counts["train"] / total - 0.6) < 0.01
+
+    def test_defaults_write_the_presets_dataset(self, tmp_path):
+        assert main(["generate", "--out", str(tmp_path / "d")]) == 0
+        written = load_dataset(tmp_path / "d")
+        built = build_dataset(preset_config("exp6"))
+        for split in ("train", "validation", "test"):
+            assert np.array_equal(getattr(written, split), getattr(built, split))
 
     def test_missing_out_is_usage_error(self, capsys):
         assert main(["generate", "--duration", "60"]) == 2
@@ -423,6 +433,16 @@ class TestAnalyze:
         assert "rmse_val_all" in doc["comparison"]["metrics"]
         assert (out / "hypervolume_against.csv").exists()
         assert len(doc["hypervolume_reference"]) == 3
+
+    def test_different_objectives_exit_five_before_writing(self, exp8_dir, tmp_path, capsys):
+        other = tmp_path / "rmse_l2"
+        assert main(["run", "--config", _write(tmp_path / "config.json", SMALL_RUN),
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["analyze", str(exp8_dir), str(other), "--out", str(out)]) == 5
+        assert "different objectives" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_dir_exit_five(self, tmp_path):
         bad = tmp_path / "bad"

@@ -1,6 +1,7 @@
 """The third-party modules the package imports are exactly the runtime
 dependencies that pyproject.toml declares, and the package's modules
-import what they need at module level, with the exceptions named here."""
+import what they need at module level, with the exceptions named here,
+and use every name they import."""
 
 import ast
 import re
@@ -80,3 +81,24 @@ def test_imports_inside_functions_are_the_known_exceptions():
         ("experiment.py", "_read_run", "orjson"),
         ("trajectory.py", "_targets", "Columns"),
     }
+
+
+def bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The names an import statement binds: `import a.b` binds `a`."""
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def test_every_imported_name_is_used():
+    """A module uses each name it imports (a `__future__` import binds
+    none); `__init__.py` imports names only to re-export them."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                   for name in bound_names(node) if name not in used]
+    assert unused == []
