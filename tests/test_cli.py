@@ -212,7 +212,7 @@ class TestConfigFile:
         _config(objectives=["rmse"]),
         _config(objectives=["rmse", "l1", "l2", "l3"]),
         _config(algorithm="moead", objectives=["rmse", "l1", "l2", "l3"]),
-        # keys written before their values were fixed in code
+        # keys of options that config.json held before they were removed
         _config(algorithm="moead", archive_cap=None),
         _config(**LEGACY_ENGINE_KEYS),
         _config(surrogate__speed_span=0.15),
