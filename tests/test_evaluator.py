@@ -18,7 +18,7 @@ from neurotraj.evaluator import (
     predict_targets,
     skill_scores,
 )
-from neurotraj.experiment import PRESETS
+from neurotraj.experiment import PRESETS, build_dataset, preset_config
 from neurotraj.genome import Genome, default_allele_table, random_genome
 from neurotraj.objectives import Columns, ObjectiveId, assemble, l3_minimized, rmse
 from neurotraj.trajectory import Dataset, generate_scenario, validate_sequence, window_and_split
@@ -198,6 +198,16 @@ class TestEvaluate:
         monkeypatch.setattr(evaluator_mod, "rmse", counting_rmse)
         assert evaluate(g, small_dataset, ids, CFG).rmse_validation == expected
         assert len(counted) == calls
+
+    def test_landscape_pinned(self):
+        """The skill weights and the noise streams stay as they are: one
+        genome's skills and its five objectives on the exp6 dataset."""
+        g = random_genome(TABLE, Random(0))
+        assert g.indices == (3, 3, 0, 1, 4, 3, 3, 6, 2, 3, 2, 1, 4)
+        res = evaluate(g, build_dataset(preset_config("exp6")), tuple(ObjectiveId), CFG)
+        assert res.skills == (0.843726072454173, 0.8434643022461273, 0.8824064570117562)
+        assert res.objectives == (6562.185493775429, 0.2471572409792909, 30.85996808822853,
+                                  2.8309927573501983, 4.7259848031705645e-05)
 
     def test_empty_split_rejected(self, small_dataset):
         empty = Dataset(train=small_dataset.train, validation=small_dataset.validation[:0],
