@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .genome import AlleleTable, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId
 from .trajectory import Dataset
-from .evaluator import EvaluationResult, SurrogateConfig, evaluate
+from .evaluator import EvaluationResult, evaluate
 from .experiment import ExperimentConfig, PRESETS, preset_config, run_experiment, summarize
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "Genome",
     "ObjectiveId",
     "PRESETS",
-    "SurrogateConfig",
     "default_allele_table",
     "evaluate",
     "preset_config",

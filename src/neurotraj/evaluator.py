@@ -6,8 +6,9 @@ product of one pair of them, scaled to [0, 1] by the least and greatest
 value any genome reaches. Skills control how faithfully the surrogate
 reproduces ground-truth targets: lateral offset noise (accuracy), per-step
 heading jitter (smoothness) and a longitudinal speed rescale (speed). A
-split's noise comes from one counter-based Philox stream keyed by (quality
-seed, genome, split role), so results never depend on evaluation order.
+split's noise comes from one counter-based Philox stream keyed by (genome,
+split role), so an evaluation is a pure function of its arguments and
+results never depend on evaluation order.
 
 The search scores the validation split only. The test split is predicted
 once per final-front model. Both read their split's target terms from the
@@ -19,13 +20,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .config import Config
 from .errors import ContractError
 from .genome import Genome, default_allele_table
 from .objectives import Columns, ObjectiveId, Objectives, assemble, rmse
@@ -48,11 +48,6 @@ _SPEED_SPAN = 0.15
 
 
 @dataclass(frozen=True)
-class SurrogateConfig(Config):
-    quality_seed: int = 0
-
-
-@dataclass(frozen=True)
 class EvaluationResult:
     objectives: Objectives  # computed on the validation split
     skills: tuple[float, float, float]
@@ -61,10 +56,10 @@ class EvaluationResult:
     rmse_validation: float = 0.0
 
 
-def _unit_weight(quality_seed: int, locus: int, allele: int, name: str) -> float:
-    digest = hashlib.blake2b(
-        f"{quality_seed}:{locus}:{allele}:{name}".encode(), digest_size=8
-    ).digest()
+# The leading 0 in this key and in `_noise`'s keeps the weights and the
+# noise streams of every earlier release.
+def _unit_weight(locus: int, allele: int, name: str) -> float:
+    digest = hashlib.blake2b(f"0:{locus}:{allele}:{name}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
@@ -79,15 +74,15 @@ def _raw_skill(alleles: Sequence[int], weights: tuple[tuple[float, ...], ...],
     return raw + weights[i][alleles[i]] * weights[j][alleles[j]]
 
 
-@lru_cache(maxsize=32)
-def _skill_table(quality_seed: int) -> tuple[tuple, ...]:
+@cache
+def _skill_table() -> tuple[tuple, ...]:
     """Per skill: a getter of its alleles from a genome's indices, its loci's
     allele weights, the pair's positions among its loci and the least and
     greatest raw score."""
     counts = default_allele_table().counts
     table = []
     for name, loci, pair in _SKILLS:
-        weights = tuple(tuple(_unit_weight(quality_seed, locus, a, name)
+        weights = tuple(tuple(_unit_weight(locus, a, name)
                               for a in range(counts[locus - 1])) for locus in loci)
         at = (loci.index(pair[0]), loci.index(pair[1]))
         # Weights are non-negative, so the raw score grows with every chosen
@@ -98,24 +93,24 @@ def _skill_table(quality_seed: int) -> tuple[tuple, ...]:
     return tuple(table)
 
 
-def skill_scores(genome: Genome, cfg: SurrogateConfig) -> tuple[float, float, float]:
+def skill_scores(genome: Genome) -> tuple[float, float, float]:
     """Deterministic (accuracy, smoothness, speed) skills in [0, 1]."""
     out = []
-    for alleles_of, weights, at, lo, hi in _skill_table(cfg.quality_seed):
+    for alleles_of, weights, at, lo, hi in _skill_table():
         raw = _raw_skill(alleles_of(genome.indices), weights, at)
         out.append((raw - lo) / (hi - lo) if hi > lo else 0.5)
     return tuple(out)
 
 
-def _noise(cfg: SurrogateConfig, genome: Genome, role: str) -> np.random.Generator:
-    """The Philox stream of one (quality seed, genome, role)."""
-    key = f"{cfg.quality_seed}|{','.join(map(str, genome.indices))}|{role}"
+def _noise(genome: Genome, role: str) -> np.random.Generator:
+    """The Philox stream of one (genome, role)."""
+    key = f"0|{','.join(map(str, genome.indices))}|{role}"
     digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
 
 
-def predict_targets(genome: Genome, skills: tuple[float, float, float], cfg: SurrogateConfig,
-                    targets: Columns, role: str) -> Columns:
+def predict_targets(genome: Genome, skills: tuple[float, float, float], targets: Columns,
+                    role: str) -> Columns:
     """Transform the (P, tau) target columns of a split into one model's
     predictions; `role` ("val" or "test") keys the noise.
 
@@ -131,7 +126,7 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], cfg: Sur
     scale = 1.0 + _SPEED_SPAN * (2.0 * s_speed - 1.0)
 
     p, n = targets.x.shape
-    u = _noise(cfg, genome, role).random((p, n + 1))
+    u = _noise(genome, role).random((p, n + 1))
     phase, cycles, jitter = math.tau * u[:, :1], 0.5 + u[:, 1:2], 2.0 * u[:, 2:] - 1.0
 
     steps = np.clip(scale * targets.dy, *targets.band)
@@ -143,18 +138,13 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], cfg: Sur
     return Columns(targets.x + offset, y, targets.t, dt=targets.dt)
 
 
-def evaluate(
-    genome: Genome,
-    data: Dataset,
-    ids: Sequence[ObjectiveId],
-    cfg: SurrogateConfig,
-) -> EvaluationResult:
+def evaluate(genome: Genome, data: Dataset, ids: Sequence[ObjectiveId]) -> EvaluationResult:
     """Evaluate a genome on the validation split, the only split the search reads."""
     if not len(data.validation):
         raise ContractError("validation split must be non-empty")
-    skills = skill_scores(genome, cfg)
+    skills = skill_scores(genome)
     actual = data.validation_targets
-    predicted = predict_targets(genome, skills, cfg, actual, "val")
+    predicted = predict_targets(genome, skills, actual, "val")
     objectives = assemble(ids, predicted, actual)
     rmse_validation = (objectives[ids.index(ObjectiveId.RMSE)] if ObjectiveId.RMSE in ids
                        else rmse(predicted, actual))

@@ -27,7 +27,7 @@ from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
 from .config import Config
 from .errors import ConfigurationError, ContractError, MalformedRecordsError, NeurotrajError
-from .evaluator import SurrogateConfig, evaluate, predict_targets
+from .evaluator import evaluate, predict_targets
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, rmse
 from .trajectory import Dataset, generate_scenario, read_csv, window_and_split, write_csv, write_json
@@ -51,7 +51,6 @@ class ExperimentConfig(Config):
     runs: int
     base_seed: int = 1
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
 
     KEYS = {"objective_ids": "objectives"}  # config.json names the objectives by token
 
@@ -191,14 +190,13 @@ def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
     return doc
 
 
-def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
-                   cfg: SurrogateConfig) -> list[FrontEntry]:
+def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset) -> list[FrontEntry]:
     """Judge each final-front model on the test split, predicted once per model."""
     actual = data.test_targets
     entries = []
     for ind in individuals:
         ev = ind.evaluation
-        predicted = predict_targets(ind.genome, ev.skills, cfg, actual, "test")
+        predicted = predict_targets(ind.genome, ev.skills, actual, "test")
         entries.append(FrontEntry(
             genome=ind.genome.indices,
             objectives=ind.objectives,
@@ -218,7 +216,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
     ops = GeneticOperators(table=default_allele_table())
 
     def eval_fn(genome: Genome):
-        result = evaluate(genome, data, cfg.objective_ids, cfg.surrogate)
+        result = evaluate(genome, data, cfg.objective_ids)
         return result.objectives, result
 
     start = time.perf_counter()
@@ -227,7 +225,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
             snapshots, final_front, initial_front = _run_nsga2(cfg, eval_fn, ops, rng)
         else:
             snapshots, final_front, initial_front = _run_moead(cfg, eval_fn, ops, rng)
-        entries = _front_entries(final_front, data, cfg.surrogate)
+        entries = _front_entries(final_front, data)
     except NeurotrajError as exc:  # a failed run must not abort siblings
         # Escaped, so that a lone surrogate (from a path decoded with
         # surrogateescape) can be written as UTF-8.

@@ -30,7 +30,7 @@ from neurotraj.analysis import (
     spearman,
 )
 from neurotraj.cli import main
-from neurotraj.evaluator import SurrogateConfig, evaluate
+from neurotraj.evaluator import evaluate
 from neurotraj.experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -132,7 +132,7 @@ def test_criterion_3_tchebycheff_and_ideal():
         rng = Random(seed)
 
         def eval_fn(genome):
-            res = evaluate(genome, data, cfg.objective_ids, cfg.surrogate)
+            res = evaluate(genome, data, cfg.objective_ids)
             return res.objectives, res
 
         state = init_state(lattice, eval_fn, ops, rng)
@@ -198,12 +198,11 @@ def test_criterion_6_conflict_sign_reproduction():
                            population=4, generations=1, runs=1, dataset=data_cfg)
     data = build_dataset(cfg)
     rng = Random(99)
-    surrogate = SurrogateConfig()
     tau = data.tau
     l1s, l2s, l3_raw = [], [], []
     for _ in range(500):
         g = random_genome(TABLE, rng)
-        values = evaluate(g, data, cfg.objective_ids, surrogate).objectives
+        values = evaluate(g, data, cfg.objective_ids).objectives
         l1s.append(values[0])
         l2s.append(values[1])
         l3_raw.append((tau - 1) * V_MAX_MPS - values[2])  # recover the raw sum

@@ -96,7 +96,6 @@ SMALL_RUN = {
     "runs": 1, "base_seed": 1,
     "dataset": {"duration_s": 60.0, "lane_change_rate": 0.02, "seed": 0, "tau": 8,
                 "ratio": [0.6, 0.2, 0.2]},
-    "surrogate": {"quality_seed": 0},
 }
 
 # The keys, at their last defaults, of the engine constants that config.json
@@ -194,7 +193,6 @@ class TestConfigFile:
         _config(population_size=4),
         _config(objectives=DELETE),
         _config(dataset=None),
-        _config(surrogate=[]),
         [SMALL_RUN],
         [],
         "nsga2",
@@ -203,7 +201,6 @@ class TestConfigFile:
         _config(base_seed="1"),
         _config(runs=True),
         _config(objectives="rmse"),
-        _config(surrogate__quality_seed="x"),
         _config(dataset__tau=8.0),
         _config(dataset__ratio="abc"),
         _config(dataset__ratio=[0.5, 0.5]),
@@ -215,16 +212,16 @@ class TestConfigFile:
         # keys of options that config.json held before they were removed
         _config(algorithm="moead", archive_cap=None),
         _config(**LEGACY_ENGINE_KEYS),
-        _config(surrogate__speed_span=0.15),
+        _config(surrogate={"quality_seed": 0}),
         # splits
         _config(dataset__ratio=[0.8, 0.0, 0.2]),
         _config(dataset__ratio=[0.8, 0.2, 0.0]),
-    ], ids=["unknown-key", "no-objectives", "dataset-null", "surrogate-list", "top-level-list",
-            "empty-list", "top-level-string", "float-runs", "string-base-seed", "bool-runs",
-            "string-objectives", "string-quality-seed", "float-tau", "string-ratio",
-            "two-shares", "nan-share", "one-objective", "four-objectives",
-            "four-objectives-moead", "legacy-archive-cap", "legacy-engine-keys",
-            "legacy-speed-span", "no-validation-windows", "no-test-windows"])
+    ], ids=["unknown-key", "no-objectives", "dataset-null", "top-level-list", "empty-list",
+            "top-level-string", "float-runs", "string-base-seed", "bool-runs",
+            "string-objectives", "float-tau", "string-ratio", "two-shares", "nan-share",
+            "one-objective", "four-objectives", "four-objectives-moead", "legacy-archive-cap",
+            "legacy-engine-keys", "legacy-surrogate", "no-validation-windows",
+            "no-test-windows"])
     def test_bad_config_usage_error_before_writing(self, tmp_path, doc, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", _write(tmp_path / "config.json", doc), "--out", str(out)])
@@ -245,8 +242,9 @@ class TestConfigFile:
         lambda doc: doc.update(runs=1.5),
         lambda doc: doc.update(extra=1),
         lambda doc: doc.update(archive_cap=None),  # as written before archive_cap was removed
+        lambda doc: doc.update(surrogate={"quality_seed": 0}),  # as written before it was removed
     ], ids=["one-objective", "four-objectives", "legacy-engine-keys", "float-runs",
-            "unknown-key", "legacy-archive-cap"])
+            "unknown-key", "legacy-archive-cap", "legacy-surrogate"])
     def test_hand_edited_config_analyze_exit_five(self, exp8_dir, tmp_path, edit):
         import shutil
 

@@ -13,7 +13,6 @@ from neurotraj.analysis import classify_validity
 from neurotraj.errors import ContractError
 from neurotraj.evaluator import (
     EvaluationResult,
-    SurrogateConfig,
     evaluate,
     predict_targets,
     skill_scores,
@@ -25,23 +24,17 @@ from neurotraj.trajectory import Dataset, generate_scenario, validate_sequence, 
 
 TABLE = default_allele_table()
 IDS = (ObjectiveId.RMSE, ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY)
-CFG = SurrogateConfig()
-
-
-class TestSurrogateConfig:
-    def test_round_trip(self):
-        assert SurrogateConfig.from_dict(CFG.to_dict()) == CFG
 
 
 class TestSkillScores:
     def test_deterministic(self):
         g = random_genome(TABLE, Random(3))
-        assert skill_scores(g, CFG) == skill_scores(g, CFG)
+        assert skill_scores(g) == skill_scores(g)
 
     def test_in_unit_interval(self):
         rng = Random(8)
         for _ in range(1000):
-            s = skill_scores(random_genome(TABLE, rng), CFG)
+            s = skill_scores(random_genome(TABLE, rng))
             assert all(0.0 <= v <= 1.0 for v in s)
 
     def test_momentum_locus_inert(self):
@@ -49,26 +42,24 @@ class TestSkillScores:
         base = random_genome(TABLE, rng)
         for idx in range(4):
             variant = Genome(base.indices[:2] + (idx,) + base.indices[3:])
-            assert skill_scores(variant, CFG) == skill_scores(base, CFG)
+            assert skill_scores(variant) == skill_scores(base)
 
     def test_span_covers_wide_range(self):
         rng = Random(123)
         mins = [1.0] * 3
         maxs = [0.0] * 3
         for _ in range(10_000):
-            s = skill_scores(random_genome(TABLE, rng), CFG)
+            s = skill_scores(random_genome(TABLE, rng))
             for i in range(3):
                 mins[i] = min(mins[i], s[i])
                 maxs[i] = max(maxs[i], s[i])
         assert all(v <= 0.1 for v in mins)
         assert all(v >= 0.9 for v in maxs)
 
-    @pytest.mark.parametrize("quality_seed", range(4))
-    def test_bounds_are_reached(self, quality_seed):
+    def test_bounds_are_reached(self):
         """Over every allele combination of one skill's loci, the other loci
         fixed, the skill's least score is exactly 0 and its greatest exactly 1."""
-        cfg = SurrogateConfig(quality_seed=quality_seed)
-        base = random_genome(TABLE, Random(quality_seed))
+        base = random_genome(TABLE, Random(0))
         skills = (((1, 2, 4, 5), 280), ((6, 7, 8), 168), ((9, 10, 11, 12, 13), 1280))
         for skill, (loci, combinations) in enumerate(skills):
             scores = []
@@ -76,39 +67,34 @@ class TestSkillScores:
                 indices = list(base.indices)
                 for locus, allele in zip(loci, alleles):
                     indices[locus - 1] = allele
-                scores.append(skill_scores(Genome(tuple(indices)), cfg)[skill])
+                scores.append(skill_scores(Genome(tuple(indices)))[skill])
             assert len(scores) == combinations
             assert (min(scores), max(scores)) == (0.0, 1.0)
-
-    def test_different_quality_seed_changes_landscape(self):
-        g = random_genome(TABLE, Random(5))
-        other = SurrogateConfig(quality_seed=99)
-        assert skill_scores(g, CFG) != skill_scores(g, other)
 
 
 class TestPredictSequence:
     def test_perfect_skills_identity(self, small_dataset):
         g = random_genome(TABLE, Random(7))
-        pred = predict_targets(g, (1.0, 1.0, 0.5), CFG, Columns.of(small_dataset.test[:20, 8:]),
+        pred = predict_targets(g, (1.0, 1.0, 0.5), Columns.of(small_dataset.test[:20, 8:]),
                                "test").rows()
         assert rmse(pred, small_dataset.test[:20, 8:]) == 0.0
 
     def test_speed_skill_monotone_in_l3(self, small_dataset):
         g = random_genome(TABLE, Random(7))
         targets = small_dataset.validation_targets
-        fast = predict_targets(g, (1.0, 1.0, 1.0), CFG, targets, "val").rows()
-        slow = predict_targets(g, (1.0, 1.0, 0.0), CFG, targets, "val").rows()
+        fast = predict_targets(g, (1.0, 1.0, 1.0), targets, "val").rows()
+        slow = predict_targets(g, (1.0, 1.0, 0.0), targets, "val").rows()
         assert l3_minimized(fast).mean() < l3_minimized(slow).mean()
 
     def test_predictions_keep_velocity_invariants(self, small_dataset):
         g = random_genome(TABLE, Random(2))
         targets = Columns.of(small_dataset.test[:40, 8:])
-        pred = predict_targets(g, skill_scores(g, CFG), CFG, targets, "test").rows()
+        pred = predict_targets(g, skill_scores(g), targets, "test").rows()
         validate_sequence(pred, tau=8)
 
     def test_timestamps_preserved(self, small_dataset):
         g = random_genome(TABLE, Random(0))
-        pred = predict_targets(g, (0.2, 0.3, 0.9), CFG, Columns.of(small_dataset.test[:1, 8:]),
+        pred = predict_targets(g, (0.2, 0.3, 0.9), Columns.of(small_dataset.test[:1, 8:]),
                                "test").rows()
         assert pred[0, :, 2].tolist() == small_dataset.test[0, 8:, 2].tolist()
 
@@ -119,19 +105,19 @@ class TestPredictSequence:
         g = Genome(genes)
         for split, role in ((small_dataset.validation, "val"), (small_dataset.test, "test")):
             target = split[:, 8:]
-            pred = predict_targets(g, skills, CFG, Columns.of(target), role).rows()
+            pred = predict_targets(g, skills, Columns.of(target), role).rows()
             assert pred.shape == target.shape
             assert np.array_equal(pred[..., 2], target[..., 2])
             validate_sequence(pred, tau=8)
-            perfect = predict_targets(g, (1.0, 1.0, 0.5), CFG, Columns.of(target), role).rows()
+            perfect = predict_targets(g, (1.0, 1.0, 0.5), Columns.of(target), role).rows()
             assert np.array_equal(perfect, target)
 
 
 class TestEvaluate:
     def test_bit_identical_repeat(self, small_dataset):
         g = random_genome(TABLE, Random(6))
-        a = evaluate(g, small_dataset, IDS, CFG)
-        b = evaluate(g, small_dataset, IDS, CFG)
+        a = evaluate(g, small_dataset, IDS)
+        b = evaluate(g, small_dataset, IDS)
         assert a.objectives == b.objectives
         assert a.rmse_validation == b.rmse_validation
         assert a.skills == b.skills
@@ -139,22 +125,22 @@ class TestEvaluate:
     def test_order_independent(self, small_dataset):
         rng = Random(9)
         genomes = [random_genome(TABLE, rng) for _ in range(4)]
-        forward = {g: evaluate(g, small_dataset, IDS, CFG).objectives for g in genomes}
-        backward = {g: evaluate(g, small_dataset, IDS, CFG).objectives
+        forward = {g: evaluate(g, small_dataset, IDS).objectives for g in genomes}
+        backward = {g: evaluate(g, small_dataset, IDS).objectives
                     for g in reversed(genomes)}
         assert forward == backward
 
     def test_vector_order_matches_ids(self, small_dataset):
         g = random_genome(TABLE, Random(1))
-        res = evaluate(g, small_dataset, IDS, CFG)
+        res = evaluate(g, small_dataset, IDS)
         assert type(res.objectives) is tuple and len(res.objectives) == len(IDS)
         assert all(type(v) is float for v in res.objectives)
         assert res.objectives[IDS.index(ObjectiveId.RMSE)] == res.rmse_validation
 
     def test_skill_fields_logged(self, small_dataset):
         g = random_genome(TABLE, Random(1))
-        res = evaluate(g, small_dataset, IDS, CFG)
-        assert res.skills == skill_scores(g, CFG)
+        res = evaluate(g, small_dataset, IDS)
+        assert res.skills == skill_scores(g)
         assert res.rmse_validation >= 0.0
 
     def test_result_holds_validation_fields_only(self):
@@ -163,19 +149,19 @@ class TestEvaluate:
 
     def test_test_split_streams_keyed_by_role(self, small_dataset):
         g = random_genome(TABLE, Random(6))
-        skills = skill_scores(g, CFG)
+        skills = skill_scores(g)
         targets = small_dataset.test_targets
-        a = predict_targets(g, skills, CFG, targets, "test").rows()
-        assert np.array_equal(a, predict_targets(g, skills, CFG, targets, "test").rows())
-        assert not np.array_equal(a, predict_targets(g, skills, CFG, targets, "val").rows())
+        a = predict_targets(g, skills, targets, "test").rows()
+        assert np.array_equal(a, predict_targets(g, skills, targets, "test").rows())
+        assert not np.array_equal(a, predict_targets(g, skills, targets, "val").rows())
 
     def test_values_are_python_floats(self, small_dataset):
         # numpy scalars would be persisted as "np.float64(...)" by repr().
         g = random_genome(TABLE, Random(6))
-        res = evaluate(g, small_dataset, tuple(ObjectiveId), CFG)
+        res = evaluate(g, small_dataset, tuple(ObjectiveId))
         assert all(type(v) is float for v in res.objectives)
         assert type(res.rmse_validation) is float
-        predicted = predict_targets(g, res.skills, CFG, small_dataset.test_targets, "test").rows()
+        predicted = predict_targets(g, res.skills, small_dataset.test_targets, "test").rows()
         assert all(type(v) is float for v in classify_validity(predicted).measured)
 
     @pytest.mark.parametrize("ids, calls", [
@@ -186,7 +172,7 @@ class TestEvaluate:
         import neurotraj.evaluator as evaluator_mod
 
         g = random_genome(TABLE, Random(6))
-        predicted = predict_targets(g, skill_scores(g, CFG), CFG, small_dataset.validation_targets,
+        predicted = predict_targets(g, skill_scores(g), small_dataset.validation_targets,
                                     "val").rows()
         expected = rmse(predicted, small_dataset.validation[:, small_dataset.tau:])
         counted = []
@@ -196,7 +182,7 @@ class TestEvaluate:
             return rmse(*args)
 
         monkeypatch.setattr(evaluator_mod, "rmse", counting_rmse)
-        assert evaluate(g, small_dataset, ids, CFG).rmse_validation == expected
+        assert evaluate(g, small_dataset, ids).rmse_validation == expected
         assert len(counted) == calls
 
     def test_landscape_pinned(self):
@@ -204,7 +190,7 @@ class TestEvaluate:
         genome's skills and its five objectives on the exp6 dataset."""
         g = random_genome(TABLE, Random(0))
         assert g.indices == (3, 3, 0, 1, 4, 3, 3, 6, 2, 3, 2, 1, 4)
-        res = evaluate(g, build_dataset(preset_config("exp6")), tuple(ObjectiveId), CFG)
+        res = evaluate(g, build_dataset(preset_config("exp6")), tuple(ObjectiveId))
         assert res.skills == (0.843726072454173, 0.8434643022461273, 0.8824064570117562)
         assert res.objectives == (6562.185493775429, 0.2471572409792909, 30.85996808822853,
                                   2.8309927573501983, 4.7259848031705645e-05)
@@ -214,7 +200,7 @@ class TestEvaluate:
                         test=small_dataset.test, seed=0)
         g = random_genome(TABLE, Random(1))
         with pytest.raises(ContractError):
-            evaluate(g, empty, IDS, CFG)
+            evaluate(g, empty, IDS)
 
 
 # Every preset's objective tuple, then all five objectives.
@@ -234,8 +220,7 @@ def reference(genome, data, ids):
     """`evaluate`'s values from the public functions on the split arrays,
     without the terms the dataset keeps."""
     actual = data.validation[:, data.tau:]
-    predicted = predict_targets(genome, skill_scores(genome, CFG), CFG, Columns.of(actual),
-                                "val").rows()
+    predicted = predict_targets(genome, skill_scores(genome), Columns.of(actual), "val").rows()
     values = assemble(ids, predicted, actual)
     if ObjectiveId.RMSE in ids:
         return values, values[ids.index(ObjectiveId.RMSE)]
@@ -251,16 +236,16 @@ class TestDatasetTerms:
         first, second = scenario_pair
         # Interleaved, so terms kept for one dataset cannot serve the other.
         for data in (first, second, first):
-            result = evaluate(g, data, ids, CFG)
+            result = evaluate(g, data, ids)
             assert (result.objectives, result.rmse_validation) == reference(g, data, ids)
-            predicted = predict_targets(g, result.skills, CFG, data.test_targets, "test")
+            predicted = predict_targets(g, result.skills, data.test_targets, "test")
             fresh = Columns.of(data.test[:, data.tau:])
             assert np.array_equal(predicted.rows(),
-                                  predict_targets(g, result.skills, CFG, fresh, "test").rows())
+                                  predict_targets(g, result.skills, fresh, "test").rows())
 
     def test_dataset_freed_after_evaluate(self):
         data = window_and_split(generate_scenario(duration_s=30.0, seed=2), tau=8, seed=2)
-        evaluate(random_genome(TABLE, Random(0)), data, tuple(ObjectiveId), CFG)
+        evaluate(random_genome(TABLE, Random(0)), data, tuple(ObjectiveId))
         assert "validation_targets" in vars(data)
         ref = weakref.ref(data)
         del data

@@ -7,7 +7,7 @@ import pytest
 
 from neurotraj.analysis import ValidityReport, classify_validity
 from neurotraj.errors import ConfigurationError, MalformedRecordsError
-from neurotraj.evaluator import SurrogateConfig, evaluate, predict_targets
+from neurotraj.evaluator import evaluate, predict_targets
 from neurotraj.experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -91,15 +91,14 @@ class TestConfigDocument:
     def test_keys_in_config_json_order(self):
         doc = preset_config("exp7").to_dict()
         assert list(doc) == ["algorithm", "objectives", "population", "generations", "runs",
-                             "base_seed", "dataset", "surrogate"]
+                             "base_seed", "dataset"]
         assert doc["objectives"] == ["rmse", "l2", "l3"]
         assert list(doc["dataset"]) == ["duration_s", "lane_change_rate", "seed", "tau", "ratio"]
-        assert doc["surrogate"] == {"quality_seed": 0}
 
     def test_defaulted_fields_may_be_left_out(self):
         cfg = ExperimentConfig.from_dict({"algorithm": "nsga2", "objectives": ["rmse", "l1"],
                                           "population": 4, "generations": 1, "runs": 1})
-        assert cfg.dataset == DatasetConfig() and cfg.surrogate == SurrogateConfig()
+        assert cfg.dataset == DatasetConfig()
 
     def test_int_accepted_where_float_declared(self):
         assert DatasetConfig(duration_s=60, ratio=(1, 0, 0)).duration_s == 60
@@ -110,15 +109,13 @@ class TestConfigDocument:
         lambda: DatasetConfig(ratio=(0.5, 0.5)),
         lambda: DatasetConfig(ratio=[0.6, 0.2, 0.2]),
         lambda: DatasetConfig(ratio=(0.6, "0.2", 0.2)),
-        lambda: SurrogateConfig(quality_seed="x"),
         lambda: small_config(runs=1.0),
         lambda: ExperimentConfig("nsga2", ("rmse", "l1"), 4, 1, 1),
         lambda: ExperimentConfig.from_dict({"algorithm": "nsga2", "objectives": ["rmse", "l1"],
                                             "population": 4, "generations": 1, "runs": 1,
                                             "dataset": {"duration_s": 60.0, "rate": 0.1}}),
     ], ids=["float-tau", "bool-seed", "two-shares", "list-ratio", "string-share",
-            "string-quality-seed", "float-runs", "string-objectives",
-            "unknown-dataset-key"])
+            "float-runs", "string-objectives", "unknown-dataset-key"])
     def test_mistyped_field_rejected(self, build):
         with pytest.raises(ConfigurationError):
             build()
@@ -175,11 +172,11 @@ class TestExecuteRun:
         data = build_dataset(cfg)
         rec = execute_run(cfg, data, 0)
         for entry in rec.final_front:
-            res = evaluate(Genome(entry.genome), data, cfg.objective_ids, cfg.surrogate)
+            res = evaluate(Genome(entry.genome), data, cfg.objective_ids)
             assert res.objectives == entry.objectives
             assert res.rmse_validation == entry.rmse_validation
-            predicted_test = predict_targets(Genome(entry.genome), res.skills, cfg.surrogate,
-                                             data.test_targets, "test").rows()
+            predicted_test = predict_targets(Genome(entry.genome), res.skills, data.test_targets,
+                                             "test").rows()
             assert rmse(predicted_test, data.test[:, data.tau:]) == entry.rmse_test
             assert classify_validity(predicted_test) == entry.validity
 

@@ -283,15 +283,15 @@ def loop_objectives(predicted, actual):
 
 class TestLoopReference:
     def test_batch_matches_per_point_loops(self, small_dataset):
-        from neurotraj.evaluator import SurrogateConfig, predict_targets
+        from neurotraj.evaluator import predict_targets
         from neurotraj.genome import default_allele_table, random_genome
 
         actual = small_dataset.validation[:, 8:]
         rng = Random(11)
         for skills in ((0.1, 0.2, 0.9), (0.7, 0.4, 0.1), (1.0, 1.0, 0.5)):
             genome = random_genome(default_allele_table(), rng)
-            predicted = predict_targets(genome, skills, SurrogateConfig(),
-                                        small_dataset.validation_targets, "val").rows()
+            predicted = predict_targets(genome, skills, small_dataset.validation_targets,
+                                        "val").rows()
             got = assemble(tuple(ObjectiveId), predicted, actual)
             for g, want in zip(got, loop_objectives(predicted, actual)):
                 assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
