@@ -36,7 +36,6 @@ V_MAX_MPS = 130.0 / 3.6  # 130 km/h
 LANE_WIDTH_M = 3.5
 DT_MIN_S = 0.2
 DT_MAX_S = 0.3
-DEFAULT_TAU = 8
 
 # Speed random-walk parameters: weak pull toward mid-band keeps the
 # long-run mean near (V_MIN + V_MAX) / 2 while allowing ~2 m/s excursions.
@@ -63,8 +62,7 @@ def validate_sequence(seq, tau: int | None = None, eps: float = 1e-9) -> None:
         raise ContractError(f"longitudinal speed {bad_vy[0]} outside band")
 
 
-def generate_scenario(duration_s: float, lane_change_rate: float = 0.0,
-                      seed: int = 0) -> np.ndarray:
+def generate_scenario(duration_s: float, lane_change_rate: float, seed: int) -> np.ndarray:
     """Generate one continuous highway path of (x, y, t) rows, deterministic
     per seed; lane changes are Poisson events at `lane_change_rate` per second."""
     if not (math.isfinite(duration_s) and duration_s > 0):
@@ -131,8 +129,8 @@ class Dataset:
     validation: np.ndarray
     test: np.ndarray
     seed: int
-    tau: int = DEFAULT_TAU
-    ratio: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    tau: int
+    ratio: tuple[float, float, float]
 
     def __post_init__(self):
         for split in (self.train, self.validation, self.test):
@@ -171,12 +169,15 @@ def sliding_windows(path: np.ndarray, tau: int) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(path, 2 * tau, axis=0).transpose(0, 2, 1))
 
 
-def window_and_split(
-    path: np.ndarray,
-    tau: int = DEFAULT_TAU,
-    ratio: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
-) -> Dataset:
+def _is_ratio(ratio) -> bool:
+    """Three finite, non-negative shares that sum to 1."""
+    shares = all(isinstance(r, (int, float)) and not isinstance(r, bool) and math.isfinite(r)
+                 and r >= 0 for r in ratio)
+    return len(ratio) == 3 and shares and abs(sum(ratio) - 1.0) <= 1e-9
+
+
+def window_and_split(path: np.ndarray, tau: int, ratio: tuple[float, float, float],
+                     seed: int) -> Dataset:
     """Cut a path into windows and split train/validation/test.
 
     The test share is taken as a contiguous tail of the *path*, separated
@@ -184,10 +185,9 @@ def window_and_split(
     (input or target) overlaps a test point. The head windows are shuffled
     with `seed` and then split train/validation by ratio.
     """
-    if len(ratio) != 3 or not all(math.isfinite(r) and r >= 0 for r in ratio):
-        raise ConfigurationError(f"ratio must be three finite non-negative shares, got {ratio}")
-    if abs(sum(ratio) - 1.0) > 1e-9:
-        raise ConfigurationError(f"ratio must sum to 1, got {ratio}")
+    if not _is_ratio(ratio):
+        raise ConfigurationError(f"ratio must be three finite non-negative shares summing to 1, "
+                                 f"got {ratio}")
     if tau < 2:
         raise ConfigurationError(f"tau must be >= 2, got {tau}")
     if len(path) < 2 * tau:
@@ -294,8 +294,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         points = np.array([[float(v) for v in row[3:]] for row in rows])
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ContractError(f"malformed dataset in {src}: {exc!r}") from exc
-    if not (type(tau) is int and tau >= 2 and type(seed) is int and len(ratio) == 3
-            and all(type(r) in (int, float) and math.isfinite(r) for r in ratio)):
+    if not (type(tau) is int and tau >= 2 and type(seed) is int and _is_ratio(ratio)):
         raise ContractError(f"manifest tau {tau!r}, seed {seed!r} or ratio {ratio!r} is malformed")
     if not np.isfinite(points).all():
         raise ContractError("dataset.csv holds a non-finite value")

@@ -197,7 +197,7 @@ class TestEvaluate:
 
     def test_empty_split_rejected(self, small_dataset):
         empty = Dataset(train=small_dataset.train, validation=small_dataset.validation[:0],
-                        test=small_dataset.test, seed=0)
+                        test=small_dataset.test, seed=0, tau=8, ratio=(0.6, 0.2, 0.2))
         g = random_genome(TABLE, Random(1))
         with pytest.raises(ContractError):
             evaluate(g, empty, IDS)
@@ -213,7 +213,7 @@ GENES = st.tuples(*(st.integers(0, c - 1) for c in TABLE.counts))
 def scenario_pair():
     """Datasets of a 30 s and a 150 s scenario."""
     return tuple(window_and_split(generate_scenario(duration_s=d, lane_change_rate=0.03, seed=11),
-                                  tau=8, seed=11) for d in (30.0, 150.0))
+                                  tau=8, ratio=(0.6, 0.2, 0.2), seed=11) for d in (30.0, 150.0))
 
 
 def reference(genome, data, ids):
@@ -244,7 +244,8 @@ class TestDatasetTerms:
                                   predict_targets(g, result.skills, fresh, "test").rows())
 
     def test_dataset_freed_after_evaluate(self):
-        data = window_and_split(generate_scenario(duration_s=30.0, seed=2), tau=8, seed=2)
+        data = window_and_split(generate_scenario(duration_s=30.0, lane_change_rate=0.0, seed=2),
+                                tau=8, ratio=(0.6, 0.2, 0.2), seed=2)
         evaluate(random_genome(TABLE, Random(0)), data, tuple(ObjectiveId))
         assert "validation_targets" in vars(data)
         ref = weakref.ref(data)

@@ -56,20 +56,20 @@ class TestGenerateScenario:
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
-            generate_scenario(duration_s=0.0)
+            generate_scenario(duration_s=0.0, lane_change_rate=0.0, seed=0)
         with pytest.raises(ConfigurationError):
-            generate_scenario(duration_s=10.0, lane_change_rate=-1.0)
+            generate_scenario(duration_s=10.0, lane_change_rate=-1.0, seed=0)
 
     # Each of these made the generator loop forever or pass unchecked.
     @pytest.mark.parametrize("kwargs", [
-        {"duration_s": math.inf},
-        {"duration_s": math.nan},
+        {"duration_s": math.inf, "lane_change_rate": 0.0},
+        {"duration_s": math.nan, "lane_change_rate": 0.0},
         {"duration_s": 10.0, "lane_change_rate": math.inf},
         {"duration_s": 10.0, "lane_change_rate": math.nan},
     ])
     def test_non_finite_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
-            generate_scenario(**kwargs)
+            generate_scenario(**kwargs, seed=0)
 
 
 class TestWindowing:
@@ -171,7 +171,8 @@ class TestDataset:
         assert "validation_targets" not in vars(copy)
 
     def test_loaded_splits_read_only(self, tmp_path):
-        save_dataset(window_and_split(fake_path(60), tau=4, seed=0), tmp_path)
+        save_dataset(window_and_split(fake_path(60), tau=4, ratio=(0.6, 0.2, 0.2), seed=0),
+                     tmp_path)
         assert not load_dataset(tmp_path).test.flags.writeable
 
 
@@ -224,12 +225,16 @@ class TestPersistence:
         ("manifest.json", _with_manifest(seed="0")),
         ("manifest.json", _with_manifest(ratio="abc")),
         ("manifest.json", _with_manifest(ratio=[0.6, math.nan, 0.2])),
+        ("manifest.json", _with_manifest(ratio=[5, 5, 5])),
+        ("manifest.json", _with_manifest(ratio=[-1, 1, 1])),
         ("manifest.json", _with_manifest(counts={"train": 1, "validation": 2, "test": 3})),
         ("manifest.json", lambda text: "[" * 100_000 + "]" * 100_000),
     ], ids=["x-not-a-number", "x-nan", "x-inf", "empty-manifest", "float-tau", "string-seed",
-            "string-ratio", "nan-ratio", "wrong-counts", "nested-too-deep"])
+            "string-ratio", "nan-ratio", "ratio-sum-five", "negative-share", "wrong-counts",
+            "nested-too-deep"])
     def test_malformed_value_rejected(self, tmp_path, name, edit):
-        save_dataset(window_and_split(fake_path(60), tau=4, seed=0), tmp_path)
+        save_dataset(window_and_split(fake_path(60), tau=4, ratio=(0.6, 0.2, 0.2), seed=0),
+                     tmp_path)
         path = tmp_path / name
         edited = edit(path.read_text())
         assert edited != path.read_text()
