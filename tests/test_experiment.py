@@ -4,6 +4,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurotraj.analysis import ValidityReport, classify_validity
 from neurotraj.errors import ConfigurationError, MalformedRecordsError
@@ -296,17 +298,33 @@ def _scaling_config(preset: str) -> ExperimentConfig:
                                dataset=dataclasses.replace(cfg.dataset, duration_s=120.0))
 
 
-def _divided_back(snapshots: list[dict], k: int, factor: float) -> list[dict]:
-    """The snapshots with objective k of every member divided by `factor`,
+def _scaled_evaluate(factors: list[float]):
+    """`evaluate` with objective k multiplied by factors[k]."""
+    def scaled(*args):
+        result = evaluate(*args)
+        objectives = tuple(v * f for v, f in zip(result.objectives, factors, strict=True))
+        return dataclasses.replace(result, objectives=objectives)
+    return scaled
+
+
+def _divided_back(snapshots: list[dict], factors: list[float]) -> list[dict]:
+    """The snapshots with objective k of every member divided by factors[k],
     and the MOEA/D ideal point's too."""
     snapshots = json.loads(json.dumps(snapshots))
     for snap in snapshots:
-        if "ideal" in snap:
-            snap["ideal"][k] /= factor
-        for key in ("population", "subproblems", "archive"):
-            for member in snap.get(key, ()):
-                member["objectives"][k] /= factor
+        points = [member["objectives"] for key in ("population", "subproblems", "archive")
+                  for member in snap.get(key, ())]
+        for point in points + ([snap["ideal"]] if "ideal" in snap else []):
+            point[:] = [v / f for v, f in zip(point, factors, strict=True)]
     return snapshots
+
+
+SCALING_DATASET = DatasetConfig(duration_s=40.0, lane_change_rate=0.05, seed=3)
+
+
+@pytest.fixture(scope="module")
+def scaling_data():
+    return build_dataset(dataclasses.replace(small_config(), dataset=SCALING_DATASET))
 
 
 class TestObjectiveScaling:
@@ -324,22 +342,45 @@ class TestObjectiveScaling:
         data = build_dataset(cfg)
         plain = execute_run(cfg, data, 0)
         assert plain.error is None
-        for k in range(len(cfg.objective_ids)):
+        m = len(cfg.objective_ids)
+        for k in range(m):
             for factor in (2.0 ** 6, 2.0 ** -6):
-                def scaled(*args, k=k, factor=factor):
-                    result = evaluate(*args)
-                    objectives = list(result.objectives)
-                    objectives[k] *= factor
-                    return dataclasses.replace(result, objectives=tuple(objectives))
-
+                factors = [factor if j == k else 1.0 for j in range(m)]
                 with monkeypatch.context() as patch:
-                    patch.setattr(experiment_mod, "evaluate", scaled)
+                    patch.setattr(experiment_mod, "evaluate", _scaled_evaluate(factors))
                     rec = execute_run(cfg, data, 0)
-                same_snapshots = (json.dumps(_divided_back(rec.snapshots, k, factor))
+                same_snapshots = (json.dumps(_divided_back(rec.snapshots, factors))
                                   == json.dumps(plain.snapshots))
                 same_front = ([e.genome for e in rec.final_front]
                               == [e.genome for e in plain.final_front])
                 assert (same_snapshots and same_front) == invariant, (k, factor)
+
+    @settings(max_examples=25, deadline=None)
+    @given(algorithm=st.sampled_from(["nsga2", "moead"]),
+           ids=st.lists(st.sampled_from(tuple(ObjectiveId)), min_size=2, max_size=3, unique=True),
+           population=st.integers(4, 12), generations=st.integers(1, 3),
+           base_seed=st.integers(0, 2 ** 32),
+           exponents=st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+    def test_power_of_two_factors_leave_the_run_unchanged(self, scaling_data, algorithm, ids,
+                                                          population, generations, base_seed,
+                                                          exponents):
+        """NSGA-II is unchanged under any power-of-two factor per objective;
+        MOEA/D when every objective gets the same one, since its raw
+        Tchebycheff distance then scales as a whole (Zhang & Li 2007)."""
+        import neurotraj.experiment as experiment_mod
+
+        cfg = ExperimentConfig(algorithm, tuple(ids), population, generations, runs=1,
+                               base_seed=base_seed, dataset=SCALING_DATASET)
+        if algorithm == "moead":
+            exponents = exponents[:1] * 3
+        factors = [2.0 ** e for e in exponents[:len(ids)]]
+        plain = execute_run(cfg, scaling_data, 0)
+        assert plain.error is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment_mod, "evaluate", _scaled_evaluate(factors))
+            rec = execute_run(cfg, scaling_data, 0)
+        assert json.dumps(_divided_back(rec.snapshots, factors)) == json.dumps(plain.snapshots)
+        assert [e.genome for e in rec.final_front] == [e.genome for e in plain.final_front]
 
 
 def synth_records(per_run_valid, per_run_total, rmse_base=1.0):
