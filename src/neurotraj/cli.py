@@ -51,20 +51,9 @@ EXIT_MALFORMED = 5
 ENV_SEED = "NEUROTRAJ_SEED"
 
 
-def _parse_ratio(text: str) -> tuple[float, float, float]:
-    try:
-        parts = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        parts = ()
-    if len(parts) != 3:
-        raise ConfigurationError(f"ratio needs three comma-separated numbers, got {text!r}")
-    return parts
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
-    ratio = _parse_ratio(args.ratios)
     path = generate_scenario(args.duration, args.lane_change_rate, args.seed)
-    dataset = window_and_split(path, tau=args.tau, ratio=ratio, seed=args.seed)
+    dataset = window_and_split(path, seed=args.seed)
     for p in save_dataset(dataset, args.out).values():
         print(p)
     return EXIT_OK
@@ -218,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--lane-change-rate", type=float, default=DatasetConfig.lane_change_rate,
                      help="lane-change events per second")
     gen.add_argument("--seed", type=int, default=DatasetConfig.seed)
-    gen.add_argument("--tau", type=int, default=DatasetConfig.tau,
-                     help="window length in samples")
-    gen.add_argument("--ratios", default=",".join(map(str, DatasetConfig.ratio)),
-                     help="train,val,test shares")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_generate)
 

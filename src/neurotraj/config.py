@@ -1,5 +1,6 @@
 """The codec and type check of the config dataclasses. A config document is a
-JSON object of a config's fields: a nested config is an object, a tuple an array."""
+JSON object of a config's fields: a nested config is an object. The one tuple
+field, `ExperimentConfig.objective_ids`, is an array that its class converts."""
 
 from __future__ import annotations
 
@@ -17,12 +18,8 @@ _hints = cache(get_type_hints)
 def _conforms(value, hint) -> bool:
     """Whether `value` has the declared type `hint`. A bool is not an int,
     and an int is accepted where a float is declared."""
-    if get_origin(hint) is tuple:
-        items = get_args(hint)
-        if items[1:] == (...,) and isinstance(value, tuple):
-            items = items[:1] * len(value)
-        return (isinstance(value, tuple) and len(value) == len(items)
-                and all(map(_conforms, value, items)))
+    if get_origin(hint) is tuple:  # tuple[T, ...]
+        return isinstance(value, tuple) and all(_conforms(v, get_args(hint)[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -62,5 +59,5 @@ class Config:
             hint = hints[name := by_key[key].name]
             if isinstance(hint, type) and issubclass(hint, Config):
                 value = hint.from_dict(value)
-            args[name] = tuple(value) if isinstance(value, list) else value
+            args[name] = value
         return cls(**args)

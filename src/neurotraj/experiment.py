@@ -38,8 +38,6 @@ class DatasetConfig(Config):
     duration_s: float = 600.0
     lane_change_rate: float = 0.02
     seed: int = 0
-    tau: int = 8
-    ratio: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
 
 @dataclass(frozen=True)
@@ -174,8 +172,7 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     """One dataset per experiment, shared by all runs."""
     path = generate_scenario(cfg.dataset.duration_s, cfg.dataset.lane_change_rate,
                              cfg.dataset.seed)
-    return window_and_split(path, tau=cfg.dataset.tau, ratio=cfg.dataset.ratio,
-                            seed=cfg.dataset.seed)
+    return window_and_split(path, seed=cfg.dataset.seed)
 
 
 def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
@@ -284,7 +281,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     data = build_dataset(cfg)
     if not (len(data.validation) and len(data.test)):
-        raise ConfigurationError(f"dataset ratio {list(cfg.dataset.ratio)} leaves "
+        raise ConfigurationError(f"a {cfg.dataset.duration_s} s scenario leaves "
                                  f"{len(data.validation)} validation and {len(data.test)} test windows")
     # The pool starts all its workers at once, so it gets no more than there are runs.
     workers = min(jobs, cfg.runs)

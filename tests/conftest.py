@@ -79,7 +79,7 @@ class SeqRng:
 @pytest.fixture(scope="session")
 def small_dataset():
     path = generate_scenario(duration_s=120.0, lane_change_rate=0.03, seed=3)
-    return window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=3)
+    return window_and_split(path, seed=3)
 
 
 @pytest.fixture()

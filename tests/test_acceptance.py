@@ -59,7 +59,7 @@ from neurotraj.objectives import (
     rmse,
     signloss,
 )
-from neurotraj.trajectory import V_MAX_MPS, V_MIN_MPS
+from neurotraj.trajectory import TAU, V_MAX_MPS, V_MIN_MPS
 
 TABLE = default_allele_table()
 
@@ -198,7 +198,7 @@ def test_criterion_6_conflict_sign_reproduction():
                            population=4, generations=1, runs=1, dataset=data_cfg)
     data = build_dataset(cfg)
     rng = Random(99)
-    tau = data.tau
+    tau = TAU
     l1s, l2s, l3_raw = [], [], []
     for _ in range(500):
         g = random_genome(TABLE, rng)

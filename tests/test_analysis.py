@@ -28,6 +28,8 @@ from neurotraj.errors import (
     DegenerateBandwidthError,
     UndefinedCorrelationError,
 )
+from neurotraj.experiment import build_dataset, preset_config
+from neurotraj.trajectory import TAU
 
 
 def reference_average_ranks(values):
@@ -287,6 +289,15 @@ class TestClassifyValidity:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             classify_validity([])
+
+    def test_tau_and_final_position_threshold_are_one_decision(self):
+        # The presets' ground-truth test targets pass the spread and
+        # final-position tests (3.5 m, 46.0 m); one point short, they travel
+        # 39.4 m and fail the 40 m test, so TAU cannot move on its own.
+        data = build_dataset(preset_config("exp6"))
+        report = classify_validity(data.test[:, TAU:])
+        assert report.spread_ok and report.final_position_ok
+        assert not classify_validity(data.test[:, TAU:2 * TAU - 1]).final_position_ok
 
 
 # Grid values give ties and duplicate points; 1.2 lies beyond the reference.

@@ -94,8 +94,7 @@ def _latin1_byte(path: Path, text: bytes) -> None:
 SMALL_RUN = {
     "algorithm": "nsga2", "objectives": ["rmse", "l2"], "population": 4, "generations": 1,
     "runs": 1, "base_seed": 1,
-    "dataset": {"duration_s": 60.0, "lane_change_rate": 0.02, "seed": 0, "tau": 8,
-                "ratio": [0.6, 0.2, 0.2]},
+    "dataset": {"duration_s": 60.0, "lane_change_rate": 0.02, "seed": 0},
 }
 
 # The keys, at their last defaults, of the engine constants that config.json
@@ -108,7 +107,7 @@ DELETE = object()
 
 
 def _config(**changes) -> dict:
-    """SMALL_RUN with `changes`: `dataset__tau=4` sets a nested key, and the
+    """SMALL_RUN with `changes`: `dataset__seed=4` sets a nested key, and the
     value DELETE removes a key."""
     doc = json.loads(json.dumps(SMALL_RUN))
     for key, value in changes.items():
@@ -133,8 +132,6 @@ class TestGenerate:
         code = main(["generate", "--duration", "600", "--seed", "7", "--out", str(out)])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["tau"] == 8
-        assert manifest["ratio"] == [0.6, 0.2, 0.2]
         assert manifest["seed"] == 7
         counts = manifest["counts"]
         total = sum(counts.values())
@@ -175,14 +172,6 @@ class TestGenerate:
         code = main(["generate", "--duration", "30", "--out", str(blocker / "nested")])
         assert code == 3
 
-    @pytest.mark.parametrize("ratios", ["a,b,c", "nan,0.5,0.5", "0.5,0.5,nan", "inf,0,0",
-                                        "0.5,0.5", ""])
-    def test_bad_ratios_usage_error(self, tmp_path, ratios, capsys):
-        out = tmp_path / "x"
-        assert main(["generate", "--duration", "30", "--ratios", ratios, "--out", str(out)]) == 2
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: ")
-
 
 class TestConfigFile:
     """`run --config` checks a config's keys, types and ranges before it
@@ -201,11 +190,7 @@ class TestConfigFile:
         _config(base_seed="1"),
         _config(runs=True),
         _config(objectives="rmse"),
-        _config(dataset__tau=8.0),
-        _config(dataset__ratio="abc"),
-        _config(dataset__ratio=[0.5, 0.5]),
         # ranges
-        _config(dataset__ratio=[math.nan, 0.5, 0.5]),
         _config(objectives=["rmse"]),
         _config(objectives=["rmse", "l1", "l2", "l3"]),
         _config(algorithm="moead", objectives=["rmse", "l1", "l2", "l3"]),
@@ -213,15 +198,14 @@ class TestConfigFile:
         _config(algorithm="moead", archive_cap=None),
         _config(**LEGACY_ENGINE_KEYS),
         _config(surrogate={"quality_seed": 0}),
+        _config(dataset__tau=8, dataset__ratio=[0.6, 0.2, 0.2]),
         # splits
-        _config(dataset__ratio=[0.8, 0.0, 0.2]),
-        _config(dataset__ratio=[0.8, 0.2, 0.0]),
+        _config(dataset__duration_s=5.0),
     ], ids=["unknown-key", "no-objectives", "dataset-null", "top-level-list", "empty-list",
             "top-level-string", "float-runs", "string-base-seed", "bool-runs",
-            "string-objectives", "float-tau", "string-ratio", "two-shares", "nan-share",
-            "one-objective", "four-objectives", "four-objectives-moead", "legacy-archive-cap",
-            "legacy-engine-keys", "legacy-surrogate", "no-validation-windows",
-            "no-test-windows"])
+            "string-objectives", "one-objective", "four-objectives", "four-objectives-moead",
+            "legacy-archive-cap", "legacy-engine-keys", "legacy-surrogate",
+            "legacy-dataset-protocol", "too-short-scenario"])
     def test_bad_config_usage_error_before_writing(self, tmp_path, doc, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", _write(tmp_path / "config.json", doc), "--out", str(out)])
@@ -243,8 +227,9 @@ class TestConfigFile:
         lambda doc: doc.update(extra=1),
         lambda doc: doc.update(archive_cap=None),  # as written before archive_cap was removed
         lambda doc: doc.update(surrogate={"quality_seed": 0}),  # as written before it was removed
+        lambda doc: doc["dataset"].update(tau=8, ratio=[0.6, 0.2, 0.2]),  # as written before
     ], ids=["one-objective", "four-objectives", "legacy-engine-keys", "float-runs",
-            "unknown-key", "legacy-archive-cap", "legacy-surrogate"])
+            "unknown-key", "legacy-archive-cap", "legacy-surrogate", "legacy-dataset-protocol"])
     def test_hand_edited_config_analyze_exit_five(self, exp8_dir, tmp_path, edit):
         import shutil
 

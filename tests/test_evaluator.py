@@ -20,7 +20,13 @@ from neurotraj.evaluator import (
 from neurotraj.experiment import PRESETS, build_dataset, preset_config
 from neurotraj.genome import Genome, default_allele_table, random_genome
 from neurotraj.objectives import Columns, ObjectiveId, assemble, l3_minimized, rmse
-from neurotraj.trajectory import Dataset, generate_scenario, validate_sequence, window_and_split
+from neurotraj.trajectory import (
+    TAU,
+    Dataset,
+    generate_scenario,
+    validate_sequence,
+    window_and_split,
+)
 
 TABLE = default_allele_table()
 IDS = (ObjectiveId.RMSE, ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY)
@@ -174,7 +180,7 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(6))
         predicted = predict_targets(g, skill_scores(g), small_dataset.validation_targets,
                                     "val").rows()
-        expected = rmse(predicted, small_dataset.validation[:, small_dataset.tau:])
+        expected = rmse(predicted, small_dataset.validation[:, TAU:])
         counted = []
 
         def counting_rmse(*args):
@@ -197,7 +203,7 @@ class TestEvaluate:
 
     def test_empty_split_rejected(self, small_dataset):
         empty = Dataset(train=small_dataset.train, validation=small_dataset.validation[:0],
-                        test=small_dataset.test, seed=0, tau=8, ratio=(0.6, 0.2, 0.2))
+                        test=small_dataset.test, seed=0)
         g = random_genome(TABLE, Random(1))
         with pytest.raises(ContractError):
             evaluate(g, empty, IDS)
@@ -213,13 +219,13 @@ GENES = st.tuples(*(st.integers(0, c - 1) for c in TABLE.counts))
 def scenario_pair():
     """Datasets of a 30 s and a 150 s scenario."""
     return tuple(window_and_split(generate_scenario(duration_s=d, lane_change_rate=0.03, seed=11),
-                                  tau=8, ratio=(0.6, 0.2, 0.2), seed=11) for d in (30.0, 150.0))
+                                  seed=11) for d in (30.0, 150.0))
 
 
 def reference(genome, data, ids):
     """`evaluate`'s values from the public functions on the split arrays,
     without the terms the dataset keeps."""
-    actual = data.validation[:, data.tau:]
+    actual = data.validation[:, TAU:]
     predicted = predict_targets(genome, skill_scores(genome), Columns.of(actual), "val").rows()
     values = assemble(ids, predicted, actual)
     if ObjectiveId.RMSE in ids:
@@ -239,13 +245,13 @@ class TestDatasetTerms:
             result = evaluate(g, data, ids)
             assert (result.objectives, result.rmse_validation) == reference(g, data, ids)
             predicted = predict_targets(g, result.skills, data.test_targets, "test")
-            fresh = Columns.of(data.test[:, data.tau:])
+            fresh = Columns.of(data.test[:, TAU:])
             assert np.array_equal(predicted.rows(),
                                   predict_targets(g, result.skills, fresh, "test").rows())
 
     def test_dataset_freed_after_evaluate(self):
         data = window_and_split(generate_scenario(duration_s=30.0, lane_change_rate=0.0, seed=2),
-                                tau=8, ratio=(0.6, 0.2, 0.2), seed=2)
+                                seed=2)
         evaluate(random_genome(TABLE, Random(0)), data, tuple(ObjectiveId))
         assert "validation_targets" in vars(data)
         ref = weakref.ref(data)

@@ -27,6 +27,7 @@ from neurotraj.experiment import (
 )
 from neurotraj.genome import Genome
 from neurotraj.objectives import ObjectiveId, rmse
+from neurotraj.trajectory import TAU
 
 SMALL_DATASET = DatasetConfig(duration_s=60.0, lane_change_rate=0.05, seed=3)
 
@@ -95,7 +96,7 @@ class TestConfigDocument:
         assert list(doc) == ["algorithm", "objectives", "population", "generations", "runs",
                              "base_seed", "dataset"]
         assert doc["objectives"] == ["rmse", "l2", "l3"]
-        assert list(doc["dataset"]) == ["duration_s", "lane_change_rate", "seed", "tau", "ratio"]
+        assert list(doc["dataset"]) == ["duration_s", "lane_change_rate", "seed"]
 
     def test_defaulted_fields_may_be_left_out(self):
         cfg = ExperimentConfig.from_dict({"algorithm": "nsga2", "objectives": ["rmse", "l1"],
@@ -103,21 +104,19 @@ class TestConfigDocument:
         assert cfg.dataset == DatasetConfig()
 
     def test_int_accepted_where_float_declared(self):
-        assert DatasetConfig(duration_s=60, ratio=(1, 0, 0)).duration_s == 60
+        assert DatasetConfig(duration_s=60).duration_s == 60
 
     @pytest.mark.parametrize("build", [
-        lambda: DatasetConfig(tau=8.0),
         lambda: DatasetConfig(seed=True),  # a bool is not an int
-        lambda: DatasetConfig(ratio=(0.5, 0.5)),
-        lambda: DatasetConfig(ratio=[0.6, 0.2, 0.2]),
-        lambda: DatasetConfig(ratio=(0.6, "0.2", 0.2)),
+        lambda: ExperimentConfig("nsga2", [ObjectiveId.RMSE, ObjectiveId.L2_LATERAL_VELOCITY],
+                                 4, 1, 1),
         lambda: small_config(runs=1.0),
         lambda: ExperimentConfig("nsga2", ("rmse", "l1"), 4, 1, 1),
         lambda: ExperimentConfig.from_dict({"algorithm": "nsga2", "objectives": ["rmse", "l1"],
                                             "population": 4, "generations": 1, "runs": 1,
                                             "dataset": {"duration_s": 60.0, "rate": 0.1}}),
-    ], ids=["float-tau", "bool-seed", "two-shares", "list-ratio", "string-share",
-            "float-runs", "string-objectives", "unknown-dataset-key"])
+    ], ids=["bool-seed", "list-objectives", "float-runs", "string-objectives",
+            "unknown-dataset-key"])
     def test_mistyped_field_rejected(self, build):
         with pytest.raises(ConfigurationError):
             build()
@@ -179,7 +178,7 @@ class TestExecuteRun:
             assert res.rmse_validation == entry.rmse_validation
             predicted_test = predict_targets(Genome(entry.genome), res.skills, data.test_targets,
                                              "test").rows()
-            assert rmse(predicted_test, data.test[:, data.tau:]) == entry.rmse_test
+            assert rmse(predicted_test, data.test[:, TAU:]) == entry.rmse_test
             assert classify_validity(predicted_test) == entry.validity
 
     def test_runs_are_deterministic(self):

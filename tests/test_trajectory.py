@@ -75,11 +75,11 @@ class TestGenerateScenario:
 class TestWindowing:
     def test_stride_one_pair_count(self):
         for n in (16, 17, 40, 100):
-            assert len(sliding_windows(fake_path(n), 8)) == n - 16 + 1
+            assert len(sliding_windows(fake_path(n))) == n - 16 + 1
 
     def test_windows_are_valid_sequences(self):
         path = generate_scenario(duration_s=30.0, lane_change_rate=0.05, seed=4)
-        windows = sliding_windows(path, 8)
+        windows = sliding_windows(path)
         validate_sequence(windows[:, :8], tau=8)
         validate_sequence(windows[:, 8:], tau=8)
 
@@ -87,50 +87,34 @@ class TestWindowing:
 class TestSplit:
     def test_default_ratio_sizes(self):
         # 2530 points -> 2500 extractable pairs once the tail is separated.
-        ds = window_and_split(fake_path(2530), tau=8, ratio=(0.6, 0.2, 0.2), seed=0)
+        ds = window_and_split(fake_path(2530), seed=0)
         assert (len(ds.train), len(ds.validation), len(ds.test)) == (1500, 500, 500)
-
-    def test_degenerate_ratio_all_train(self):
-        ds = window_and_split(fake_path(100), tau=8, ratio=(1.0, 0.0, 0.0), seed=0)
-        assert len(ds.train) == 100 - 16 + 1
-        assert len(ds.validation) == len(ds.test) == 0
 
     def test_no_window_overlaps_test_tail(self):
         # 100-point path: head windows must end strictly before the first
         # test point in time.
-        ds = window_and_split(fake_path(100), tau=8, ratio=(0.6, 0.2, 0.2), seed=0)
+        ds = window_and_split(fake_path(100), seed=0)
         assert len(ds.test) == 14
         first_test_t = ds.test[:, 0, 2].min()
         head = np.concatenate([ds.train, ds.validation])
         assert np.all(head[:, :, 2] < first_test_t)
 
     def test_test_pairs_never_in_train_or_val(self):
-        ds = window_and_split(fake_path(200), tau=8, ratio=(0.6, 0.2, 0.2), seed=1)
+        ds = window_and_split(fake_path(200), seed=1)
         test_keys = {w.tobytes() for w in ds.test[:, :8]}
         head_keys = {w.tobytes() for w in np.concatenate([ds.train, ds.validation])[:, :8]}
         assert not test_keys & head_keys
 
     def test_same_seed_identical_dataset(self):
         path = fake_path(150)
-        a = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=5)
-        b = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=5)
+        a = window_and_split(path, seed=5)
+        b = window_and_split(path, seed=5)
         for split in ("train", "validation", "test"):
             assert np.array_equal(getattr(a, split), getattr(b, split))
 
     def test_too_short_path_rejected(self):
         with pytest.raises(InsufficientDataError):
-            window_and_split(fake_path(15), tau=8, ratio=(0.6, 0.2, 0.2), seed=0)
-
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(ConfigurationError):
-            window_and_split(fake_path(100), tau=8, ratio=(0.5, 0.2, 0.2), seed=0)
-
-    @pytest.mark.parametrize("ratio", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
-                                       (math.inf, 0.0, 0.0)])
-    def test_non_finite_ratio_rejected(self, ratio):
-        # NaN passes both the sign and the sum check, and round(nan) raises later
-        with pytest.raises(ConfigurationError, match="finite"):
-            window_and_split(fake_path(100), tau=8, ratio=ratio, seed=0)
+            window_and_split(fake_path(15), seed=0)
 
 
 def _edit_first_row(text: str, edit) -> str:
@@ -171,25 +155,23 @@ class TestDataset:
         assert "validation_targets" not in vars(copy)
 
     def test_loaded_splits_read_only(self, tmp_path):
-        save_dataset(window_and_split(fake_path(60), tau=4, ratio=(0.6, 0.2, 0.2), seed=0),
-                     tmp_path)
+        save_dataset(window_and_split(fake_path(60), seed=0), tmp_path)
         assert not load_dataset(tmp_path).test.flags.writeable
 
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         path = generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6)
-        ds = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6)
+        ds = window_and_split(path, seed=6)
         save_dataset(ds, tmp_path)
         loaded = load_dataset(tmp_path)
-        assert loaded.tau == ds.tau
         assert loaded.counts() == ds.counts()
         for split in ("train", "validation", "test"):
             assert np.array_equal(getattr(loaded, split), getattr(ds, split))
 
     def test_reexport_is_byte_identical(self, tmp_path):
         path = generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6)
-        ds = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6)
+        ds = window_and_split(path, seed=6)
         first = tmp_path / "a"
         second = tmp_path / "b"
         save_dataset(ds, first)
@@ -210,7 +192,7 @@ class TestPersistence:
             "renamed-column"])
     def test_malformed_file_rejected(self, tmp_path, edit):
         path = generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6)
-        save_dataset(window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6), tmp_path)
+        save_dataset(window_and_split(path, seed=6), tmp_path)
         csv_path = tmp_path / "dataset.csv"
         csv_path.write_text(edit(csv_path.read_text()))
         with pytest.raises(ContractError):
@@ -221,20 +203,13 @@ class TestPersistence:
         ("dataset.csv", lambda text: _edit_first_row(text, _with_x("nan"))),
         ("dataset.csv", lambda text: _edit_first_row(text, _with_x("inf"))),
         ("manifest.json", lambda text: "{}"),
-        ("manifest.json", _with_manifest(tau=4.0)),
         ("manifest.json", _with_manifest(seed="0")),
-        ("manifest.json", _with_manifest(ratio="abc")),
-        ("manifest.json", _with_manifest(ratio=[0.6, math.nan, 0.2])),
-        ("manifest.json", _with_manifest(ratio=[5, 5, 5])),
-        ("manifest.json", _with_manifest(ratio=[-1, 1, 1])),
         ("manifest.json", _with_manifest(counts={"train": 1, "validation": 2, "test": 3})),
         ("manifest.json", lambda text: "[" * 100_000 + "]" * 100_000),
-    ], ids=["x-not-a-number", "x-nan", "x-inf", "empty-manifest", "float-tau", "string-seed",
-            "string-ratio", "nan-ratio", "ratio-sum-five", "negative-share", "wrong-counts",
+    ], ids=["x-not-a-number", "x-nan", "x-inf", "empty-manifest", "string-seed", "wrong-counts",
             "nested-too-deep"])
     def test_malformed_value_rejected(self, tmp_path, name, edit):
-        save_dataset(window_and_split(fake_path(60), tau=4, ratio=(0.6, 0.2, 0.2), seed=0),
-                     tmp_path)
+        save_dataset(window_and_split(fake_path(60), seed=0), tmp_path)
         path = tmp_path / name
         edited = edit(path.read_text())
         assert edited != path.read_text()
@@ -242,9 +217,21 @@ class TestPersistence:
         with pytest.raises(ContractError):
             load_dataset(tmp_path)
 
+    def test_manifest_with_the_old_protocol_keys_loads(self, tmp_path):
+        # manifest.json held the window length and the split shares before
+        # they were fixed in code; such a dataset still loads.
+        ds = window_and_split(generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6),
+                              seed=6)
+        save_dataset(ds, tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(_with_manifest(tau=8, ratio=[0.6, 0.2, 0.2])(path.read_text()))
+        loaded = load_dataset(tmp_path)
+        for split in ("train", "validation", "test"):
+            assert np.array_equal(getattr(loaded, split), getattr(ds, split))
+
     def test_points_ordered_by_step_column(self, tmp_path):
         path = generate_scenario(duration_s=40.0, lane_change_rate=0.05, seed=6)
-        ds = window_and_split(path, tau=8, ratio=(0.6, 0.2, 0.2), seed=6)
+        ds = window_and_split(path, seed=6)
         save_dataset(ds, tmp_path)
         csv_path = tmp_path / "dataset.csv"
         header, first, second, *rest = csv_path.read_text().splitlines(keepends=True)
