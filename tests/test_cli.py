@@ -199,13 +199,20 @@ class TestConfigFile:
         _config(**LEGACY_ENGINE_KEYS),
         _config(surrogate={"quality_seed": 0}),
         _config(dataset__tau=8, dataset__ratio=[0.6, 0.2, 0.2]),
-        # splits
+        _config(dataset__tau=8.0),
+        _config(dataset__ratio="abc"),
+        _config(dataset__ratio=[0.5, 0.5]),
+        _config(dataset__ratio=[math.nan, 0.5, 0.5]),
+        # splits: 8.6 s leaves 2 train, 0 validation and 1 test window; 5 s
+        # leaves 2, 2 and 0
+        _config(dataset__duration_s=8.6),
         _config(dataset__duration_s=5.0),
     ], ids=["unknown-key", "no-objectives", "dataset-null", "top-level-list", "empty-list",
             "top-level-string", "float-runs", "string-base-seed", "bool-runs",
             "string-objectives", "one-objective", "four-objectives", "four-objectives-moead",
             "legacy-archive-cap", "legacy-engine-keys", "legacy-surrogate",
-            "legacy-dataset-protocol", "too-short-scenario"])
+            "legacy-dataset-protocol", "float-tau", "string-ratio", "two-shares", "nan-share",
+            "no-validation-windows", "no-test-windows"])
     def test_bad_config_usage_error_before_writing(self, tmp_path, doc, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", _write(tmp_path / "config.json", doc), "--out", str(out)])
