@@ -38,9 +38,10 @@ from .experiment import (
     read_config,
     run_experiment,
     scale_config,
+    scenario_dataset,
     summarize,
 )
-from .trajectory import generate_scenario, save_dataset, window_and_split, write_csv, write_json
+from .trajectory import save_dataset, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,9 +53,9 @@ ENV_SEED = "NEUROTRAJ_SEED"
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    path = generate_scenario(args.duration, args.lane_change_rate, args.seed)
-    dataset = window_and_split(path, seed=args.seed)
-    for p in save_dataset(dataset, args.out).values():
+    dcfg = DatasetConfig(duration_s=args.duration, lane_change_rate=args.lane_change_rate,
+                         seed=args.seed)
+    for p in save_dataset(scenario_dataset(dcfg), args.out).values():
         print(p)
     return EXIT_OK
 

@@ -8,17 +8,22 @@ reproduces ground-truth targets: lateral offset noise (accuracy), per-step
 heading jitter (smoothness) and a longitudinal speed rescale (speed). A
 split's noise comes from one counter-based Philox stream keyed by (genome,
 split role), so an evaluation is a pure function of its arguments and
-results never depend on evaluation order.
+results never depend on evaluation order. Each thread keeps one Philox bit
+generator and re-keys it for every stream, which costs a fifth of building
+a new one.
 
 The search scores the validation split only. The test split is predicted
 once per final-front model. Both read their split's target terms from the
-`Dataset`, which derives them once.
+`Dataset`, which derives them once. The dataset also keeps every result of
+`evaluate`, so each distinct (genome, objective ids) is scored once per
+dataset however often the engines ask for it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
@@ -102,11 +107,29 @@ def skill_scores(genome: Genome) -> tuple[float, float, float]:
     return tuple(out)
 
 
+_thread = threading.local()
+
+
 def _noise(genome: Genome, role: str) -> np.random.Generator:
-    """The Philox stream of one (genome, role)."""
+    """The Philox stream of one (genome, role): the stream of
+    `Philox(key=int.from_bytes(digest, "big"))` for the blake2b digest of
+    the pair, drawn from this thread's generator re-keyed at counter 0.
+    Draw from it before the thread's next call, which re-keys it again."""
     key = f"0|{','.join(map(str, genome.indices))}|{role}"
     digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
+    try:
+        generator = _thread.generator
+    except AttributeError:
+        generator = _thread.generator = np.random.Generator(np.random.Philox(0))
+    # The 128-bit key as Philox holds it: two uint64 words, low word first.
+    # A fresh state also empties the buffered output, so nothing of the
+    # previous stream is drawn.
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.frombuffer(digest[::-1], "<u8")},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return generator
 
 
 def predict_targets(genome: Genome, skills: tuple[float, float, float], targets: Columns,
@@ -139,7 +162,12 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], targets:
 
 
 def evaluate(genome: Genome, data: Dataset, ids: Sequence[ObjectiveId]) -> EvaluationResult:
-    """Evaluate a genome on the validation split, the only split the search reads."""
+    """Evaluate a genome on the validation split, the only split the search
+    reads. A result is computed once per dataset and kept in
+    `data.evaluations`; a failed evaluation is not kept."""
+    key = (genome.indices, tuple(ids))
+    if (result := data.evaluations.get(key)) is not None:
+        return result
     if not len(data.validation):
         raise ContractError("validation split must be non-empty")
     skills = skill_scores(genome)
@@ -148,4 +176,6 @@ def evaluate(genome: Genome, data: Dataset, ids: Sequence[ObjectiveId]) -> Evalu
     objectives = assemble(ids, predicted, actual)
     rmse_validation = (objectives[ids.index(ObjectiveId.RMSE)] if ObjectiveId.RMSE in ids
                        else rmse(predicted, actual))
-    return EvaluationResult(objectives=objectives, skills=skills, rmse_validation=rmse_validation)
+    result = data.evaluations[key] = EvaluationResult(objectives=objectives, skills=skills,
+                                                      rmse_validation=rmse_validation)
+    return result

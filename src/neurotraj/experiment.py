@@ -168,11 +168,20 @@ class RunRecord:
     fronts: list[np.ndarray] = field(default_factory=list, compare=False)
 
 
+def scenario_dataset(dcfg: DatasetConfig) -> Dataset:
+    """The windowed and split scenario of `dcfg`. ConfigurationError if the
+    scenario is too short to leave both validation and test windows."""
+    data = window_and_split(generate_scenario(dcfg.duration_s, dcfg.lane_change_rate, dcfg.seed),
+                            seed=dcfg.seed)
+    if not (len(data.validation) and len(data.test)):
+        raise ConfigurationError(f"a {dcfg.duration_s} s scenario leaves "
+                                 f"{len(data.validation)} validation and {len(data.test)} test windows")
+    return data
+
+
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     """One dataset per experiment, shared by all runs."""
-    path = generate_scenario(cfg.dataset.duration_s, cfg.dataset.lane_change_rate,
-                             cfg.dataset.seed)
-    return window_and_split(path, seed=cfg.dataset.seed)
+    return scenario_dataset(cfg.dataset)
 
 
 def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
@@ -280,9 +289,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     data = build_dataset(cfg)
-    if not (len(data.validation) and len(data.test)):
-        raise ConfigurationError(f"a {cfg.dataset.duration_s} s scenario leaves "
-                                 f"{len(data.validation)} validation and {len(data.test)} test windows")
     # The pool starts all its workers at once, so it gets no more than there are runs.
     workers = min(jobs, cfg.runs)
     if workers > 1:

@@ -49,7 +49,14 @@ def nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
     if not pop:
         raise ContractError("population must be non-empty")
     f = np.array([ind.objectives for ind in pop], dtype=float)
-    dom = ~(f[:, None] > f[None]).any(2) & (f[:, None] < f[None]).any(2)  # dom[p, q]: p dominates q
+    # worse[p, q]: p is worse than q in some objective; better[p, q]: better
+    # in some. Built one objective at a time, so no (n, n, m) array is made.
+    first, *rest = f.T
+    worse, better = first[:, None] > first, first[:, None] < first
+    for col in rest:
+        worse |= col[:, None] > col
+        better |= col[:, None] < col
+    dom = better & ~worse  # dom[p, q]: p dominates q
     counts = dom.sum(0)
     front = np.flatnonzero(counts == 0)
     fronts: list[list[Individual]] = []

@@ -198,6 +198,12 @@ def l3_minimized(seq):
     return (seq.shape[-2] - 1) * V_MAX_MPS - l3_longitudinal_velocity(seq)
 
 
+def _mean(a: np.ndarray) -> np.float64:
+    """`a.mean()` without numpy's Python wrapper: the same sum over all
+    elements divided by their count, so the same value."""
+    return a.sum() / a.size
+
+
 def _matched(predicted, actual) -> tuple[Columns, Columns]:
     predicted, actual = Columns.of(predicted), Columns.of(actual)
     if predicted.shape != actual.shape:
@@ -210,7 +216,7 @@ def _matched(predicted, actual) -> tuple[Columns, Columns]:
 def rmse(predicted, actual) -> float:
     """Mean Euclidean position error over all points of the set (m)."""
     predicted, actual = _matched(predicted, actual)
-    return float(np.hypot(predicted.x - actual.x, predicted.y - actual.y).mean())
+    return float(_mean(np.hypot(predicted.x - actual.x, predicted.y - actual.y)))
 
 
 def signloss(predicted, actual) -> float:
@@ -221,7 +227,7 @@ def signloss(predicted, actual) -> float:
     stays defined when nothing matches.
     """
     predicted, actual = _matched(predicted, actual)
-    error = np.abs(predicted.abs_x - actual.abs_x).mean()
+    error = _mean(np.abs(predicted.abs_x - actual.abs_x))
     matches = np.count_nonzero(predicted.sign_x == actual.sign_x)
     return float(error / max(1, matches))
 
@@ -244,11 +250,11 @@ def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> Objectives:
     values = []
     for oid in ids:
         if oid is ObjectiveId.L1_DISTANCE_FEEDBACK:
-            value = l1_distance_feedback(predicted, dest=actual.dest).mean()
+            value = _mean(l1_distance_feedback(predicted, dest=actual.dest))
         elif oid is ObjectiveId.L2_LATERAL_VELOCITY:
-            value = l2_lateral_velocity(predicted).mean()
+            value = _mean(l2_lateral_velocity(predicted))
         elif oid is ObjectiveId.L3_LONGITUDINAL_VELOCITY:
-            value = l3_minimized(predicted).mean()
+            value = _mean(l3_minimized(predicted))
         elif oid is ObjectiveId.RMSE:
             value = rmse(predicted, actual)
         elif oid is ObjectiveId.SIGNLOSS:

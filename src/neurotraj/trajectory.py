@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, ContractError, InsufficientDataError
 
 if TYPE_CHECKING:
+    from .evaluator import EvaluationResult
     from .objectives import Columns
 
 V_MIN_MPS = 80.0 / 3.6  # 80 km/h
@@ -50,24 +51,6 @@ _LANE_CHANGE_DURATION_S = 2.0
 # and 39.4 m one step shorter.
 TAU = 8
 SHARES = (0.6, 0.2, 0.2)
-
-
-def validate_sequence(seq, tau: int | None = None, eps: float = 1e-9) -> None:
-    """Check timestamps, sampling interval and longitudinal speed bounds of
-    one (n, 3) sequence or a batch of them (..., n, 3)."""
-    seq = np.asarray(seq, dtype=float)
-    if tau is not None and seq.shape[-2] != tau:
-        raise ContractError(f"sequence length {seq.shape[-2]} != tau {tau}")
-    dt = np.diff(seq[..., 2], axis=-1)
-    if np.any(dt <= 0):
-        raise ContractError("timestamps not strictly increasing")
-    bad_dt = dt[(dt < DT_MIN_S - eps) | (dt > DT_MAX_S + eps)]
-    if bad_dt.size:
-        raise ContractError(f"dt {bad_dt[0]} outside [{DT_MIN_S}, {DT_MAX_S}]")
-    vy = np.diff(seq[..., 1], axis=-1) / dt
-    bad_vy = vy[(vy < V_MIN_MPS - eps) | (vy > V_MAX_MPS + eps)]
-    if bad_vy.size:
-        raise ContractError(f"longitudinal speed {bad_vy[0]} outside band")
 
 
 def generate_scenario(duration_s: float, lane_change_rate: float, seed: int) -> np.ndarray:
@@ -156,6 +139,12 @@ class Dataset:
     def test_targets(self) -> Columns:
         """The targets of the test windows, with the terms derived from them."""
         return _targets(self.test)
+
+    @cached_property
+    def evaluations(self) -> dict[tuple, EvaluationResult]:
+        """`evaluator.evaluate`'s memo: each result by (genome indices,
+        objective ids). A copy sent to a worker process starts empty."""
+        return {}
 
     def counts(self) -> dict:
         return {"train": len(self.train), "validation": len(self.validation), "test": len(self.test)}

@@ -7,7 +7,16 @@ from random import Random
 import numpy as np
 import pytest
 
-from neurotraj.trajectory import generate_scenario, window_and_split
+from neurotraj.errors import ContractError
+from neurotraj.trajectory import (
+    DT_MAX_S,
+    DT_MIN_S,
+    TAU,
+    V_MAX_MPS,
+    V_MIN_MPS,
+    generate_scenario,
+    window_and_split,
+)
 
 
 def make_seq(xys, dt=0.25, t0=0.0) -> np.ndarray:
@@ -17,6 +26,25 @@ def make_seq(xys, dt=0.25, t0=0.0) -> np.ndarray:
 
 def straight_seq(n=8, v=30.0, dt=0.25, x=0.0) -> np.ndarray:
     return make_seq([(x, v * dt * i) for i in range(n)], dt=dt)
+
+
+def validate_sequence(seq) -> None:
+    """Check the length (TAU), timestamps, sampling interval and longitudinal
+    speed bounds of one (TAU, 3) sequence or a batch of them (..., TAU, 3)."""
+    eps = 1e-9
+    seq = np.asarray(seq, dtype=float)
+    if seq.shape[-2] != TAU:
+        raise ContractError(f"sequence length {seq.shape[-2]} != TAU {TAU}")
+    dt = np.diff(seq[..., 2], axis=-1)
+    if np.any(dt <= 0):
+        raise ContractError("timestamps not strictly increasing")
+    bad_dt = dt[(dt < DT_MIN_S - eps) | (dt > DT_MAX_S + eps)]
+    if bad_dt.size:
+        raise ContractError(f"dt {bad_dt[0]} outside [{DT_MIN_S}, {DT_MAX_S}]")
+    vy = np.diff(seq[..., 1], axis=-1) / dt
+    bad_vy = vy[(vy < V_MIN_MPS - eps) | (vy > V_MAX_MPS + eps)]
+    if bad_vy.size:
+        raise ContractError(f"longitudinal speed {bad_vy[0]} outside band")
 
 
 def vec(tokens, values) -> tuple[float, ...]:

@@ -166,6 +166,19 @@ class TestGenerate:
         assert main(["generate", "--duration", duration, "--out", str(out)]) == 2
         assert not out.exists()
 
+    # 8.6 s leaves 0 validation windows and 5 s leaves 0 test windows, too
+    # few for `run`, so `generate` refuses them with `run`'s message.
+    @pytest.mark.parametrize("duration", [8.6, 5.0])
+    def test_scenario_too_short_to_split_is_usage_error(self, tmp_path, capsys, duration):
+        out = tmp_path / "x"
+        assert main(["generate", "--duration", str(duration), "--out", str(out)]) == 2
+        assert not out.exists()
+        generate_err = capsys.readouterr().err
+        config = _write(tmp_path / "config.json", _config(dataset__duration_s=duration))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run")]) == 2
+        assert generate_err == capsys.readouterr().err
+        assert generate_err.startswith(f"error: a {duration} s scenario leaves ")
+
     def test_unwritable_out_exit_three(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

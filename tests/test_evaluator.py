@@ -1,7 +1,11 @@
 import gc
+import hashlib
 import itertools
+import pickle
+import sys
+import threading
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from random import Random
 
 import numpy as np
@@ -9,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import validate_sequence
 from neurotraj.analysis import classify_validity
 from neurotraj.errors import ContractError
 from neurotraj.evaluator import (
     EvaluationResult,
+    _noise,
     evaluate,
     predict_targets,
     skill_scores,
@@ -24,7 +30,6 @@ from neurotraj.trajectory import (
     TAU,
     Dataset,
     generate_scenario,
-    validate_sequence,
     window_and_split,
 )
 
@@ -96,7 +101,7 @@ class TestPredictSequence:
         g = random_genome(TABLE, Random(2))
         targets = Columns.of(small_dataset.test[:40, 8:])
         pred = predict_targets(g, skill_scores(g), targets, "test").rows()
-        validate_sequence(pred, tau=8)
+        validate_sequence(pred)
 
     def test_timestamps_preserved(self, small_dataset):
         g = random_genome(TABLE, Random(0))
@@ -114,7 +119,7 @@ class TestPredictSequence:
             pred = predict_targets(g, skills, Columns.of(target), role).rows()
             assert pred.shape == target.shape
             assert np.array_equal(pred[..., 2], target[..., 2])
-            validate_sequence(pred, tau=8)
+            validate_sequence(pred)
             perfect = predict_targets(g, (1.0, 1.0, 0.5), Columns.of(target), role).rows()
             assert np.array_equal(perfect, target)
 
@@ -123,7 +128,7 @@ class TestEvaluate:
     def test_bit_identical_repeat(self, small_dataset):
         g = random_genome(TABLE, Random(6))
         a = evaluate(g, small_dataset, IDS)
-        b = evaluate(g, small_dataset, IDS)
+        b = evaluate(g, replace(small_dataset), IDS)  # a copy, so not the memo's result
         assert a.objectives == b.objectives
         assert a.rmse_validation == b.rmse_validation
         assert a.skills == b.skills
@@ -177,6 +182,8 @@ class TestEvaluate:
     def test_validation_rmse_computed_once(self, small_dataset, monkeypatch, ids, calls):
         import neurotraj.evaluator as evaluator_mod
 
+        # A copy with an empty memo: the shared dataset may already hold g.
+        small_dataset = replace(small_dataset)
         g = random_genome(TABLE, Random(6))
         predicted = predict_targets(g, skill_scores(g), small_dataset.validation_targets,
                                     "val").rows()
@@ -258,3 +265,107 @@ class TestDatasetTerms:
         del data
         gc.collect()
         assert ref() is None
+
+
+class TestNoise:
+    @settings(max_examples=40, deadline=None)
+    @given(draws=st.lists(st.tuples(GENES, st.sampled_from(("val", "test")),
+                                    st.tuples(st.integers(1, 7), st.integers(1, 10)),
+                                    st.integers(0, 3)), min_size=2, max_size=6))
+    def test_rekeyed_stream_equals_a_fresh_philox(self, draws):
+        """Each stream is the one a new Philox keyed by the digest gives. The
+        shapes vary and float32 draws, which read 32-bit halves of words,
+        follow, so a buffered word or a half left over from the previous
+        stream would show."""
+        for genes, role, shape, words in draws:
+            key = f"0|{','.join(map(str, genes))}|{role}"
+            digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
+            fresh = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
+            stream = _noise(Genome(genes), role)
+            assert np.array_equal(stream.random(shape), fresh.random(shape))
+            assert np.array_equal(stream.random(words, dtype=np.float32),
+                                  fresh.random(words, dtype=np.float32))
+
+    def test_threads_draw_their_own_streams(self, small_dataset):
+        """Threads switching every microsecond, each on its own dataset copy
+        so that the memo hides nothing, score as one thread does."""
+        genomes = [random_genome(TABLE, Random(i)) for i in range(30)]
+        expected = [evaluate(g, replace(small_dataset), IDS) for g in genomes]
+        got = {}
+
+        def work(k):
+            got[k] = [evaluate(g, replace(small_dataset), IDS) for g in genomes]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {k: expected for k in range(4)}
+
+
+@pytest.fixture()
+def predictions(monkeypatch):
+    """The genome of each `predict_targets` call that `evaluate` makes."""
+    import neurotraj.evaluator as evaluator_mod
+
+    genomes = []
+    real = evaluator_mod.predict_targets
+
+    def counting(genome, *args):
+        genomes.append(genome.indices)
+        return real(genome, *args)
+
+    monkeypatch.setattr(evaluator_mod, "predict_targets", counting)
+    return genomes
+
+
+class TestMemo:
+    def test_each_distinct_genome_predicted_once_per_dataset(self, small_dataset, predictions):
+        data = replace(small_dataset)
+        genomes = [random_genome(TABLE, Random(i % 3)) for i in range(9)]
+        results = [evaluate(g, data, IDS) for g in genomes]
+        assert sorted(predictions) == sorted({g.indices for g in genomes})
+        assert results[3] is results[0]
+        copy = replace(small_dataset)
+        again = [evaluate(g, copy, list(IDS)) for g in genomes]
+        assert len(predictions) == 6
+        assert again == results
+
+    def test_other_ids_recompute(self, small_dataset, predictions):
+        data = replace(small_dataset)
+        g = random_genome(TABLE, Random(5))
+        for ids in (IDS, IDS[:2], IDS[::-1], IDS, IDS[:2]):
+            assert evaluate(g, data, ids) == evaluate(g, replace(small_dataset), ids)
+        assert len(predictions) == 8  # 3 on `data`, one per fresh copy
+
+    def test_pickled_dataset_starts_empty(self, small_dataset, predictions):
+        data = replace(small_dataset)
+        g = random_genome(TABLE, Random(5))
+        first = evaluate(g, data, IDS)
+        copy = pickle.loads(pickle.dumps(data))
+        assert data.evaluations and copy.evaluations == {}
+        assert evaluate(g, copy, IDS) == first
+        assert len(predictions) == 2
+
+    def test_failed_evaluation_not_kept(self, small_dataset, monkeypatch, predictions):
+        import neurotraj.evaluator as evaluator_mod
+
+        def boom(*args):
+            raise ContractError("boom")
+
+        data = replace(small_dataset)
+        g = random_genome(TABLE, Random(5))
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator_mod, "assemble", boom)
+            with pytest.raises(ContractError, match="boom"):
+                evaluate(g, data, IDS)
+        assert data.evaluations == {}
+        assert evaluate(g, data, IDS) == evaluate(g, replace(small_dataset), IDS)
+        assert len(predictions) == 3

@@ -173,7 +173,7 @@ class TestExecuteRun:
         data = build_dataset(cfg)
         rec = execute_run(cfg, data, 0)
         for entry in rec.final_front:
-            res = evaluate(Genome(entry.genome), data, cfg.objective_ids)
+            res = evaluate(Genome(entry.genome), dataclasses.replace(data), cfg.objective_ids)
             assert res.objectives == entry.objectives
             assert res.rmse_validation == entry.rmse_validation
             predicted_test = predict_targets(Genome(entry.genome), res.skills, data.test_targets,

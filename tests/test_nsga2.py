@@ -91,6 +91,19 @@ class TestNondominatedSort:
             got = [sorted(i.evaluation for i in front) for front in fronts]
             assert got == brute_force_fronts(values)
 
+    def test_matches_brute_force_oracle_at_bench_size(self):
+        # 300 rows of 3 objectives, as the bench sorts, on a 6-point grid:
+        # many ties and duplicate rows.
+        rng = Random(11)
+        values = [random_values(rng, 3, grid=6) for _ in range(300)]
+        pop = [Individual(genome=Genome((0,) * 13), objectives=vec(("rmse", "l2", "l3"), v),
+                          evaluation=i) for i, v in enumerate(values)]
+        fronts = nondominated_sort(pop)
+        assert len(set(values)) < len(values)
+        assert [sorted(i.evaluation for i in front) for front in fronts] == \
+            brute_force_fronts(values)
+        assert all(i.rank == k for k, front in enumerate(fronts) for i in front)
+
     @settings(deadline=None)
     @given(data=st.data(), m=st.sampled_from((2, 3)))
     def test_fronts_ranks_and_release_order(self, data, m):

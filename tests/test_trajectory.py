@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import validate_sequence
 from neurotraj.errors import ConfigurationError, ContractError, InsufficientDataError
 from neurotraj.trajectory import (
     DT_MAX_S,
@@ -17,7 +18,6 @@ from neurotraj.trajectory import (
     load_dataset,
     save_dataset,
     sliding_windows,
-    validate_sequence,
     window_and_split,
 )
 
@@ -80,8 +80,8 @@ class TestWindowing:
     def test_windows_are_valid_sequences(self):
         path = generate_scenario(duration_s=30.0, lane_change_rate=0.05, seed=4)
         windows = sliding_windows(path)
-        validate_sequence(windows[:, :8], tau=8)
-        validate_sequence(windows[:, 8:], tau=8)
+        validate_sequence(windows[:, :8])
+        validate_sequence(windows[:, 8:])
 
 
 class TestSplit:
