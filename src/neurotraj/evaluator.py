@@ -110,11 +110,11 @@ def skill_scores(genome: Genome) -> tuple[float, float, float]:
 _thread = threading.local()
 
 
-def _noise(genome: Genome, role: str) -> np.random.Generator:
-    """The Philox stream of one (genome, role): the stream of
-    `Philox(key=int.from_bytes(digest, "big"))` for the blake2b digest of
-    the pair, drawn from this thread's generator re-keyed at counter 0.
-    Draw from it before the thread's next call, which re-keys it again."""
+def _noise(genome: Genome, role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform [0, 1) draws of `shape` from the Philox stream of one
+    (genome, role): the stream of `Philox(key=int.from_bytes(digest, "big"))`
+    for the blake2b digest of the pair, drawn from this thread's generator
+    re-keyed at counter 0."""
     key = f"0|{','.join(map(str, genome.indices))}|{role}"
     digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
     try:
@@ -129,7 +129,7 @@ def _noise(genome: Genome, role: str) -> np.random.Generator:
         "state": {"counter": np.zeros(4, np.uint64), "key": np.frombuffer(digest[::-1], "<u8")},
         "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    return generator
+    return generator.random(shape)
 
 
 def predict_targets(genome: Genome, skills: tuple[float, float, float], targets: Columns,
@@ -149,7 +149,7 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], targets:
     scale = 1.0 + _SPEED_SPAN * (2.0 * s_speed - 1.0)
 
     p, n = targets.x.shape
-    u = _noise(genome, role).random((p, n + 1))
+    u = _noise(genome, role, (p, n + 1))
     phase, cycles, jitter = math.tau * u[:, :1], 0.5 + u[:, 1:2], 2.0 * u[:, 2:] - 1.0
 
     steps = np.clip(scale * targets.dy, *targets.band)

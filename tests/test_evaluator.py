@@ -19,6 +19,7 @@ from neurotraj.errors import ContractError
 from neurotraj.evaluator import (
     EvaluationResult,
     _noise,
+    _thread,
     evaluate,
     predict_targets,
     skill_scores,
@@ -136,9 +137,11 @@ class TestEvaluate:
     def test_order_independent(self, small_dataset):
         rng = Random(9)
         genomes = [random_genome(TABLE, rng) for _ in range(4)]
-        forward = {g: evaluate(g, small_dataset, IDS).objectives for g in genomes}
-        backward = {g: evaluate(g, small_dataset, IDS).objectives
-                    for g in reversed(genomes)}
+        # Each pass on its own copy, so that both compute and neither reads the memo.
+        data = replace(small_dataset)
+        forward = {g: evaluate(g, data, IDS).objectives for g in genomes}
+        data = replace(small_dataset)
+        backward = {g: evaluate(g, data, IDS).objectives for g in reversed(genomes)}
         assert forward == backward
 
     def test_vector_order_matches_ids(self, small_dataset):
@@ -274,17 +277,15 @@ class TestNoise:
                                     st.integers(0, 3)), min_size=2, max_size=6))
     def test_rekeyed_stream_equals_a_fresh_philox(self, draws):
         """Each stream is the one a new Philox keyed by the digest gives. The
-        shapes vary and float32 draws, which read 32-bit halves of words,
-        follow, so a buffered word or a half left over from the previous
-        stream would show."""
+        shapes vary, and float32 draws, which read 32-bit halves of words,
+        leave the thread's generator mid-buffer between streams, so a word
+        or a half left over from the previous draw would show."""
         for genes, role, shape, words in draws:
             key = f"0|{','.join(map(str, genes))}|{role}"
             digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
             fresh = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
-            stream = _noise(Genome(genes), role)
-            assert np.array_equal(stream.random(shape), fresh.random(shape))
-            assert np.array_equal(stream.random(words, dtype=np.float32),
-                                  fresh.random(words, dtype=np.float32))
+            assert np.array_equal(_noise(Genome(genes), role, shape), fresh.random(shape))
+            _thread.generator.random(words, dtype=np.float32)
 
     def test_threads_draw_their_own_streams(self, small_dataset):
         """Threads switching every microsecond, each on its own dataset copy
