@@ -50,17 +50,22 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
-def _permutation_p(statistic, sample: np.ndarray, observed: float, resamples: int, seed: int) -> float:
-    """Add-one p-value: the share of `resamples` shuffles of `sample` whose
-    |statistic| reaches `observed`. `statistic` maps a (rows, n) block of
-    shuffles to one value per row. Blocks are drawn from one generator and
-    hold the same rows as one `rng.permutation(sample)` call per resample."""
+def _permutation_p(statistic, samples: np.ndarray, observed: np.ndarray, resamples: int,
+                   seed: int) -> np.ndarray:
+    """Add-one p-values: per row of the (k, n) `samples`, the share of
+    `resamples` shuffles whose |statistic| reaches that row's `observed`.
+    `statistic` maps a (k, rows, n) block of shuffles to (k, rows) values.
+    Every row is gathered through the same index shuffles, drawn in blocks
+    from one generator: `rng.permuted` draws depend on n only, so each row
+    sees the shuffles of one `rng.permutation(row)` call per resample. A
+    block holds about _PERMUTATION_BLOCK x n gathered values, whatever k."""
+    k, n = samples.shape
     rng = np.random.default_rng(seed)
-    count = 0
-    for start in range(0, resamples, _PERMUTATION_BLOCK):
-        rows = min(_PERMUTATION_BLOCK, resamples - start)
-        perms = rng.permuted(np.tile(sample, (rows, 1)), axis=1)
-        count += int((np.abs(statistic(perms)) >= observed - 1e-12).sum())
+    count = np.zeros(k, dtype=np.int64)
+    block = max(1, _PERMUTATION_BLOCK // k)
+    for start in range(0, resamples, block):
+        order = rng.permuted(np.tile(np.arange(n), (min(block, resamples - start), 1)), axis=1)
+        count += (np.abs(statistic(samples[:, order])) >= observed[:, None] - 1e-12).sum(axis=1)
     return (count + 1) / (resamples + 1)
 
 
@@ -140,8 +145,8 @@ def spearman(
     rho = float((rx * ry).sum()) / denom
 
     if n < 500:
-        p = _permutation_p(lambda perms: (rx * perms).sum(axis=1) / denom,
-                           ry, abs(rho), resamples, seed)
+        p = float(_permutation_p(lambda perms: (rx * perms).sum(axis=-1) / denom,
+                                 ry[None], np.array([abs(rho)]), resamples, seed)[0])
     else:
         p = 0.0 if abs(rho) >= 1.0 else _t_two_sided(rho, n - 2)
     return CorrelationResult(coefficient=rho, p_value=min(1.0, p), n=n)
@@ -172,13 +177,15 @@ def classify_validity(predicted_test) -> ValidityReport:
 
 
 def _swept_areas(f1: np.ndarray, f2: np.ndarray, ref0: float, ref1: float) -> np.ndarray:
-    """Area each row of points dominates within (ref0, ref1). Points are
-    sorted by (f1, f2); a row's f2 holds ref1 where a point is inactive.
-    Gains add in sweep order, as one running `hv +=` would."""
-    best = np.minimum.accumulate(
-        np.concatenate([np.full((len(f2), 1), ref1), f2[:, :-1]], axis=1), axis=1)
-    gain = np.where(f2 < best, (ref0 - f1) * (best - f2), 0.0)
-    return np.cumsum(gain, axis=1)[:, -1]
+    """Area each column of points dominates within (ref0, ref1). Points go
+    down the rows, sorted by (f1, f2); a column's f2 holds ref1 where a point
+    is inactive. Gains add in sweep order, as one running `hv +=` would."""
+    best = np.empty_like(f2)
+    best[0] = ref1
+    # Exact without ref1 in the running minimum: every f2 is at most ref1.
+    np.minimum.accumulate(f2[:-1], axis=0, out=best[1:])
+    gain = np.where(f2 < best, (ref0 - f1[:, None]) * (best - f2), 0.0)
+    return np.cumsum(gain, axis=0)[-1]  # a pairwise reduction would change the last digit
 
 
 def hypervolume(front: np.ndarray | Sequence[Sequence[float]], ref: Sequence[float]) -> float:
@@ -207,11 +214,11 @@ def hypervolume(front: np.ndarray | Sequence[Sequence[float]], ref: Sequence[flo
     kept = kept[np.lexsort((kept[:, 1], kept[:, 0]))]
     f1, f2 = kept[:, 0], kept[:, 1]
     if m == 2:
-        return float(_swept_areas(f1, f2[None, :], ref_t[0], ref_t[1])[0])
+        return float(_swept_areas(f1, f2[:, None], ref_t[0], ref_t[1])[0])
     # One sweep per distinct z level over the points at or below it, times
     # the depth to the next level. Levels go in blocks of about 200,000
     # elements, because the sweep holds several float64 temporaries of a
-    # block: a random 4,000-point front peaks at 8.5 MB under tracemalloc.
+    # block: a random 4,000-point front peaks at 9.6 MB under tracemalloc.
     z = kept[:, 2]
     levels = np.unique(z)
     depths = np.append(levels[1:], ref_t[2]) - levels
@@ -219,27 +226,35 @@ def hypervolume(front: np.ndarray | Sequence[Sequence[float]], ref: Sequence[flo
     rows = max(1, 200_000 // len(kept))
     for start in range(0, len(levels), rows):
         block, depth = levels[start:start + rows], depths[start:start + rows]
-        areas = _swept_areas(f1, np.where(z <= block[:, None], f2, ref_t[1]), ref_t[0], ref_t[1])
+        areas = _swept_areas(f1, np.where(z[:, None] <= block, f2[:, None], ref_t[1]),
+                             ref_t[0], ref_t[1])
         hv = np.cumsum(np.concatenate([[hv], np.where(depth > 0, areas * depth, 0.0)]))[-1]
     return float(hv)
 
 
 def permutation_test(
-    a: Sequence[float],
-    b: Sequence[float],
+    a: Sequence[float] | np.ndarray,
+    b: Sequence[float] | np.ndarray,
     resamples: int = 10_000,
     seed: int = 0,
-) -> float:
+) -> float | np.ndarray:
     """Two-sided p-value for |mean(a) - mean(b)| under random relabeling,
-    with the add-one correction. A NaN or infinity raises ContractError."""
-    if len(a) == 0 or len(b) == 0:
-        raise ContractError("both samples must be non-empty")
+    with the add-one correction. For (k, n1) and (k, n2) stacks, one p-value
+    per row, each equal to that row's own call: the rows share the shuffles.
+    A NaN or infinity raises ContractError."""
     aa = _finite_array(a, "samples")
     bb = _finite_array(b, "samples")
-    observed = abs(float(aa.mean()) - float(bb.mean()))
-    n1 = len(aa)
-    return _permutation_p(lambda perms: perms[:, :n1].mean(axis=1) - perms[:, n1:].mean(axis=1),
-                          np.concatenate([aa, bb]), observed, resamples, seed)
+    if aa.ndim not in (1, 2) or aa.shape[:-1] != bb.shape[:-1]:
+        raise ContractError(f"samples of shapes {aa.shape} and {bb.shape}: need two 1-D samples "
+                            "or two 2-D stacks with as many rows")
+    if aa.size == 0 or bb.size == 0:
+        raise ContractError("both samples must be non-empty")
+    observed = np.abs(aa.mean(axis=-1) - bb.mean(axis=-1))
+    n1 = aa.shape[-1]
+    p = _permutation_p(lambda perms: perms[..., :n1].mean(axis=-1) - perms[..., n1:].mean(axis=-1),
+                       np.concatenate([aa, bb], axis=-1).reshape(-1, n1 + bb.shape[-1]),
+                       observed.reshape(-1), resamples, seed)
+    return float(p[0]) if aa.ndim == 1 else p
 
 
 def ranksum_test(a: Sequence[float], b: Sequence[float]) -> float:

@@ -15,7 +15,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -364,21 +363,7 @@ def load_config(exp_dir: Path) -> ExperimentConfig:
         raise MalformedRecordsError(f"cannot load config from {exp_dir}: {exc}") from exc
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
-def _flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"flag {text!r} is neither 0 nor 1")
-    return text == "1"
-
-
-# The types `math.isfinite` accepts among those a JSON decode produces.
-_NUMBER_TYPES = {int, float, bool}
+_FLAGS = {"0": False, "1": True}
 
 
 def _read_run(path: Path, algorithm: str, m: int) -> tuple[list[np.ndarray], str | None]:
@@ -400,12 +385,14 @@ def _read_run(path: Path, algorithm: str, m: int) -> tuple[list[np.ndarray], str
                     continue
                 members = snap["population" if nsga2 else "archive"]
                 rows = [ind["objectives"] for ind in members]
-                flat = list(chain.from_iterable(rows))
-                if (any(len(row) != m for row in rows) or not set(map(type, flat)) <= _NUMBER_TYPES
-                        or not np.isfinite(values := np.array(flat, dtype=float)).all()):
+                # Ragged or nested rows raise ValueError or give another shape;
+                # a string or null gives a non-numeric dtype.
+                values = np.array(rows) if rows else np.empty((0, m))
+                if (values.dtype.kind not in "biuf" or values.shape != (len(rows), m)
+                        or not np.isfinite(values).all()):
                     raise MalformedRecordsError(
                         f"{path}: generation {gen}: member without {m} finite objectives")
-                values = values.reshape(len(rows), m)
+                values = values.astype(float, copy=False)
                 if nsga2:
                     ranks = [ind["rank"] for ind in members]
                     bad = [rank for rank in ranks if type(rank) is not int or rank < 0]
@@ -416,11 +403,45 @@ def _read_run(path: Path, algorithm: str, m: int) -> tuple[list[np.ndarray], str
                 fronts.append(values)
     except (OSError, orjson.JSONDecodeError) as exc:
         raise MalformedRecordsError(f"bad snapshots in {path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecordsError(f"bad snapshots in {path}: {exc!r}") from exc
     if error is not None and (fronts or not isinstance(error, str) or not error):
         raise MalformedRecordsError(f"{path}: a failed run's file holds one error message only")
     return fronts, error
+
+
+def _read_front(csv_path: Path, header: list[str], m: int) -> list[FrontEntry]:
+    """The entries of final_front_<k>.csv, checked column block by column
+    block: genes within the allele table, finite numbers, 0/1 flags, and a
+    `valid` flag equal to the conjunction of the three test flags."""
+    counts = default_allele_table().counts
+    try:
+        rows = list(read_csv(csv_path, header))
+        genes = [tuple(map(int, row[:N_LOCI])) for row in rows]
+        # FRONT_COLUMNS: two RMSEs, `valid` and three test flags, three measures, three skills
+        numbers = [list(map(float, row[N_LOCI:N_LOCI + m + 2] + row[N_LOCI + m + 6:]))
+                   for row in rows]
+        flags = [[_FLAGS[text] for text in row[N_LOCI + m + 2:N_LOCI + m + 6]] for row in rows]
+        gene_array = np.array(genes).reshape(len(rows), N_LOCI)
+        bad = np.argwhere((gene_array < 0) | (gene_array >= np.array(counts)))
+        if len(bad):
+            row, locus = bad[0]
+            raise ValueError(f"row {row + 1} locus {locus}: index {genes[row][locus]} "
+                             f"out of range [0, {counts[locus]})")
+        if not np.isfinite(np.array(numbers, dtype=float)).all():
+            raise ValueError("a number column holds a non-finite value")
+        if any(valid != all(tests) for valid, *tests in flags):
+            raise ValueError("a valid flag contradicts the test flags")
+    except KeyError as exc:
+        raise MalformedRecordsError(
+            f"bad final front in {csv_path}: flag {exc} is neither 0 nor 1") from exc
+    except (OSError, ValueError, ContractError) as exc:
+        raise MalformedRecordsError(f"bad final front in {csv_path}: {exc}") from exc
+    return [FrontEntry(genome=genome, objectives=tuple(values[:m]), rmse_validation=values[m],
+                       rmse_test=values[m + 1],
+                       validity=ValidityReport(*row_flags, measured=tuple(values[m + 2:m + 5])),
+                       skills=tuple(values[m + 5:]))
+            for genome, values, row_flags in zip(genes, numbers, flags)]
 
 
 def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
@@ -437,27 +458,7 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
         if error is None and len(fronts) != cfg.generations:
             raise MalformedRecordsError(
                 f"{jsonl_path}: {len(fronts)} snapshots, expected {cfg.generations}")
-        entries = []
-        try:
-            for row in read_csv(csv_path, header):
-                genome = Genome(tuple(map(int, row[:N_LOCI])))
-                default_allele_table().validate_genome(genome)
-                # FRONT_COLUMNS: then three test flags, three measures, three skills
-                rmse_validation, rmse_test, valid, *tail = row[N_LOCI + m:]
-                tests = [_flag(text) for text in tail[:3]]
-                if _flag(valid) != all(tests):
-                    raise ValueError(f"valid {valid} contradicts the test flags {tests}")
-                entries.append(FrontEntry(
-                    genome=genome.indices,
-                    objectives=tuple(map(_finite, row[N_LOCI:N_LOCI + m])),
-                    rmse_validation=_finite(rmse_validation),
-                    rmse_test=_finite(rmse_test),
-                    validity=ValidityReport(all(tests), *tests,
-                                            measured=tuple(map(_finite, tail[3:6]))),
-                    skills=tuple(map(_finite, tail[6:])),
-                ))
-        except (OSError, ValueError, TypeError, ContractError) as exc:
-            raise MalformedRecordsError(f"bad final front in {csv_path}: {exc}") from exc
+        entries = _read_front(csv_path, header, m)
         if error is not None and entries:
             raise MalformedRecordsError(f"{csv_path}: run {k} failed but has a final front")
         records.append(RunRecord(run_index=k, run_seed=cfg.base_seed + k,
@@ -528,19 +529,23 @@ def summarize(
     if against is not None:
         other = _per_run_metrics(against)
         threshold = bonferroni(alpha, comparisons)
-        per_metric = {}
+        # Metrics with as many runs on each side share one permutation test
+        # call, so their rows are gathered through one set of shuffles.
+        groups: dict[tuple[int, int], list[str]] = {}
         for name in _METRICS:
-            a, b = per_run[name], other[name]
-            if a and b:
-                p_perm = permutation_test(a, b)
-                p_rank = ranksum_test(a, b)
+            if per_run[name] and other[name]:
+                groups.setdefault((len(per_run[name]), len(other[name])), []).append(name)
+        per_metric = dict.fromkeys(_METRICS)
+        for names in groups.values():
+            p_perms = permutation_test([per_run[name] for name in names],
+                                       [other[name] for name in names])
+            for name, p_perm in zip(names, p_perms.tolist()):
+                p_rank = ranksum_test(per_run[name], other[name])
                 per_metric[name] = {
                     "permutation_p": p_perm,
                     "ranksum_p": p_rank,
                     "significant": bool(p_perm < threshold and p_rank < threshold),
                 }
-            else:
-                per_metric[name] = None
         doc["comparison"] = {
             "alpha": alpha,
             "comparisons": comparisons,

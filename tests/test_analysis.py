@@ -450,6 +450,29 @@ class TestHypervolume:
             hypervolume(front, (1.0, 1.0, 1.0))
 
 
+def staircase(n, seed):
+    """n mutually non-dominated 2-D points: f1 rising while f2 falls."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([np.sort(rng.random(n)), np.sort(rng.random(n))[::-1]])
+
+
+class TestSweepSummationOrder:
+    """The gains add one point at a time, as in the reference sweep. A
+    pairwise reduction would change the last digit of a one-column sweep of
+    9 or more gains: a 2-D front, or a 3-D front on one z level."""
+
+    @pytest.mark.parametrize("n", [9, 40, 60])
+    def test_two_objectives(self, n):
+        front = staircase(n, seed=n)
+        assert hypervolume(front, (1.1, 1.1)) == reference_hypervolume(front.tolist(), (1.1, 1.1))
+
+    @pytest.mark.parametrize("levels", [(0.3,), (0.2, 0.6)], ids=["one-z", "two-z"])
+    def test_three_objectives(self, levels):
+        front = np.column_stack([staircase(30, seed=7), np.resize(levels, 30)])
+        ref = (1.1, 1.1, 1.1)
+        assert hypervolume(front, ref) == reference_hypervolume(front.tolist(), ref)
+
+
 class TestPermutationTest:
     def test_identical_lists_near_one(self):
         a = [1.0, 2.0, 3.0, 4.0]
@@ -470,6 +493,43 @@ class TestPermutationTest:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             permutation_test([], [1.0])
+
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data(), k=st.integers(1, 4),
+           sizes=st.tuples(st.integers(1, 15), st.integers(1, 15)).filter(lambda s: s[0] != s[1]),
+           resamples=st.sampled_from((1, 999, 1000, 1001, 2500)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_rows_equal_their_own_calls(self, data, k, sizes, resamples, seed):
+        grid = st.sampled_from((-1.0, -0.0, 0.0, 0.5, 1.0, 2.5))  # ties within and across rows
+        a, b = (np.array(data.draw(st.lists(st.lists(grid, min_size=n, max_size=n),
+                                            min_size=k, max_size=k))) for n in sizes)
+        got = permutation_test(a, b, resamples=resamples, seed=seed)
+        assert got.shape == (k,)
+        for p, row_a, row_b in zip(got.tolist(), a, b):
+            assert p == permutation_test(row_a, row_b, resamples=resamples, seed=seed)
+            assert p == reference_permutation_p(row_a, row_b, resamples, seed)
+
+    def test_stack_peak_memory_stays_near_one_pair(self):
+        a, b = np.random.default_rng(0).normal(size=(2, 4, 12))
+
+        def peak(x, y):
+            tracemalloc.start()
+            try:
+                permutation_test(x, y, resamples=10_000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(a, b) <= 1.25 * peak(a[0], b[0])
+
+    @pytest.mark.parametrize("a, b", [
+        (np.zeros((2, 3)), np.zeros((3, 3))),
+        (np.zeros((2, 3)), np.zeros(3)),
+        (np.zeros((1, 2, 3)), np.zeros((1, 2, 3))),
+        (np.zeros((0, 3)), np.zeros((0, 4))),
+    ], ids=["row-counts-differ", "stack-and-row", "three-dimensional", "no-rows"])
+    def test_unpaired_stacks_rejected(self, a, b):
+        with pytest.raises(ContractError):
+            permutation_test(a, b)
 
 
 class TestRanksumTest:

@@ -15,6 +15,7 @@ from neurotraj import cli
 from neurotraj.cli import main
 from neurotraj.errors import ContractError
 from neurotraj.experiment import build_dataset, preset_config
+from neurotraj.genome import default_allele_table
 from neurotraj.trajectory import load_dataset
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -492,12 +493,22 @@ class TestAnalyze:
         ("exp8_dir", lambda d: _edit_snapshot(
             d, lambda snap: snap["population"][0].update(rank=False))),  # False == 0
         ("exp8_dir", lambda d: _edit_front_rows(d, _swap_last_columns)),
+        ("exp8_dir", lambda d: _edit_snapshot(
+            d, lambda snap: snap["population"][0]["objectives"].__setitem__(0, [0.5]))),
+        ("exp8_dir", lambda d: _edit_snapshot(
+            d, lambda snap: [ind["objectives"].pop() for ind in snap["population"]])),
+        ("exp8_dir", lambda d: _edit_front_row(d, "gene_1", str(default_allele_table().counts[0]))),
+        ("exp8_dir", lambda d: _edit_front_row(d, "gene_1", "-1")),
+        ("exp8_dir", lambda d: _edit_front_row(d, "skill_speed", "inf")),
+        ("exp8_dir", lambda d: _edit_front_row(d, "mean_final_x", "nan")),
     ], ids=["no-population", "no-rank", "population-two-objectives", "no-archive",
             "archive-two-objectives", "gene-out-of-range", "nan-objective", "valid-yes",
             "spread-ok-seven", "valid-with-failed-flag", "rank-zero-string",
             "snapshot-not-utf8", "config-not-utf8", "unknown-algorithm", "population-one",
             "unknown-objective", "extra-field", "missing-field", "string-objective",
-            "null-objective", "bool-rank", "swapped-columns"])
+            "null-objective", "bool-rank", "swapped-columns", "nested-objective",
+            "every-member-two-objectives", "gene-at-allele-count", "negative-gene",
+            "inf-skill", "nan-measure"])
     def test_bad_record_contents_exit_five(self, fixture, corrupt, request, tmp_path):
         import shutil
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurotraj.analysis import ValidityReport, classify_validity
+from neurotraj.analysis import ValidityReport, classify_validity, permutation_test, ranksum_test
 from neurotraj.errors import ConfigurationError, MalformedRecordsError
 from neurotraj.evaluator import evaluate, predict_targets
 from neurotraj.experiment import (
+    _METRICS,
     DatasetConfig,
     ExperimentConfig,
     FrontEntry,
@@ -23,6 +24,7 @@ from neurotraj.experiment import (
     read_config,
     run_experiment,
     scaled_count,
+    _per_run_metrics,
     summarize,
 )
 from neurotraj.genome import Genome
@@ -290,6 +292,27 @@ class TestRunExperiment:
         with pytest.raises(MalformedRecordsError):
             load_records(tmp_path)
 
+    @pytest.mark.parametrize("value", [True, 2 ** 70], ids=["true", "beyond-int64"])
+    def test_load_records_reads_json_numbers_as_floats(self, tmp_path, value):
+        # orjson decodes an integer beyond 64 bits as a float, so both are finite numbers.
+        run_experiment(small_config(generations=2), out_dir=tmp_path)
+        path = tmp_path / "run_0.jsonl"
+        first, *rest = path.read_text().splitlines()
+        snap = json.loads(first)
+        member = next(ind for ind in snap["population"] if ind["rank"] == 0)
+        member["objectives"][0] = value
+        path.write_text("\n".join([json.dumps(snap), *rest]) + "\n")
+        _, (rec,) = load_records(tmp_path)
+        assert rec.fronts[0].dtype == float and float(value) in rec.fronts[0][:, 0]
+
+    def test_header_only_front_loads_empty(self, tmp_path):
+        records = run_experiment(small_config(runs=2), out_dir=tmp_path)
+        path = tmp_path / "final_front_0.csv"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        _, loaded = load_records(tmp_path)
+        assert loaded[0].final_front == [] and loaded[0].error is None
+        assert loaded[1].final_front == records[1].final_front
+
 
 def _scaling_config(preset: str) -> ExperimentConfig:
     cfg = preset_config(preset, scale=0.34)
@@ -437,6 +460,22 @@ class TestSummarize:
             assert comp[name]["permutation_p"] >= 0.99
             assert comp[name]["ranksum_p"] >= 0.99
             assert not comp[name]["significant"]
+
+    @pytest.mark.parametrize("valid_b", [[2, 0, 1, 0, 3, 2, 0, 1, 1, 2], [0] * 10],
+                             ids=["two-groups", "no-valid-model-against"])
+    def test_grouped_comparison_equals_a_per_metric_loop(self, valid_b):
+        # Runs without a valid model drop out of the valid-only metrics only,
+        # so those metrics are tested as a second sample-size group, or not at all.
+        records = synth_records([3, 0, 2, 2, 0, 1, 4, 2, 0, 3, 1, 2], [6] * 12)
+        against = synth_records(valid_b, [5] * 10, rmse_base=1.05)
+        a, b = _per_run_metrics(records), _per_run_metrics(against)
+        expected = {name: {"permutation_p": permutation_test(a[name], b[name]),
+                           "ranksum_p": ranksum_test(a[name], b[name])} if b[name] else None
+                    for name in _METRICS}
+        for entry in filter(None, expected.values()):
+            entry["significant"] = entry["permutation_p"] < 0.025 and entry["ranksum_p"] < 0.025
+        assert summarize(records, against=against)["comparison"]["metrics"] == expected
+        assert sum(map(bool, expected.values())) == (4 if valid_b[0] else 2)
 
     def test_bonferroni_threshold_recorded(self):
         records = synth_records([1, 1], [4, 4])
