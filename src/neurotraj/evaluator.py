@@ -12,11 +12,12 @@ results never depend on evaluation order. Each thread keeps one Philox bit
 generator and re-keys it for every stream, which costs a fifth of building
 a new one.
 
-The search scores the validation split only. The test split is predicted
-once per final-front model. Both read their split's target terms from the
-`Dataset`, which derives them once. The dataset also keeps every result of
-`evaluate`, so each distinct (genome, objective ids) is scored once per
-dataset however often the engines ask for it.
+The search scores the validation split only, on the searched objectives.
+The test split, and the plain validation RMSE where RMSE is not searched,
+are computed once per final-front model. All read their split's target
+terms from the `Dataset`, which derives them once. The dataset also keeps
+every result of `evaluate`, so each distinct (genome, objective ids) is
+scored once per dataset however often the engines ask for it.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ _SPEED_SPAN = 0.15
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    objectives: Objectives  # computed on the validation split
+    # Computed on the validation split. The experiment summaries' validation
+    # RMSE is read from here where RMSE is searched; `validation_rmse`
+    # computes it for the final-front models of the other experiments.
+    objectives: Objectives
     skills: tuple[float, float, float]
-    # Plain validation RMSE regardless of the objective subset; the
-    # experiment summaries need it even when RMSE is not searched on.
-    rmse_validation: float = 0.0
 
 
 # The leading 0 in this key and in `_noise`'s keeps the weights and the
@@ -152,8 +153,10 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], targets:
     u = _noise(genome, role, (p, n + 1))
     phase, cycles, jitter = math.tau * u[:, :1], 0.5 + u[:, 1:2], 2.0 * u[:, 2:] - 1.0
 
-    steps = np.clip(scale * targets.dy, *targets.band)
-    y = np.cumsum(np.concatenate([targets.y[:, :1], steps], axis=1), axis=1)
+    lo, hi = targets.band
+    # `np.clip` and `np.cumsum`'s own kernels, without their Python wrappers.
+    steps = np.minimum(np.maximum(scale * targets.dy, lo), hi)
+    y = np.add.accumulate(np.concatenate([targets.y[:, :1], steps], axis=1), axis=1)
     # Smooth low-frequency lateral offset (accuracy) plus independent
     # per-step heading wiggle (smoothness).
     offset = amp_lat * np.sin(math.tau * cycles * np.arange(n) / (n - 1) + phase)
@@ -173,9 +176,14 @@ def evaluate(genome: Genome, data: Dataset, ids: Sequence[ObjectiveId]) -> Evalu
     skills = skill_scores(genome)
     actual = data.validation_targets
     predicted = predict_targets(genome, skills, actual, "val")
-    objectives = assemble(ids, predicted, actual)
-    rmse_validation = (objectives[ids.index(ObjectiveId.RMSE)] if ObjectiveId.RMSE in ids
-                       else rmse(predicted, actual))
-    result = data.evaluations[key] = EvaluationResult(objectives=objectives, skills=skills,
-                                                      rmse_validation=rmse_validation)
+    result = data.evaluations[key] = EvaluationResult(assemble(ids, predicted, actual), skills)
     return result
+
+
+def validation_rmse(genome: Genome, skills: tuple[float, float, float], data: Dataset) -> float:
+    """The plain validation RMSE of one model, the value `evaluate` gives
+    for RMSE when it is searched. The experiment summaries need it for
+    every final-front model, so this predicts the validation split again
+    where RMSE is not searched."""
+    actual = data.validation_targets
+    return rmse(predict_targets(genome, skills, actual, "val"), actual)

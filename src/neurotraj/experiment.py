@@ -26,7 +26,7 @@ from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
 from .config import Config
 from .errors import ConfigurationError, ContractError, MalformedRecordsError, NeurotrajError
-from .evaluator import evaluate, predict_targets
+from .evaluator import evaluate, predict_targets, validation_rmse
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, rmse
 from .trajectory import Dataset, generate_scenario, read_csv, window_and_split, write_csv, write_json
@@ -195,8 +195,12 @@ def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
     return doc
 
 
-def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset) -> list[FrontEntry]:
-    """Judge each final-front model on the test split, predicted once per model."""
+def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
+                   ids: Sequence[ObjectiveId]) -> list[FrontEntry]:
+    """Judge each final-front model on the test split, predicted once per
+    model. Its validation RMSE is its searched RMSE objective, or where RMSE
+    is not searched, computed here once per model."""
+    searched = ids.index(ObjectiveId.RMSE) if ObjectiveId.RMSE in ids else None
     actual = data.test_targets
     entries = []
     for ind in individuals:
@@ -205,7 +209,8 @@ def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset) -
         entries.append(FrontEntry(
             genome=ind.genome.indices,
             objectives=ind.objectives,
-            rmse_validation=ev.rmse_validation,
+            rmse_validation=(validation_rmse(ind.genome, ev.skills, data) if searched is None
+                             else ind.objectives[searched]),
             rmse_test=rmse(predicted, actual),
             validity=classify_validity(predicted.rows()),
             skills=ev.skills,
@@ -230,7 +235,7 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
             snapshots, final_front, initial_front = _run_nsga2(cfg, eval_fn, ops, rng)
         else:
             snapshots, final_front, initial_front = _run_moead(cfg, eval_fn, ops, rng)
-        entries = _front_entries(final_front, data)
+        entries = _front_entries(final_front, data, cfg.objective_ids)
     except NeurotrajError as exc:  # a failed run must not abort siblings
         # Escaped, so that a lone surrogate (from a path decoded with
         # surrogateescape) can be written as UTF-8.

@@ -9,6 +9,8 @@ from functools import reduce
 from random import Random
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError, ContractError
 from .genome import GeneticOperators, random_genome
 from .nsga2 import EvaluateFn, Individual, dominates, scored
@@ -62,15 +64,11 @@ def build_neighborhoods(lattice: WeightLattice, t: int) -> list[tuple[int, ...]]
     n = lattice.size
     if not 1 <= t <= n:
         raise ConfigurationError(f"neighborhood size {t} outside [1, {n}]")
-    neighborhoods = []
-    for i, wi in enumerate(lattice.weights):
-        dists = []
-        for j, wj in enumerate(lattice.weights):
-            d = sum((a - b) ** 2 for a, b in zip(wi, wj))
-            dists.append((d, j))
-        dists.sort()
-        neighborhoods.append(tuple(j for _, j in dists[:t]))
-    return neighborhoods
+    w = np.array(lattice.weights)
+    # Squared distances; numpy sums m < 8 terms in order. A stable sort
+    # keeps equal distances in index order.
+    dists = ((w[:, None, :] - w[None, :, :]) ** 2).sum(axis=-1)
+    return [tuple(row) for row in np.argsort(dists, axis=1, kind="stable")[:, :t].tolist()]
 
 
 def tchebycheff(f: Objectives, lam: Sequence[float], z: Sequence[float]) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,6 +74,27 @@ def _sign(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) < SIGN_EPS, 0.0, np.sign(x))
 
 
+class _derived:
+    """A term computed on first access and kept in the instance `__dict__`,
+    where later accesses find it without calling this descriptor.
+
+    This is `functools.cached_property` as Python 3.12 has it. Before 3.12
+    that descriptor takes a lock on every first access, which costs five
+    times a plain attribute read, and a predicted set's terms are each read
+    once or twice. Two threads that race on one term compute the same pure
+    value twice.
+    """
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class Columns:
     """A set of sequences held as its x, y and t columns, each (..., n).
 
@@ -107,33 +127,33 @@ class Columns:
         """The set as (..., n, 3) rows of (x, y, t)."""
         return np.stack([self.x, self.y, self.t], axis=-1)
 
-    @cached_property
+    @_derived
     def dt(self) -> np.ndarray:
         return _checked_dt(_steps(self.t))
 
-    @cached_property
+    @_derived
     def dx(self) -> np.ndarray:
         return _steps(self.x)
 
-    @cached_property
+    @_derived
     def dy(self) -> np.ndarray:
         return _steps(self.y)
 
-    @cached_property
+    @_derived
     def band(self) -> tuple[np.ndarray, np.ndarray]:
         """The least and the greatest longitudinal step of the speed band."""
         return V_MIN_MPS * self.dt, V_MAX_MPS * self.dt
 
-    @cached_property
+    @_derived
     def dest(self) -> np.ndarray:
         """(x, y) of each sequence's last point, (..., 2)."""
         return np.stack([self.x[..., -1], self.y[..., -1]], axis=-1)
 
-    @cached_property
+    @_derived
     def abs_x(self) -> np.ndarray:
         return np.abs(self.x)
 
-    @cached_property
+    @_derived
     def sign_x(self) -> np.ndarray:
         return _sign(self.x)
 
@@ -152,9 +172,18 @@ def l1_distance_feedback(seq, dest=None):
 
 
 def _wrap_angle(a):
-    """Wrap into (-pi, pi]."""
-    a = np.mod(a + math.pi, math.tau) - math.pi
-    return np.where(a == -math.pi, math.pi, a)
+    """Wrap into (-pi, pi]: mod(a + pi, tau) - pi, with -pi sent to pi."""
+    shifted = a + math.pi
+    wrapped = shifted - math.pi
+    # Where every shifted value lies in (0, tau), the mod returns it unchanged
+    # and no value is -pi, so `wrapped` is already the result, bit for bit.
+    # The headings of forward steps differ by less than pi, so predictions
+    # always take this path.
+    if (wrapped.size and np.minimum.reduce(wrapped, None) > -math.pi
+            and np.maximum.reduce(shifted, None) < math.tau):
+        return wrapped
+    wrapped = np.mod(shifted, math.tau) - math.pi
+    return np.where(wrapped == -math.pi, math.pi, wrapped)
 
 
 def _turn_rate(h_in, h_out, dt):
@@ -189,7 +218,8 @@ def l3_longitudinal_velocity(seq):
     seq = Columns.of(seq)
     if seq.shape[-2] < 2:
         raise ContractError(f"need at least 2 points, got {seq.shape[-2]}")
-    return np.clip(seq.dy / seq.dt, V_MIN_MPS, V_MAX_MPS).sum(axis=-1)
+    # `np.clip`'s own kernel, without its Python wrappers.
+    return np.minimum(np.maximum(seq.dy / seq.dt, V_MIN_MPS), V_MAX_MPS).sum(axis=-1)
 
 
 def l3_minimized(seq):
@@ -199,9 +229,9 @@ def l3_minimized(seq):
 
 
 def _mean(a: np.ndarray) -> np.float64:
-    """`a.mean()` without numpy's Python wrapper: the same sum over all
+    """`a.mean()` without numpy's Python wrappers: the same sum over all
     elements divided by their count, so the same value."""
-    return a.sum() / a.size
+    return np.add.reduce(a, None) / a.size
 
 
 def _matched(predicted, actual) -> tuple[Columns, Columns]:
@@ -215,7 +245,10 @@ def _matched(predicted, actual) -> tuple[Columns, Columns]:
 
 def rmse(predicted, actual) -> float:
     """Mean Euclidean position error over all points of the set (m)."""
-    predicted, actual = _matched(predicted, actual)
+    return _rmse(*_matched(predicted, actual))
+
+
+def _rmse(predicted: Columns, actual: Columns) -> float:
     return float(_mean(np.hypot(predicted.x - actual.x, predicted.y - actual.y)))
 
 
@@ -226,7 +259,10 @@ def signloss(predicted, actual) -> float:
     count of points whose lateral signs match, floored at 1 so the loss
     stays defined when nothing matches.
     """
-    predicted, actual = _matched(predicted, actual)
+    return _signloss(*_matched(predicted, actual))
+
+
+def _signloss(predicted: Columns, actual: Columns) -> float:
     error = _mean(np.abs(predicted.abs_x - actual.abs_x))
     matches = np.count_nonzero(predicted.sign_x == actual.sign_x)
     return float(error / max(1, matches))
@@ -256,9 +292,9 @@ def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> Objectives:
         elif oid is ObjectiveId.L3_LONGITUDINAL_VELOCITY:
             value = _mean(l3_minimized(predicted))
         elif oid is ObjectiveId.RMSE:
-            value = rmse(predicted, actual)
+            value = _rmse(predicted, actual)
         elif oid is ObjectiveId.SIGNLOSS:
-            value = signloss(predicted, actual)
+            value = _signloss(predicted, actual)
         else:  # pragma: no cover
             raise ContractError(f"unhandled objective {oid}")
         if not math.isfinite(value):

@@ -23,9 +23,11 @@ from neurotraj.evaluator import (
     evaluate,
     predict_targets,
     skill_scores,
+    validation_rmse,
 )
-from neurotraj.experiment import PRESETS, build_dataset, preset_config
+from neurotraj.experiment import PRESETS, FrontEntry, _front_entries, build_dataset, preset_config
 from neurotraj.genome import Genome, default_allele_table, random_genome
+from neurotraj.nsga2 import Individual
 from neurotraj.objectives import Columns, ObjectiveId, assemble, l3_minimized, rmse
 from neurotraj.trajectory import (
     TAU,
@@ -36,6 +38,21 @@ from neurotraj.trajectory import (
 
 TABLE = default_allele_table()
 IDS = (ObjectiveId.RMSE, ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY)
+NO_RMSE = (ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY)
+
+
+def front_entries(genomes, data, ids):
+    """The final-front entries of `genomes` as a run searching `ids` on
+    `data` writes them."""
+    members = []
+    for g in genomes:
+        result = evaluate(g, data, ids)
+        members.append(Individual(genome=g, objectives=result.objectives, evaluation=result))
+    return _front_entries(members, data, ids)
+
+
+def front_entry(genome, data, ids):
+    return front_entries([genome], data, ids)[0]
 
 
 class TestSkillScores:
@@ -131,7 +148,9 @@ class TestEvaluate:
         a = evaluate(g, small_dataset, IDS)
         b = evaluate(g, replace(small_dataset), IDS)  # a copy, so not the memo's result
         assert a.objectives == b.objectives
-        assert a.rmse_validation == b.rmse_validation
+        for ids in (IDS, NO_RMSE):
+            assert (front_entry(g, small_dataset, ids).rmse_validation
+                    == front_entry(g, replace(small_dataset), ids).rmse_validation)
         assert a.skills == b.skills
 
     def test_order_independent(self, small_dataset):
@@ -149,17 +168,20 @@ class TestEvaluate:
         res = evaluate(g, small_dataset, IDS)
         assert type(res.objectives) is tuple and len(res.objectives) == len(IDS)
         assert all(type(v) is float for v in res.objectives)
-        assert res.objectives[IDS.index(ObjectiveId.RMSE)] == res.rmse_validation
+        searched = res.objectives[IDS.index(ObjectiveId.RMSE)]
+        assert searched == front_entry(g, small_dataset, IDS).rmse_validation
+        assert searched == validation_rmse(g, res.skills, small_dataset)
 
     def test_skill_fields_logged(self, small_dataset):
         g = random_genome(TABLE, Random(1))
         res = evaluate(g, small_dataset, IDS)
         assert res.skills == skill_scores(g)
-        assert res.rmse_validation >= 0.0
+        for ids in (IDS, NO_RMSE):
+            assert front_entry(g, small_dataset, ids).rmse_validation >= 0.0
 
     def test_result_holds_validation_fields_only(self):
-        assert [f.name for f in fields(EvaluationResult)] == [
-            "objectives", "skills", "rmse_validation"]
+        assert [f.name for f in fields(EvaluationResult)] == ["objectives", "skills"]
+        assert "rmse_validation" in [f.name for f in fields(FrontEntry)]
 
     def test_test_split_streams_keyed_by_role(self, small_dataset):
         g = random_genome(TABLE, Random(6))
@@ -174,23 +196,27 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(6))
         res = evaluate(g, small_dataset, tuple(ObjectiveId))
         assert all(type(v) is float for v in res.objectives)
-        assert type(res.rmse_validation) is float
+        for ids in (tuple(ObjectiveId), NO_RMSE):
+            assert type(front_entry(g, small_dataset, ids).rmse_validation) is float
         predicted = predict_targets(g, res.skills, small_dataset.test_targets, "test").rows()
         assert all(type(v) is float for v in classify_validity(predicted).measured)
 
-    @pytest.mark.parametrize("ids, calls", [
-        (IDS, 0),
-        ((ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY), 1),
-    ])
+    @pytest.mark.parametrize("ids, calls", [(IDS, 0), (NO_RMSE, 1)])
     def test_validation_rmse_computed_once(self, small_dataset, monkeypatch, ids, calls):
+        """`evaluate` computes no validation RMSE beside its objectives; a
+        final-front entry computes it once per member where RMSE is not
+        searched, and takes the searched value where it is."""
         import neurotraj.evaluator as evaluator_mod
 
-        # A copy with an empty memo: the shared dataset may already hold g.
+        # A copy with an empty memo: the shared dataset may already hold the genomes.
         small_dataset = replace(small_dataset)
-        g = random_genome(TABLE, Random(6))
-        predicted = predict_targets(g, skill_scores(g), small_dataset.validation_targets,
-                                    "val").rows()
-        expected = rmse(predicted, small_dataset.validation[:, TAU:])
+        rng = Random(6)
+        genomes = [random_genome(TABLE, rng) for _ in range(3)]
+        expected = []
+        for g in genomes:
+            predicted = predict_targets(g, skill_scores(g), small_dataset.validation_targets,
+                                        "val").rows()
+            expected.append(rmse(predicted, small_dataset.validation[:, TAU:]))
         counted = []
 
         def counting_rmse(*args):
@@ -198,8 +224,12 @@ class TestEvaluate:
             return rmse(*args)
 
         monkeypatch.setattr(evaluator_mod, "rmse", counting_rmse)
-        assert evaluate(g, small_dataset, ids).rmse_validation == expected
-        assert len(counted) == calls
+        for g in genomes:
+            evaluate(g, small_dataset, ids)
+        assert counted == []
+        entries = front_entries(genomes, small_dataset, ids)
+        assert [e.rmse_validation for e in entries] == expected
+        assert len(counted) == calls * len(genomes)
 
     def test_landscape_pinned(self):
         """The skill weights and the noise streams stay as they are: one
@@ -253,7 +283,8 @@ class TestDatasetTerms:
         # Interleaved, so terms kept for one dataset cannot serve the other.
         for data in (first, second, first):
             result = evaluate(g, data, ids)
-            assert (result.objectives, result.rmse_validation) == reference(g, data, ids)
+            assert ((result.objectives, front_entry(g, data, ids).rmse_validation)
+                    == reference(g, data, ids))
             predicted = predict_targets(g, result.skills, data.test_targets, "test")
             fresh = Columns.of(data.test[:, TAU:])
             assert np.array_equal(predicted.rows(),

@@ -171,17 +171,23 @@ class TestExecuteRun:
             assert len(snap["subproblems"]) == cfg.population
 
     def test_logged_individuals_reevaluate_identically(self):
-        cfg = small_config(generations=2, population=5)
-        data = build_dataset(cfg)
-        rec = execute_run(cfg, data, 0)
-        for entry in rec.final_front:
-            res = evaluate(Genome(entry.genome), dataclasses.replace(data), cfg.objective_ids)
-            assert res.objectives == entry.objectives
-            assert res.rmse_validation == entry.rmse_validation
-            predicted_test = predict_targets(Genome(entry.genome), res.skills, data.test_targets,
-                                             "test").rows()
-            assert rmse(predicted_test, data.test[:, TAU:]) == entry.rmse_test
-            assert classify_validity(predicted_test) == entry.validity
+        searched = small_config(generations=2, population=5)
+        # Without RMSE among the objectives, the entries compute it themselves.
+        unsearched = dataclasses.replace(searched, objective_ids=searched.objective_ids[1:])
+        for cfg in (searched, unsearched):
+            data = build_dataset(cfg)
+            rec = execute_run(cfg, data, 0)
+            for entry in rec.final_front:
+                genome = Genome(entry.genome)
+                res = evaluate(genome, dataclasses.replace(data), cfg.objective_ids)
+                assert res.objectives == entry.objectives
+                predicted_val = predict_targets(genome, res.skills, data.validation_targets,
+                                                "val").rows()
+                assert rmse(predicted_val, data.validation[:, TAU:]) == entry.rmse_validation
+                predicted_test = predict_targets(genome, res.skills, data.test_targets,
+                                                 "test").rows()
+                assert rmse(predicted_test, data.test[:, TAU:]) == entry.rmse_test
+                assert classify_validity(predicted_test) == entry.validity
 
     def test_runs_are_deterministic(self):
         cfg = small_config(generations=2, population=5)

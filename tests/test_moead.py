@@ -90,6 +90,20 @@ class TestNeighborhoods:
         # neighbors of an interior point resolve to the lower index first
         assert nbhd[2] == (2, 1, 3)
 
+    @pytest.mark.parametrize("m, population", [(2, 2), (2, 15), (2, 45), (3, 3), (3, 15),
+                                               (3, 45), (3, 100)])
+    def test_matches_loop_reference(self, m, population):
+        lattice = simplex_lattice(m, lattice_resolution_for(m, population))
+        for t in sorted({1, 2, 7, lattice.size} & set(range(1, lattice.size + 1))):
+            expected = []
+            for wi in lattice.weights:
+                dists = sorted((sum((a - b) ** 2 for a, b in zip(wi, wj)), j)
+                               for j, wj in enumerate(lattice.weights))
+                expected.append(tuple(j for _, j in dists[:t]))
+            got = build_neighborhoods(lattice, t)
+            assert got == expected
+            assert all(type(j) is int for nbhd in got for j in nbhd)
+
 
 class TestTchebycheff:
     def test_at_ideal_point_zero(self):

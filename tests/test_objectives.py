@@ -3,11 +3,16 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_seq, straight_seq
 from neurotraj.errors import ContractError, DegenerateTimestepError
 from neurotraj.objectives import (
+    SIGN_EPS,
+    Columns,
     ObjectiveId,
+    _wrap_angle,
     angular_velocity,
     assemble,
     l1_distance_feedback,
@@ -80,6 +85,80 @@ def oracle_l2(seq):
     wrapped[wrapped == -np.pi] = np.pi
     dts = ts[1:-1] - ts[:-2]
     return float(np.sum(np.abs(wrapped / dts)))
+
+
+def mod_wrap(a):
+    """The wrap as the plain formula: mod(a + pi, tau) - pi, with -pi sent to pi."""
+    a = np.mod(a + math.pi, math.tau) - math.pi
+    return np.where(a == -math.pi, math.pi, a)
+
+
+def near(x):
+    """Floats within a few ulps of x."""
+    return st.integers(-4, 4).map(lambda k: x + k * math.ulp(x))
+
+
+ANGLES = st.one_of(st.floats(-math.tau, math.tau),
+                   st.sampled_from([-math.pi, math.pi, 0.0, -0.0]),
+                   near(-math.pi), near(math.pi))
+# Each of these sends the wrap down its mod path: a + pi is <= 0 or >= tau.
+SLOW = st.one_of(st.sampled_from([-math.pi, math.pi, -math.tau, math.tau]),
+                 st.floats(-math.tau, -math.pi), st.floats(math.pi, math.tau))
+
+
+class TestWrapAngle:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(ANGLES, min_size=1, max_size=12), slow=st.none() | SLOW,
+           rows=st.sampled_from([1, 2]))
+    def test_bit_identical_to_mod_formula(self, values, slow, rows):
+        if slow is not None:
+            values = values + [slow]
+        a = np.array(values * rows).reshape(rows, -1)
+        got = _wrap_angle(a)
+        assert got.shape == a.shape
+        assert np.array_equal(got.view(np.int64), mod_wrap(a).view(np.int64))
+
+    def test_range(self):
+        a = np.array([-math.pi, math.pi, -math.tau, 0.0, 3 * math.pi / 2])
+        wrapped = _wrap_angle(a)
+        assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
+        assert wrapped[0] == wrapped[1] == math.pi
+
+
+class TestColumnsTerms:
+    def columns(self):
+        x = np.array([[0.0, 1e-12, -0.5, 0.25], [2.0, -1.0, 0.0, 3.0]])
+        y = np.cumsum(np.full((2, 4), 3.0), axis=1)
+        t = np.tile(np.arange(4) * 0.25, (2, 1))
+        return x, y, t
+
+    def test_terms_equal_their_formulas_and_are_computed_once(self):
+        x, y, t = self.columns()
+        cols = Columns(x, y, t)
+        dt = np.diff(t)
+        expected = {
+            "dt": dt,
+            "dx": np.diff(x),
+            "dy": np.diff(y),
+            "band": (V_MIN_MPS * dt, V_MAX_MPS * dt),
+            "dest": np.stack([x[:, -1], y[:, -1]], axis=-1),
+            "abs_x": np.abs(x),
+            "sign_x": np.where(np.abs(x) < SIGN_EPS, 0.0, np.sign(x)),
+        }
+        for name, want in expected.items():
+            assert name not in vars(cols)
+            first = getattr(cols, name)
+            assert np.array_equal(first, want)
+            # Kept on the instance: a second access returns the same object.
+            assert vars(cols)[name] is first
+            assert getattr(cols, name) is first
+
+    def test_given_dt_kept(self):
+        x, y, t = self.columns()
+        dt = np.full((2, 3), 0.5)  # not t's steps, so a recomputed dt would show
+        cols = Columns(x, y, t, dt=dt)
+        assert cols.dt is dt
+        assert np.array_equal(cols.band[0], V_MIN_MPS * dt)
 
 
 class TestL2:
