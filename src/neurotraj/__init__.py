@@ -7,13 +7,12 @@ __version__ = "0.1.0"
 from .genome import AlleleTable, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId
 from .trajectory import Dataset
-from .evaluator import EvaluationResult, evaluate
+from .evaluator import evaluate
 from .experiment import ExperimentConfig, PRESETS, preset_config, run_experiment, summarize
 
 __all__ = [
     "AlleleTable",
     "Dataset",
-    "EvaluationResult",
     "ExperimentConfig",
     "GeneticOperators",
     "Genome",

@@ -33,6 +33,8 @@ from .experiment import (
     DatasetConfig,
     ExperimentConfig,
     PRESETS,
+    SUMMARY_FILE,
+    experiment_files,
     load_records,
     preset_config,
     read_config,
@@ -76,7 +78,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     records = run_experiment(cfg, out_dir=out_dir, jobs=args.jobs)
     failed = [rec for rec in records if rec.error]
-    for p in sorted(out_dir.glob("*")):
+    for p in sorted(out_dir / name for name in experiment_files(cfg.runs)):
         print(p)
     for rec in failed:
         print(f"error: run {rec.run_index} (seed {rec.run_seed}) failed: {rec.error}",
@@ -173,7 +175,7 @@ def _analyze(args: argparse.Namespace) -> int:
     doc["hypervolume_reference"] = list(ref)
     if against_dir is not None:
         doc["against"] = str(against_dir)
-    artifacts.append(write_json(out_dir / "summary.json", doc))
+    artifacts.append(write_json(out_dir / SUMMARY_FILE, doc))
 
     for p in artifacts:
         print(p)

@@ -16,8 +16,9 @@ The search scores the validation split only, on the searched objectives.
 The test split, and the plain validation RMSE where RMSE is not searched,
 are computed once per final-front model. All read their split's target
 terms from the `Dataset`, which derives them once. The dataset also keeps
-every result of `evaluate`, so each distinct (genome, objective ids) is
-scored once per dataset however often the engines ask for it.
+every objective vector `evaluate` returns, so each distinct (genome,
+objective ids) is scored once per dataset however often the engines ask
+for it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 from typing import Sequence
@@ -51,15 +51,6 @@ _SKILLS = (
 _LATERAL_NOISE_MAX_M = 0.8
 _HEADING_JITTER_MAX_RAD = 0.03
 _SPEED_SPAN = 0.15
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    # Computed on the validation split. The experiment summaries' validation
-    # RMSE is read from here where RMSE is searched; `validation_rmse`
-    # computes it for the final-front models of the other experiments.
-    objectives: Objectives
-    skills: tuple[float, float, float]
 
 
 # The leading 0 in this key and in `_noise`'s keeps the weights and the
@@ -164,20 +155,19 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], targets:
     return Columns(targets.x + offset, y, targets.t, dt=targets.dt)
 
 
-def evaluate(genome: Genome, data: Dataset, ids: Sequence[ObjectiveId]) -> EvaluationResult:
-    """Evaluate a genome on the validation split, the only split the search
-    reads. A result is computed once per dataset and kept in
+def evaluate(genome: Genome, data: Dataset, ids: Sequence[ObjectiveId]) -> Objectives:
+    """The objectives `ids` of a genome on the validation split, the only
+    split the search reads. They are computed once per dataset and kept in
     `data.evaluations`; a failed evaluation is not kept."""
     key = (genome.indices, tuple(ids))
-    if (result := data.evaluations.get(key)) is not None:
-        return result
+    if (objectives := data.evaluations.get(key)) is not None:
+        return objectives
     if not len(data.validation):
         raise ContractError("validation split must be non-empty")
-    skills = skill_scores(genome)
     actual = data.validation_targets
-    predicted = predict_targets(genome, skills, actual, "val")
-    result = data.evaluations[key] = EvaluationResult(assemble(ids, predicted, actual), skills)
-    return result
+    predicted = predict_targets(genome, skill_scores(genome), actual, "val")
+    objectives = data.evaluations[key] = assemble(ids, predicted, actual)
+    return objectives
 
 
 def validation_rmse(genome: Genome, skills: tuple[float, float, float], data: Dataset) -> float:

@@ -26,9 +26,9 @@ from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
 from .config import Config
 from .errors import ConfigurationError, ContractError, MalformedRecordsError, NeurotrajError
-from .evaluator import evaluate, predict_targets, validation_rmse
+from .evaluator import evaluate, predict_targets, skill_scores, validation_rmse
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
-from .objectives import ObjectiveId, rmse
+from .objectives import ObjectiveId, Objectives, rmse
 from .trajectory import Dataset, generate_scenario, read_csv, window_and_split, write_csv, write_json
 
 
@@ -187,33 +187,31 @@ def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
     doc = {
         "genome": list(ind.genome.indices),
         "objectives": list(ind.objectives),
-        "skills": list(ind.evaluation.skills) if ind.evaluation is not None else None,
     }
     if with_rank:
         doc["rank"] = ind.rank
-        doc["crowding"] = None if math.isinf(ind.crowding) else ind.crowding
     return doc
 
 
 def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
                    ids: Sequence[ObjectiveId]) -> list[FrontEntry]:
     """Judge each final-front model on the test split, predicted once per
-    model. Its validation RMSE is its searched RMSE objective, or where RMSE
-    is not searched, computed here once per model."""
+    model from its skills, computed once. Its validation RMSE is its
+    searched RMSE objective, or where RMSE is not searched, computed here."""
     searched = ids.index(ObjectiveId.RMSE) if ObjectiveId.RMSE in ids else None
     actual = data.test_targets
     entries = []
     for ind in individuals:
-        ev = ind.evaluation
-        predicted = predict_targets(ind.genome, ev.skills, actual, "test")
+        skills = skill_scores(ind.genome)
+        predicted = predict_targets(ind.genome, skills, actual, "test")
         entries.append(FrontEntry(
             genome=ind.genome.indices,
             objectives=ind.objectives,
-            rmse_validation=(validation_rmse(ind.genome, ev.skills, data) if searched is None
+            rmse_validation=(validation_rmse(ind.genome, skills, data) if searched is None
                              else ind.objectives[searched]),
             rmse_test=rmse(predicted, actual),
             validity=classify_validity(predicted.rows()),
-            skills=ev.skills,
+            skills=skills,
         ))
     return entries
 
@@ -225,9 +223,9 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
     rng = Random(run_seed)
     ops = GeneticOperators(table=default_allele_table())
 
-    def eval_fn(genome: Genome):
-        result = evaluate(genome, data, cfg.objective_ids)
-        return result.objectives, result
+    # `evaluate` is looked up at each call, so a stand-in set on this module is the one called.
+    def eval_fn(genome: Genome) -> Objectives:
+        return evaluate(genome, data, cfg.objective_ids)
 
     start = time.perf_counter()
     try:
@@ -309,6 +307,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
 # ---------------------------------------------------------------------------
 # Persistence
 
+CONFIG_FILE = "config.json"
+SUMMARY_FILE = "summary.json"
+
+
+def run_files(k: int) -> tuple[str, str]:
+    """The names of run k's snapshot file and final-front file."""
+    return f"run_{k}.jsonl", f"final_front_{k}.csv"
+
+
+def experiment_files(runs: int) -> list[str]:
+    """The names of every file an experiment of `runs` runs is persisted to."""
+    return [CONFIG_FILE, *(name for k in range(runs) for name in run_files(k)), SUMMARY_FILE]
+
 
 # The columns of final_front_<k>.csv that follow the genes and the objective
 # values; `load_records` reads them by position.
@@ -328,17 +339,17 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    written.append(write_json(out_dir / "config.json", cfg.to_dict()))
+    written.append(write_json(out_dir / CONFIG_FILE, cfg.to_dict()))
 
     header = front_header([oid.token for oid in cfg.objective_ids])
     for rec in records:
-        jsonl_path = out_dir / f"run_{rec.run_index}.jsonl"
+        jsonl_path, csv_path = (out_dir / name for name in run_files(rec.run_index))
         with open(jsonl_path, "wb") as fh:
             for snap in [{"error": rec.error}] if rec.error else rec.snapshots:
                 fh.write(orjson.dumps(snap, option=orjson.OPT_APPEND_NEWLINE))
         written.append(jsonl_path)
 
-        written.append(write_csv(out_dir / f"final_front_{rec.run_index}.csv", header, (
+        written.append(write_csv(csv_path, header, (
             list(e.genome) + [repr(v) for v in e.objectives]
             + [repr(e.rmse_validation), repr(e.rmse_test),
                int(e.validity.valid), int(e.validity.spread_ok),
@@ -347,7 +358,7 @@ def persist_experiment(out_dir: Path, cfg: ExperimentConfig, records: list[RunRe
             + [repr(s) for s in e.skills]
             for e in rec.final_front)))
 
-    written.append(write_json(out_dir / "summary.json", summarize(records)))
+    written.append(write_json(out_dir / SUMMARY_FILE, summarize(records)))
     return written
 
 
@@ -363,7 +374,7 @@ def read_config(path: str | Path) -> ExperimentConfig:
 
 def load_config(exp_dir: Path) -> ExperimentConfig:
     try:
-        return read_config(exp_dir / "config.json")
+        return read_config(exp_dir / CONFIG_FILE)
     except (OSError, NeurotrajError) as exc:
         raise MalformedRecordsError(f"cannot load config from {exp_dir}: {exc}") from exc
 
@@ -457,8 +468,7 @@ def load_records(exp_dir: Path) -> tuple[ExperimentConfig, list[RunRecord]]:
     header = front_header([oid.token for oid in cfg.objective_ids])
     records = []
     for k in range(cfg.runs):
-        jsonl_path = exp_dir / f"run_{k}.jsonl"
-        csv_path = exp_dir / f"final_front_{k}.csv"
+        jsonl_path, csv_path = (exp_dir / name for name in run_files(k))
         fronts, error = _read_run(jsonl_path, cfg.algorithm, m)
         if error is None and len(fronts) != cfg.generations:
             raise MalformedRecordsError(

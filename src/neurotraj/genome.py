@@ -15,6 +15,10 @@ from .errors import ContractError
 
 N_LOCI = 13
 
+# The chance that two parents are crossed, and that each child is mutated.
+CROSSOVER_RATE = 1.0
+MUTATION_RATE = 0.5
+
 # Locus order and allele sets are fixed.
 _TABLE_ROWS: tuple[tuple[str, tuple], ...] = (
     ("Batch Size", (50, 75, 100, 125)),
@@ -116,18 +120,16 @@ def mutate(table: AlleleTable, genome: Genome, rate: float, rng: Random) -> Geno
 
 @dataclass(frozen=True)
 class GeneticOperators:
-    """Crossover/mutation bundle the search engines apply to parents."""
+    """Crossover and mutation over one allele table, at the module's rates."""
 
     table: AlleleTable
-    crossover_rate: float = 1.0
-    mutation_rate: float = 0.5
 
     def offspring(self, p1: Genome, p2: Genome, rng: Random) -> tuple[Genome, Genome]:
-        if rng.random() < self.crossover_rate:
+        if rng.random() < CROSSOVER_RATE:
             c1, c2 = single_point_crossover(p1, p2, rng)
         else:
             c1, c2 = p1, p2
         return (
-            mutate(self.table, c1, self.mutation_rate, rng),
-            mutate(self.table, c2, self.mutation_rate, rng),
+            mutate(self.table, c1, MUTATION_RATE, rng),
+            mutate(self.table, c2, MUTATION_RATE, rng),
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .errors import ContractError
 from .genome import GeneticOperators, Genome, random_genome
 from .objectives import Objectives
 
-EvaluateFn = Callable[[Genome], tuple[Objectives, Any]]
+EvaluateFn = Callable[[Genome], Objectives]
 
 TOURNAMENT_SIZE = 3
 
@@ -24,7 +24,6 @@ class Individual:
     objectives: Objectives
     rank: int = 0
     crowding: float = 0.0
-    evaluation: Any = None  # engine-agnostic payload (e.g. EvaluationResult)
 
 
 def dominates(a: Objectives, b: Objectives) -> bool:
@@ -119,11 +118,7 @@ def tournament_select(pop: list[Individual], k: int, rng: Random) -> Individual:
 def scored(genomes: Iterable[Genome], evaluate_fn: EvaluateFn) -> list[Individual]:
     """One individual per genome, each scored once and in order: the one
     place either engine calls `evaluate_fn`."""
-    individuals = []
-    for genome in genomes:
-        objectives, payload = evaluate_fn(genome)
-        individuals.append(Individual(genome=genome, objectives=objectives, evaluation=payload))
-    return individuals
+    return [Individual(genome, evaluate_fn(genome)) for genome in genomes]
 
 
 def init_population(size: int, evaluate_fn: EvaluateFn, ops: GeneticOperators, rng: Random) -> list[Individual]:

@@ -29,8 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, ContractError, InsufficientDataError
 
 if TYPE_CHECKING:
-    from .evaluator import EvaluationResult
-    from .objectives import Columns
+    from .objectives import Columns, Objectives
 
 V_MIN_MPS = 80.0 / 3.6  # 80 km/h
 V_MAX_MPS = 130.0 / 3.6  # 130 km/h
@@ -141,9 +140,9 @@ class Dataset:
         return _targets(self.test)
 
     @cached_property
-    def evaluations(self) -> dict[tuple, EvaluationResult]:
-        """`evaluator.evaluate`'s memo: each result by (genome indices,
-        objective ids). A copy sent to a worker process starts empty."""
+    def evaluations(self) -> dict[tuple, Objectives]:
+        """`evaluator.evaluate`'s memo: each objective vector by (genome
+        indices, objective ids). A copy sent to a worker process starts empty."""
         return {}
 
     def counts(self) -> dict:

@@ -148,7 +148,7 @@ class RecordingEval:
     def __call__(self, genome):
         self.genomes.append(genome)
         r = Random(hash(genome.indices) & 0xFFFFF)
-        return (r.uniform(0, 5), r.uniform(0, 5)), None
+        return r.uniform(0, 5), r.uniform(0, 5)
 
 
 class BreedingLog:

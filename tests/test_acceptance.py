@@ -85,9 +85,10 @@ def test_criterion_1_dominance_sort_oracle():
                 values.append(tuple(float(rng.randrange(grid)) for _ in range(m)))
             else:
                 values.append(tuple(rng.uniform(0, 10) for _ in range(m)))
-        pop = [Individual(genome=Genome((0,) * 13), objectives=vec(tokens[:m], v),
-                          evaluation=i) for i, v in enumerate(values)]
-        fronts = [sorted(ind.evaluation for ind in front)
+        pop = [Individual(genome=Genome((0,) * 13), objectives=vec(tokens[:m], v))
+               for v in values]
+        tag = {id(ind): i for i, ind in enumerate(pop)}
+        fronts = [sorted(tag[id(ind)] for ind in front)
                   for front in nondominated_sort(pop)]
         assert fronts == brute_force_fronts(values), f"trial {trial} disagrees with oracle"
     elapsed = time.perf_counter() - started
@@ -132,8 +133,7 @@ def test_criterion_3_tchebycheff_and_ideal():
         rng = Random(seed)
 
         def eval_fn(genome):
-            res = evaluate(genome, data, cfg.objective_ids)
-            return res.objectives, res
+            return evaluate(genome, data, cfg.objective_ids)
 
         state = init_state(lattice, eval_fn, ops, rng)
         log = []
@@ -202,7 +202,7 @@ def test_criterion_6_conflict_sign_reproduction():
     l1s, l2s, l3_raw = [], [], []
     for _ in range(500):
         g = random_genome(TABLE, rng)
-        values = evaluate(g, data, cfg.objective_ids).objectives
+        values = evaluate(g, data, cfg.objective_ids)
         l1s.append(values[0])
         l2s.append(values[1])
         l3_raw.append((tau - 1) * V_MAX_MPS - values[2])  # recover the raw sum

@@ -316,6 +316,24 @@ class TestRun:
         assert {"config.json", "summary.json", "run_0.jsonl", "run_1.jsonl",
                 "final_front_0.csv", "final_front_1.csv"} <= names
 
+    def test_lists_only_the_files_it_wrote(self, tmp_path, capsys):
+        """A run into the directory of an earlier one with more runs prints
+        its own files alone, and deletes none of the files already there."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path / "two.json", _config(runs=2)),
+                     "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        capsys.readouterr()
+        assert main(["run", "--config", _write(tmp_path / "one.json", SMALL_RUN),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(out / name)
+            for name in ("config.json", "final_front_0.csv", "run_0.jsonl", "summary.json")]
+        assert {p.name for p in out.iterdir()} == {
+            "config.json", "final_front_0.csv", "final_front_1.csv", "notes.txt",
+            "run_0.jsonl", "run_1.jsonl", "summary.json"}
+        assert json.loads((out / "config.json").read_text())["runs"] == 1
+
     def test_snapshot_rows_match_generations(self, exp8_dir):
         lines = (exp8_dir / "run_0.jsonl").read_text().splitlines()
         assert len(lines) == 3

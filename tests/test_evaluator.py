@@ -17,7 +17,6 @@ from conftest import validate_sequence
 from neurotraj.analysis import classify_validity
 from neurotraj.errors import ContractError
 from neurotraj.evaluator import (
-    EvaluationResult,
     _noise,
     _thread,
     evaluate,
@@ -44,10 +43,7 @@ NO_RMSE = (ObjectiveId.L2_LATERAL_VELOCITY, ObjectiveId.L3_LONGITUDINAL_VELOCITY
 def front_entries(genomes, data, ids):
     """The final-front entries of `genomes` as a run searching `ids` on
     `data` writes them."""
-    members = []
-    for g in genomes:
-        result = evaluate(g, data, ids)
-        members.append(Individual(genome=g, objectives=result.objectives, evaluation=result))
+    members = [Individual(genome=g, objectives=evaluate(g, data, ids)) for g in genomes]
     return _front_entries(members, data, ids)
 
 
@@ -147,40 +143,41 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(6))
         a = evaluate(g, small_dataset, IDS)
         b = evaluate(g, replace(small_dataset), IDS)  # a copy, so not the memo's result
-        assert a.objectives == b.objectives
+        assert a == b
         for ids in (IDS, NO_RMSE):
-            assert (front_entry(g, small_dataset, ids).rmse_validation
-                    == front_entry(g, replace(small_dataset), ids).rmse_validation)
-        assert a.skills == b.skills
+            assert front_entry(g, small_dataset, ids) == front_entry(g, replace(small_dataset), ids)
 
     def test_order_independent(self, small_dataset):
         rng = Random(9)
         genomes = [random_genome(TABLE, rng) for _ in range(4)]
         # Each pass on its own copy, so that both compute and neither reads the memo.
         data = replace(small_dataset)
-        forward = {g: evaluate(g, data, IDS).objectives for g in genomes}
+        forward = {g: evaluate(g, data, IDS) for g in genomes}
         data = replace(small_dataset)
-        backward = {g: evaluate(g, data, IDS).objectives for g in reversed(genomes)}
+        backward = {g: evaluate(g, data, IDS) for g in reversed(genomes)}
         assert forward == backward
 
     def test_vector_order_matches_ids(self, small_dataset):
         g = random_genome(TABLE, Random(1))
         res = evaluate(g, small_dataset, IDS)
-        assert type(res.objectives) is tuple and len(res.objectives) == len(IDS)
-        assert all(type(v) is float for v in res.objectives)
-        searched = res.objectives[IDS.index(ObjectiveId.RMSE)]
+        assert type(res) is tuple and len(res) == len(IDS)
+        assert all(type(v) is float for v in res)
+        searched = res[IDS.index(ObjectiveId.RMSE)]
         assert searched == front_entry(g, small_dataset, IDS).rmse_validation
-        assert searched == validation_rmse(g, res.skills, small_dataset)
+        assert searched == validation_rmse(g, skill_scores(g), small_dataset)
 
     def test_skill_fields_logged(self, small_dataset):
         g = random_genome(TABLE, Random(1))
-        res = evaluate(g, small_dataset, IDS)
-        assert res.skills == skill_scores(g)
         for ids in (IDS, NO_RMSE):
-            assert front_entry(g, small_dataset, ids).rmse_validation >= 0.0
+            entry = front_entry(g, small_dataset, ids)
+            assert entry.skills == skill_scores(g)
+            assert entry.rmse_validation >= 0.0
 
-    def test_result_holds_validation_fields_only(self):
-        assert [f.name for f in fields(EvaluationResult)] == ["objectives", "skills"]
+    def test_result_holds_validation_fields_only(self, small_dataset):
+        """`evaluate` returns the searched validation objectives alone; the
+        validation RMSE of an unsearched objective is kept on `FrontEntry`."""
+        g = random_genome(TABLE, Random(1))
+        assert evaluate(g, small_dataset, NO_RMSE) == reference(g, small_dataset, NO_RMSE)[0]
         assert "rmse_validation" in [f.name for f in fields(FrontEntry)]
 
     def test_test_split_streams_keyed_by_role(self, small_dataset):
@@ -195,10 +192,10 @@ class TestEvaluate:
         # numpy scalars would be persisted as "np.float64(...)" by repr().
         g = random_genome(TABLE, Random(6))
         res = evaluate(g, small_dataset, tuple(ObjectiveId))
-        assert all(type(v) is float for v in res.objectives)
+        assert all(type(v) is float for v in res)
         for ids in (tuple(ObjectiveId), NO_RMSE):
             assert type(front_entry(g, small_dataset, ids).rmse_validation) is float
-        predicted = predict_targets(g, res.skills, small_dataset.test_targets, "test").rows()
+        predicted = predict_targets(g, skill_scores(g), small_dataset.test_targets, "test").rows()
         assert all(type(v) is float for v in classify_validity(predicted).measured)
 
     @pytest.mark.parametrize("ids, calls", [(IDS, 0), (NO_RMSE, 1)])
@@ -237,8 +234,8 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(0))
         assert g.indices == (3, 3, 0, 1, 4, 3, 3, 6, 2, 3, 2, 1, 4)
         res = evaluate(g, build_dataset(preset_config("exp6")), tuple(ObjectiveId))
-        assert res.skills == (0.843726072454173, 0.8434643022461273, 0.8824064570117562)
-        assert res.objectives == (6562.185493775429, 0.2471572409792909, 30.85996808822853,
+        assert skill_scores(g) == (0.843726072454173, 0.8434643022461273, 0.8824064570117562)
+        assert res == (6562.185493775429, 0.2471572409792909, 30.85996808822853,
                                   2.8309927573501983, 4.7259848031705645e-05)
 
     def test_empty_split_rejected(self, small_dataset):
@@ -282,13 +279,12 @@ class TestDatasetTerms:
         first, second = scenario_pair
         # Interleaved, so terms kept for one dataset cannot serve the other.
         for data in (first, second, first):
-            result = evaluate(g, data, ids)
-            assert ((result.objectives, front_entry(g, data, ids).rmse_validation)
-                    == reference(g, data, ids))
-            predicted = predict_targets(g, result.skills, data.test_targets, "test")
+            objectives = evaluate(g, data, ids)
+            assert (objectives, front_entry(g, data, ids).rmse_validation) == reference(g, data, ids)
+            skills = skill_scores(g)
+            predicted = predict_targets(g, skills, data.test_targets, "test")
             fresh = Columns.of(data.test[:, TAU:])
-            assert np.array_equal(predicted.rows(),
-                                  predict_targets(g, result.skills, fresh, "test").rows())
+            assert np.array_equal(predicted.rows(), predict_targets(g, skills, fresh, "test").rows())
 
     def test_dataset_freed_after_evaluate(self):
         data = window_and_split(generate_scenario(duration_s=30.0, lane_change_rate=0.0, seed=2),

@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import math
+import shutil
 from pathlib import Path
 
+import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurotraj.analysis import ValidityReport, classify_validity, permutation_test, ranksum_test
 from neurotraj.errors import ConfigurationError, MalformedRecordsError
-from neurotraj.evaluator import evaluate, predict_targets
+from neurotraj.evaluator import evaluate, predict_targets, skill_scores
 from neurotraj.experiment import (
     _METRICS,
     DatasetConfig,
@@ -179,12 +182,14 @@ class TestExecuteRun:
             rec = execute_run(cfg, data, 0)
             for entry in rec.final_front:
                 genome = Genome(entry.genome)
-                res = evaluate(genome, dataclasses.replace(data), cfg.objective_ids)
-                assert res.objectives == entry.objectives
-                predicted_val = predict_targets(genome, res.skills, data.validation_targets,
+                assert evaluate(genome, dataclasses.replace(data), cfg.objective_ids) == \
+                    entry.objectives
+                skills = skill_scores(genome)
+                assert skills == entry.skills
+                predicted_val = predict_targets(genome, skills, data.validation_targets,
                                                 "val").rows()
                 assert rmse(predicted_val, data.validation[:, TAU:]) == entry.rmse_validation
-                predicted_test = predict_targets(genome, res.skills, data.test_targets,
+                predicted_test = predict_targets(genome, skills, data.test_targets,
                                                  "test").rows()
                 assert rmse(predicted_test, data.test[:, TAU:]) == entry.rmse_test
                 assert classify_validity(predicted_test) == entry.validity
@@ -311,6 +316,38 @@ class TestRunExperiment:
         _, (rec,) = load_records(tmp_path)
         assert rec.fronts[0].dtype == float and float(value) in rec.fronts[0][:, 0]
 
+    @pytest.mark.parametrize("algorithm, snapshot_keys, member_keys", [
+        ("nsga2", ["generation", "population"], ["genome", "objectives", "rank"]),
+        ("moead", ["generation", "ideal", "subproblems", "archive"], ["genome", "objectives"]),
+    ])
+    def test_run_file_members_hold_genome_objectives_and_rank(self, tmp_path, algorithm,
+                                                              snapshot_keys, member_keys):
+        run_experiment(small_config(algorithm=algorithm, generations=2, population=6),
+                       out_dir=tmp_path)
+        snapshots = [json.loads(line) for line in (tmp_path / "run_0.jsonl").read_text().splitlines()]
+        assert len(snapshots) == 2
+        for snap in snapshots:
+            assert list(snap) == snapshot_keys
+            members = [member for key in snapshot_keys[1:] if key != "ideal" for member in snap[key]]
+            assert members and all(list(member) == member_keys for member in members)
+
+    @pytest.mark.parametrize("algorithm", ["nsga2", "moead"])
+    def test_older_run_files_load_to_the_same_fronts(self, tmp_path, algorithm):
+        """Members written by earlier releases also hold `skills` and, in an
+        NSGA-II population, `crowding`; such a file loads as the new one does."""
+        cfg = small_config(algorithm=algorithm, runs=2, generations=2, population=6)
+        run_experiment(cfg, out_dir=tmp_path / "new")
+        _as_older_release(tmp_path / "new", tmp_path / "old")
+        assert (tmp_path / "old" / "run_0.jsonl").read_bytes() != \
+            (tmp_path / "new" / "run_0.jsonl").read_bytes()
+        _, new = load_records(tmp_path / "new")
+        _, old = load_records(tmp_path / "old")
+        assert old == new
+        for a, b in zip(old, new, strict=True):
+            assert len(a.fronts) == len(b.fronts) == cfg.generations
+            assert all(np.array_equal(x, y) for x, y in zip(a.fronts, b.fronts))
+        assert any(len(front) for rec in old for front in rec.fronts)
+
     def test_header_only_front_loads_empty(self, tmp_path):
         records = run_experiment(small_config(runs=2), out_dir=tmp_path)
         path = tmp_path / "final_front_0.csv"
@@ -318,6 +355,26 @@ class TestRunExperiment:
         _, loaded = load_records(tmp_path)
         assert loaded[0].final_front == [] and loaded[0].error is None
         assert loaded[1].final_front == records[1].final_front
+
+
+def _as_older_release(exp_dir: Path, old_dir: Path) -> None:
+    """Copy an experiment, giving each run-file member the keys that earlier
+    releases also wrote, in their order: `skills` after `objectives`, and in
+    an NSGA-II population `crowding` (null where infinite) after `rank`."""
+    shutil.copytree(exp_dir, old_dir)
+    for path in old_dir.glob("run_*.jsonl"):
+        snapshots = [orjson.loads(line) for line in path.read_bytes().splitlines()]
+        for snap in snapshots:
+            for key in ("population", "subproblems", "archive"):
+                for i, member in enumerate(snap.get(key, [])):
+                    skills = list(skill_scores(Genome(tuple(member["genome"]))))
+                    old = {"genome": member["genome"], "objectives": member["objectives"],
+                           "skills": skills}
+                    if "rank" in member:
+                        old.update(rank=member["rank"], crowding=None if i < 2 else 0.25 * i)
+                    snap[key][i] = old
+        path.write_bytes(b"".join(orjson.dumps(snap, option=orjson.OPT_APPEND_NEWLINE)
+                                  for snap in snapshots))
 
 
 def _scaling_config(preset: str) -> ExperimentConfig:
@@ -329,9 +386,7 @@ def _scaling_config(preset: str) -> ExperimentConfig:
 def _scaled_evaluate(factors: list[float]):
     """`evaluate` with objective k multiplied by factors[k]."""
     def scaled(*args):
-        result = evaluate(*args)
-        objectives = tuple(v * f for v, f in zip(result.objectives, factors, strict=True))
-        return dataclasses.replace(result, objectives=objectives)
+        return tuple(v * f for v, f in zip(evaluate(*args), factors, strict=True))
     return scaled
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BreedingLog, RecordingEval, vals_dominate, vec
+import neurotraj.genome as genome_mod
 from neurotraj.errors import ConfigurationError, ContractError
 from neurotraj.genome import GeneticOperators, Genome, default_allele_table, random_genome
 from neurotraj.moead import (
@@ -200,7 +201,7 @@ def synth_eval(seed_offset=0):
         if genome.indices not in cache:
             r = Random((hash(genome.indices) ^ seed_offset) & 0xFFFFF)
             cache[genome.indices] = (r.uniform(0, 5), r.uniform(0, 5))
-        return vec(("rmse", "l2"), cache[genome.indices]), None
+        return vec(("rmse", "l2"), cache[genome.indices])
 
     return eval_fn
 
@@ -215,10 +216,11 @@ class TestStep:
         state = init_state(lattice, eval_fn, ops, rng)
         return state, lattice, nbhd, eval_fn, ops, rng
 
-    def test_identical_solutions_zero_mutation_is_noop(self):
+    def test_identical_solutions_zero_mutation_is_noop(self, monkeypatch):
+        monkeypatch.setattr(genome_mod, "MUTATION_RATE", 0.0)
         lattice = simplex_lattice(2, 4)
         nbhd = build_neighborhoods(lattice, 3)
-        ops = GeneticOperators(table=TABLE, mutation_rate=0.0)
+        ops = GeneticOperators(table=TABLE)
         g = Genome((1, 2, 0, 1, 3, 0, 2, 4, 1, 0, 3, 2, 4))
         obj = vec(("rmse", "l2"), (1.0, 2.0))
         state = MoeadState(
@@ -226,7 +228,7 @@ class TestStep:
             ideal=(1.0, 2.0),
             archive=[Individual(genome=g, objectives=obj)],
         )
-        eval_fn = lambda genome: (obj, None)
+        eval_fn = lambda genome: obj
         moead_step(state, lattice, nbhd, eval_fn, ops, Random(4))
         assert all(i.genome == g and i.objectives == (1.0, 2.0) for i in state.solutions)
         assert len(state.archive) == 1
@@ -245,9 +247,9 @@ class TestStep:
         base = synth_eval()
 
         def tracking_eval(genome):
-            obj, payload = base(genome)
+            obj = base(genome)
             seen.append(obj)
-            return obj, payload
+            return obj
 
         lattice = simplex_lattice(2, 5)
         nbhd = build_neighborhoods(lattice, 3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BreedingLog, RecordingEval, SeqRng, brute_force_fronts, vals_dominate, vec
+import neurotraj.genome as genome_mod
 from neurotraj.errors import ContractError
 from neurotraj.genome import GeneticOperators, Genome, default_allele_table, random_genome
 from neurotraj.nsga2 import (
@@ -85,10 +86,10 @@ class TestNondominatedSort:
             tokens = ("rmse", "l2", "l3")[:m]
             values = [random_values(rng, m, grid=rng.choice((4, 6, 0)) or None)
                       for _ in range(size)]
-            pop = [Individual(genome=Genome((0,) * 13), objectives=vec(tokens, v),
-                              evaluation=i) for i, v in enumerate(values)]
+            pop = [Individual(genome=Genome((0,) * 13), objectives=vec(tokens, v)) for v in values]
+            tag = {id(member): i for i, member in enumerate(pop)}
             fronts = nondominated_sort(pop)
-            got = [sorted(i.evaluation for i in front) for front in fronts]
+            got = [sorted(tag[id(i)] for i in front) for front in fronts]
             assert got == brute_force_fronts(values)
 
     def test_matches_brute_force_oracle_at_bench_size(self):
@@ -96,11 +97,12 @@ class TestNondominatedSort:
         # many ties and duplicate rows.
         rng = Random(11)
         values = [random_values(rng, 3, grid=6) for _ in range(300)]
-        pop = [Individual(genome=Genome((0,) * 13), objectives=vec(("rmse", "l2", "l3"), v),
-                          evaluation=i) for i, v in enumerate(values)]
+        pop = [Individual(genome=Genome((0,) * 13), objectives=vec(("rmse", "l2", "l3"), v))
+               for v in values]
+        tag = {id(member): i for i, member in enumerate(pop)}
         fronts = nondominated_sort(pop)
         assert len(set(values)) < len(values)
-        assert [sorted(i.evaluation for i in front) for front in fronts] == \
+        assert [sorted(tag[id(i)] for i in front) for front in fronts] == \
             brute_force_fronts(values)
         assert all(i.rank == k for k, front in enumerate(fronts) for i in front)
 
@@ -111,9 +113,9 @@ class TestNondominatedSort:
         coord = st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.0)) | st.floats(0.0, 3.0)
         rows = data.draw(st.lists(st.tuples(*[coord] * m), min_size=1, max_size=60))
         tokens = ("rmse", "l2", "l3")[:m]
-        pop = [Individual(genome=Genome((0,) * 13), objectives=vec(tokens, v), evaluation=i)
-               for i, v in enumerate(rows)]
-        fronts = [[member.evaluation for member in front] for front in nondominated_sort(pop)]
+        pop = [Individual(genome=Genome((0,) * 13), objectives=vec(tokens, v)) for v in rows]
+        tag = {id(member): i for i, member in enumerate(pop)}
+        fronts = [[tag[id(member)] for member in front] for front in nondominated_sort(pop)]
         assert [sorted(front) for front in fronts] == brute_force_fronts(rows)
         assert all(pop[i].rank == k for k, front in enumerate(fronts) for i in front)
         # Release rule: the first front in index order; each later one by the
@@ -209,15 +211,16 @@ class _LookupEval:
 
     def __call__(self, genome):
         values = self.mapping.get(genome.indices, self.default)
-        return vec(self.tokens, values), None
+        return vec(self.tokens, values)
 
 
 class TestStep:
-    def test_clone_population_fixed_point_with_zero_mutation(self):
+    def test_clone_population_fixed_point_with_zero_mutation(self, monkeypatch):
+        monkeypatch.setattr(genome_mod, "MUTATION_RATE", 0.0)
         g = Genome((1, 2, 0, 1, 3, 0, 2, 4, 1, 0, 3, 2, 4))
         eval_fn = _LookupEval({g.indices: (1.0, 1.0)})
-        ops = GeneticOperators(table=TABLE, crossover_rate=1.0, mutation_rate=0.0)
-        pop = [Individual(genome=g, objectives=eval_fn(g)[0]) for _ in range(6)]
+        ops = GeneticOperators(table=TABLE)
+        pop = [Individual(genome=g, objectives=eval_fn(g)) for _ in range(6)]
         nondominated_sort(pop)
         crowding_distance(pop)
         nxt = nsga2_step(pop, eval_fn, ops, Random(3))
@@ -231,8 +234,8 @@ class TestStep:
         # survive intact.
         rng = Random(11)
         parents = [random_genome(TABLE, rng) for _ in range(8)]
-        child_eval = lambda genome: (vec(("rmse", "l2"), (50.0, 50.0)), None)
-        ops = GeneticOperators(table=TABLE, crossover_rate=1.0, mutation_rate=0.5)
+        child_eval = lambda genome: vec(("rmse", "l2"), (50.0, 50.0))
+        ops = GeneticOperators(table=TABLE)
         pop = [Individual(genome=p, objectives=vec(("rmse", "l2"), (float(i), float(8 - i))))
                for i, p in enumerate(parents)]
         for front in nondominated_sort(pop):
@@ -249,7 +252,7 @@ class TestStep:
             if genome.indices not in values:
                 r = Random(hash(genome.indices) & 0xFFFF)
                 values[genome.indices] = (r.uniform(0, 5), r.uniform(0, 5))
-            return vec(("rmse", "l2"), values[genome.indices]), None
+            return vec(("rmse", "l2"), values[genome.indices])
 
         ops = GeneticOperators(table=TABLE)
         pop = init_population(10, eval_fn, ops, rng)
