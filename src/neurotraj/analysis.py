@@ -16,6 +16,7 @@ from .errors import (
     DegenerateBandwidthError,
     UndefinedCorrelationError,
 )
+from .trajectory import Columns
 
 logger = logging.getLogger(__name__)
 
@@ -154,15 +155,15 @@ def spearman(
 
 def classify_validity(predicted_test) -> ValidityReport:
     """Spread / symmetry / final-position classification of one model's
-    predicted test trajectories, a (P, tau, 3) array. Thresholds are
-    boundary-exact: spread and final position strictly exceed, symmetry is
-    an inclusive bound."""
-    predicted = np.asarray(predicted_test, dtype=float)
-    if not len(predicted):
+    predicted test trajectories, a `Columns` set or (P, tau, 3) rows.
+    Thresholds are boundary-exact: spread and final position strictly
+    exceed, symmetry is an inclusive bound."""
+    predicted = Columns.of(predicted_test)
+    if not len(predicted.x):
         raise ContractError("need at least one predicted sequence")
-    max_abs_x = float(np.abs(predicted[..., 0]).max())
-    mean_final_x = float(predicted[:, -1, 0].mean())
-    mean_final_dy = float((predicted[:, -1, 1] - predicted[:, 0, 1]).mean())
+    max_abs_x = float(predicted.abs_x.max())
+    mean_final_x = float(predicted.x[:, -1].mean())
+    mean_final_dy = float((predicted.y[:, -1] - predicted.y[:, 0]).mean())
 
     spread_ok = max_abs_x > SPREAD_THRESHOLD_M
     symmetry_ok = abs(mean_final_x) <= SYMMETRY_THRESHOLD_M

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import ContractError
 from .genome import Genome, default_allele_table
-from .objectives import Columns, ObjectiveId, Objectives, assemble, rmse
-from .trajectory import Dataset
+from .objectives import ObjectiveId, Objectives, assemble, rmse
+from .trajectory import Columns, Dataset
 
 # Per skill: its name (which keys its weights), its 1-based loci and the
 # pair of those loci whose weights also enter as a product. Locus 3

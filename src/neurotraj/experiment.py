@@ -210,7 +210,7 @@ def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
             rmse_validation=(validation_rmse(ind.genome, skills, data) if searched is None
                              else ind.objectives[searched]),
             rmse_test=rmse(predicted, actual),
-            validity=classify_validity(predicted.rows()),
+            validity=classify_validity(predicted),
             skills=skills,
         ))
     return entries

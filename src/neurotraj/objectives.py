@@ -5,8 +5,8 @@ objectives (l1, l2, l3) reduce the last two axes, so one sequence gives a
 scalar and a (P, tau, 3) batch gives one value per window. RMSE and
 SignLoss compare a predicted set against the actual one and reduce every
 axis: SignLoss counts sign matches over the whole set. Each function also
-accepts a `Columns`, which holds a set as its x, y and t columns and keeps
-the terms derived from them.
+accepts a `trajectory.Columns` and reads the terms the set keeps, so a set
+scored many times derives them once.
 
 All assembled values are finite and >= 0. The longitudinal-velocity
 objective is maximized in its raw form; it enters vectors as the
@@ -22,10 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateTimestepError
-from .trajectory import V_MAX_MPS, V_MIN_MPS
-
-SIGN_EPS = 1e-9
+from .errors import ContractError
+from .trajectory import V_MAX_MPS, V_MIN_MPS, Columns
 
 # An objective vector: one value per objective, in the order of the run's ids.
 Objectives = tuple[float, ...]
@@ -48,114 +46,6 @@ class ObjectiveId(Enum):
             if member.value == token:
                 return member
         raise ContractError(f"unknown objective token {token!r}")
-
-
-def _rows(seq) -> np.ndarray:
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim < 2 or seq.shape[-1] != 3:
-        raise ContractError(f"expected (..., n, 3) rows of (x, y, t), got shape {seq.shape}")
-    return seq
-
-
-def _checked_dt(dt: np.ndarray) -> np.ndarray:
-    if np.any(dt == 0):
-        raise DegenerateTimestepError("zero dt between consecutive points")
-    if np.any(dt < 0):
-        raise ContractError("timestamps must be strictly increasing")
-    return dt
-
-
-def _steps(a: np.ndarray) -> np.ndarray:
-    """`np.diff` along the last axis, without its call overhead."""
-    return a[..., 1:] - a[..., :-1]
-
-
-def _sign(x: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(x) < SIGN_EPS, 0.0, np.sign(x))
-
-
-class _derived:
-    """A term computed on first access and kept in the instance `__dict__`,
-    where later accesses find it without calling this descriptor.
-
-    This is `functools.cached_property` as Python 3.12 has it. Before 3.12
-    that descriptor takes a lock on every first access, which costs five
-    times a plain attribute read, and a predicted set's terms are each read
-    once or twice. Two threads that race on one term compute the same pure
-    value twice.
-    """
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
-class Columns:
-    """A set of sequences held as its x, y and t columns, each (..., n).
-
-    Every objective accepts a `Columns` wherever it accepts (..., n, 3)
-    rows. The terms derived from the columns are computed on first use and
-    kept, so a set scored many times (a dataset split's targets) derives
-    them once. The columns must not change while the object is in use.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, dt: np.ndarray | None = None):
-        self.x, self.y, self.t = x, y, t
-        if dt is not None:
-            # The checked steps of `t`, taken from a set with the same timestamps.
-            self.dt = dt
-
-    @classmethod
-    def of(cls, seq) -> "Columns":
-        """The columns of (..., n, 3) rows, or `seq` itself if it is already a `Columns`."""
-        if isinstance(seq, cls):
-            return seq
-        seq = _rows(seq)
-        return cls(seq[..., 0], seq[..., 1], seq[..., 2])
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """The shape of the rows: (..., n, 3)."""
-        return self.x.shape + (3,)
-
-    def rows(self) -> np.ndarray:
-        """The set as (..., n, 3) rows of (x, y, t)."""
-        return np.stack([self.x, self.y, self.t], axis=-1)
-
-    @_derived
-    def dt(self) -> np.ndarray:
-        return _checked_dt(_steps(self.t))
-
-    @_derived
-    def dx(self) -> np.ndarray:
-        return _steps(self.x)
-
-    @_derived
-    def dy(self) -> np.ndarray:
-        return _steps(self.y)
-
-    @_derived
-    def band(self) -> tuple[np.ndarray, np.ndarray]:
-        """The least and the greatest longitudinal step of the speed band."""
-        return V_MIN_MPS * self.dt, V_MAX_MPS * self.dt
-
-    @_derived
-    def dest(self) -> np.ndarray:
-        """(x, y) of each sequence's last point, (..., 2)."""
-        return np.stack([self.x[..., -1], self.y[..., -1]], axis=-1)
-
-    @_derived
-    def abs_x(self) -> np.ndarray:
-        return np.abs(self.x)
-
-    @_derived
-    def sign_x(self) -> np.ndarray:
-        return _sign(self.x)
 
 
 def l1_distance_feedback(seq, dest=None):
@@ -186,21 +76,9 @@ def _wrap_angle(a):
     return np.where(wrapped == -math.pi, math.pi, wrapped)
 
 
-def _turn_rate(h_in, h_out, dt):
-    return _wrap_angle(h_out - h_in) / dt
-
-
-def angular_velocity(p_prev, p, p_next):
-    """Heading change rate at the middle rows, wrapped into (-pi, pi] (rad/s)."""
-    p_prev, p, p_next = (np.asarray(q, dtype=float) for q in (p_prev, p, p_next))
-    dt = _checked_dt(p[..., 2] - p_prev[..., 2])
-    h_in = np.arctan2(p[..., 0] - p_prev[..., 0], p[..., 1] - p_prev[..., 1])
-    h_out = np.arctan2(p_next[..., 0] - p[..., 0], p_next[..., 1] - p[..., 1])
-    return _turn_rate(h_in, h_out, dt)
-
-
 def l2_lateral_velocity(seq):
-    """Summed angular-velocity magnitude over interior points (rad/s).
+    """Summed angular-velocity magnitude over interior points (rad/s): the
+    heading change, wrapped into (-pi, pi], over the incoming step's dt.
 
     Magnitudes, not signed rates: a signed sum is unbounded below and would
     reward sustained one-direction turning.
@@ -210,7 +88,7 @@ def l2_lateral_velocity(seq):
         raise ContractError(f"need at least 3 points, got {seq.shape[-2]}")
     dt = seq.dt
     heading = np.arctan2(seq.dx, seq.dy)
-    return np.abs(_turn_rate(heading[..., :-1], heading[..., 1:], dt[..., :-1])).sum(axis=-1)
+    return np.abs(_wrap_angle(heading[..., 1:] - heading[..., :-1]) / dt[..., :-1]).sum(axis=-1)
 
 
 def l3_longitudinal_velocity(seq):

@@ -1,7 +1,9 @@
-"""Synthetic highway ego-vehicle trajectories and the dataset protocol.
+"""Synthetic highway ego-vehicle trajectories, sets of them and the dataset protocol.
 
 A trajectory is a float64 array whose rows are (x, y, t): lateral
-position (m), longitudinal position (m) and timestamp (s).
+position (m), longitudinal position (m) and timestamp (s). A set of
+trajectories is (..., n, 3) rows or a `Columns`, which holds the set as its
+x, y and t columns and keeps the terms derived from them.
 
 A scenario is a single continuous path: longitudinal speed follows a
 mean-reverting random walk clamped to the highway band, lateral position
@@ -21,21 +23,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, ContractError, InsufficientDataError
-
-if TYPE_CHECKING:
-    from .objectives import Columns, Objectives
+from .errors import ConfigurationError, ContractError, DegenerateTimestepError, InsufficientDataError
 
 V_MIN_MPS = 80.0 / 3.6  # 80 km/h
 V_MAX_MPS = 130.0 / 3.6  # 130 km/h
 LANE_WIDTH_M = 3.5
 DT_MIN_S = 0.2
 DT_MAX_S = 0.3
+SIGN_EPS = 1e-9  # a coordinate nearer 0 than this has sign 0
 
 # Speed random-walk parameters: weak pull toward mid-band keeps the
 # long-run mean near (V_MIN + V_MAX) / 2 while allowing ~2 m/s excursions.
@@ -106,6 +105,114 @@ def generate_scenario(duration_s: float, lane_change_rate: float, seed: int) -> 
     return np.array(rows)
 
 
+def _rows(seq) -> np.ndarray:
+    seq = np.asarray(seq, dtype=float)
+    if seq.ndim < 2 or seq.shape[-1] != 3:
+        raise ContractError(f"expected (..., n, 3) rows of (x, y, t), got shape {seq.shape}")
+    return seq
+
+
+def _checked_dt(dt: np.ndarray) -> np.ndarray:
+    if np.any(dt == 0):
+        raise DegenerateTimestepError("zero dt between consecutive points")
+    if np.any(dt < 0):
+        raise ContractError("timestamps must be strictly increasing")
+    return dt
+
+
+def _steps(a: np.ndarray) -> np.ndarray:
+    """`np.diff` along the last axis, without its call overhead."""
+    return a[..., 1:] - a[..., :-1]
+
+
+def _sign(x: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(x) < SIGN_EPS, 0.0, np.sign(x))
+
+
+class _derived:
+    """A term computed on first access and kept in the instance `__dict__`,
+    where later accesses find it without calling this descriptor.
+
+    This is `functools.cached_property` as Python 3.12 has it. Before 3.12
+    that descriptor takes a lock on every first access, which costs five
+    times a plain attribute read, and a predicted set's terms are each read
+    once or twice. Two threads that race on one term compute the same pure
+    value twice.
+    """
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
+class Columns:
+    """A set of sequences held as its x, y and t columns, each (..., n).
+
+    Every objective, and `analysis.classify_validity`, accepts a `Columns`
+    wherever it accepts (..., n, 3) rows. The terms derived from the columns are computed on first use and
+    kept, so a set scored many times (a dataset split's targets) derives
+    them once. The columns must not change while the object is in use.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, dt: np.ndarray | None = None):
+        self.x, self.y, self.t = x, y, t
+        if dt is not None:
+            # The checked steps of `t`, taken from a set with the same timestamps.
+            self.dt = dt
+
+    @classmethod
+    def of(cls, seq) -> "Columns":
+        """The columns of (..., n, 3) rows, or `seq` itself if it is already a `Columns`."""
+        if isinstance(seq, cls):
+            return seq
+        seq = _rows(seq)
+        return cls(seq[..., 0], seq[..., 1], seq[..., 2])
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the rows: (..., n, 3)."""
+        return self.x.shape + (3,)
+
+    def rows(self) -> np.ndarray:
+        """The set as (..., n, 3) rows of (x, y, t)."""
+        return np.stack([self.x, self.y, self.t], axis=-1)
+
+    @_derived
+    def dt(self) -> np.ndarray:
+        return _checked_dt(_steps(self.t))
+
+    @_derived
+    def dx(self) -> np.ndarray:
+        return _steps(self.x)
+
+    @_derived
+    def dy(self) -> np.ndarray:
+        return _steps(self.y)
+
+    @_derived
+    def band(self) -> tuple[np.ndarray, np.ndarray]:
+        """The least and the greatest longitudinal step of the speed band."""
+        return V_MIN_MPS * self.dt, V_MAX_MPS * self.dt
+
+    @_derived
+    def dest(self) -> np.ndarray:
+        """(x, y) of each sequence's last point, (..., 2)."""
+        return np.stack([self.x[..., -1], self.y[..., -1]], axis=-1)
+
+    @_derived
+    def abs_x(self) -> np.ndarray:
+        return np.abs(self.x)
+
+    @_derived
+    def sign_x(self) -> np.ndarray:
+        return _sign(self.x)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Each split is one (P, 2 * TAU, 3) array of windows.
@@ -132,27 +239,21 @@ class Dataset:
     @cached_property
     def validation_targets(self) -> Columns:
         """The targets of the validation windows, with the terms derived from them."""
-        return _targets(self.validation)
+        return Columns.of(self.validation[:, TAU:])
 
     @cached_property
     def test_targets(self) -> Columns:
         """The targets of the test windows, with the terms derived from them."""
-        return _targets(self.test)
+        return Columns.of(self.test[:, TAU:])
 
     @cached_property
-    def evaluations(self) -> dict[tuple, Objectives]:
+    def evaluations(self) -> dict[tuple, tuple[float, ...]]:
         """`evaluator.evaluate`'s memo: each objective vector by (genome
         indices, objective ids). A copy sent to a worker process starts empty."""
         return {}
 
     def counts(self) -> dict:
         return {"train": len(self.train), "validation": len(self.validation), "test": len(self.test)}
-
-
-def _targets(split: np.ndarray) -> Columns:
-    from .objectives import Columns  # objectives imports the speed band from this module
-
-    return Columns.of(split[:, TAU:])
 
 
 def sliding_windows(path: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ from neurotraj.moead import (
 from neurotraj.nsga2 import Individual, nondominated_sort
 from neurotraj.objectives import (
     ObjectiveId,
-    angular_velocity,
     assemble,
     l1_distance_feedback,
     l2_lateral_velocity,
@@ -325,14 +324,14 @@ def test_criterion_11_objective_examples():
     doubled = make_seq([(0, 0), (2, 6), (4, 14), (0, 22)])
     assert abs(l1_distance_feedback(doubled) - 4 * l1_distance_feedback(seq)) <= tol
 
-    # angular velocity
-    assert angular_velocity(*straight_seq(3)) == 0.0
+    # angular velocity: l2 of three points is the one turn rate's magnitude
+    assert l2_lateral_velocity(straight_seq(3)) == 0.0
     p0, p1, p2 = np.array([(0, 0, 0), (0, 1, 0.25), (1, 2, 0.5)], dtype=float)
-    assert abs(angular_velocity(p0, p1, p2) - math.pi) <= tol
+    assert abs(l2_lateral_velocity(np.stack([p0, p1, p2])) - math.pi) <= tol
     q0 = np.array((0.0, 0.0, 0.0))
     q1 = np.array((q0[0] + math.sin(3.1), q0[1] + math.cos(3.1), 1.0))
     q2 = np.array((q1[0] + math.sin(-3.1), q1[1] + math.cos(-3.1), 2.0))
-    assert abs(angular_velocity(q0, q1, q2) - (2 * math.pi - 6.2)) <= 1e-3
+    assert abs(l2_lateral_velocity(np.stack([q0, q1, q2])) - (2 * math.pi - 6.2)) <= 1e-3
 
     # lateral velocity
     assert l2_lateral_velocity(straight_seq(8)) == 0.0

@@ -8,6 +8,7 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_seq, mc_hypervolume
 from neurotraj.analysis import (
@@ -28,8 +29,10 @@ from neurotraj.errors import (
     DegenerateBandwidthError,
     UndefinedCorrelationError,
 )
+from neurotraj.evaluator import predict_targets, skill_scores
 from neurotraj.experiment import build_dataset, preset_config
-from neurotraj.trajectory import TAU
+from neurotraj.genome import default_allele_table, random_genome
+from neurotraj.trajectory import TAU, Columns
 
 
 def reference_average_ranks(values):
@@ -289,6 +292,22 @@ class TestClassifyValidity:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             classify_validity([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.tuples(st.integers(1, 12), st.integers(2, 10)).flatmap(
+        lambda shape: arrays(np.float64, shape + (3,), elements=st.floats(-100.0, 100.0))))
+    def test_columns_and_rows_give_equal_reports(self, rows):
+        # Columns held apart, as a prediction holds them, not views of the rows.
+        columns = Columns(*(np.ascontiguousarray(rows[..., k]) for k in range(3)))
+        assert classify_validity(columns) == classify_validity(rows)
+
+    def test_predicted_columns_and_rows_give_equal_reports(self):
+        data = build_dataset(preset_config("exp6"))
+        rng, table = Random(6), default_allele_table()
+        for _ in range(300):
+            genome = random_genome(table, rng)
+            predicted = predict_targets(genome, skill_scores(genome), data.test_targets, "test")
+            assert classify_validity(predicted) == classify_validity(predicted.rows())
 
     def test_tau_and_final_position_threshold_are_one_decision(self):
         # The presets' ground-truth test targets pass the spread and

@@ -73,14 +73,65 @@ def test_only_trajectory_imports_csv():
 
 def test_imports_inside_functions_are_the_known_exceptions():
     """orjson stays out of import time for the commands that do not touch run
-    files; Columns would be an import cycle (objectives imports trajectory)."""
+    files."""
     found = {(path.name, *pair) for path in sorted(PACKAGE.glob("*.py"))
              for pair in function_imports(_parse(path))}
     assert found == {
         ("experiment.py", "persist_experiment", "orjson"),
         ("experiment.py", "_read_run", "orjson"),
-        ("trajectory.py", "_targets", "Columns"),
     }
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules one module imports: at module level, inside
+    functions and under any `if`, such as `if TYPE_CHECKING:`."""
+    found = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("neurotraj."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("neurotraj."))
+    return found - {path.stem}
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of `graph` as the modules along it, first repeated last,
+    or [] if the graph has none."""
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> list[str]:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        for target in sorted(graph.get(module, ())):
+            if cycle := visit(target, path + [module]):
+                return cycle
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        if cycle := visit(module, []):
+            return cycle
+    return []
+
+
+def test_import_cycle_finds_a_deferred_import():
+    """The search sees an import that a function or TYPE_CHECKING defers."""
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) == []
+
+
+def test_package_import_graph_is_acyclic():
+    """No package module imports, directly or through others, a module that
+    imports it back, not even inside a function or for type checking only."""
+    graph = {path.stem: package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert set().union(*graph.values()) <= set(graph)
+    assert import_cycle(graph) == []
+    assert graph["trajectory"] == {"errors"}  # the base layer, beside the errors
 
 
 def bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:

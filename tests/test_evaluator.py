@@ -27,9 +27,10 @@ from neurotraj.evaluator import (
 from neurotraj.experiment import PRESETS, FrontEntry, _front_entries, build_dataset, preset_config
 from neurotraj.genome import Genome, default_allele_table, random_genome
 from neurotraj.nsga2 import Individual
-from neurotraj.objectives import Columns, ObjectiveId, assemble, l3_minimized, rmse
+from neurotraj.objectives import ObjectiveId, assemble, l3_minimized, rmse
 from neurotraj.trajectory import (
     TAU,
+    Columns,
     Dataset,
     generate_scenario,
     window_and_split,

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from conftest import make_seq, straight_seq
 from neurotraj.errors import ContractError, DegenerateTimestepError
 from neurotraj.objectives import (
-    SIGN_EPS,
-    Columns,
     ObjectiveId,
     _wrap_angle,
-    angular_velocity,
     assemble,
     l1_distance_feedback,
     l2_lateral_velocity,
@@ -22,7 +19,7 @@ from neurotraj.objectives import (
     rmse,
     signloss,
 )
-from neurotraj.trajectory import V_MAX_MPS, V_MIN_MPS
+from neurotraj.trajectory import SIGN_EPS, V_MAX_MPS, V_MIN_MPS, Columns
 
 TOL = 1e-9
 
@@ -53,14 +50,15 @@ class TestL1:
 
 
 class TestAngularVelocity:
+    """l2 of three points is the magnitude of the one turn rate, at the middle point."""
+
     def test_collinear_zero(self):
-        seq = straight_seq(3)
-        assert angular_velocity(*seq) == 0.0
+        assert l2_lateral_velocity(straight_seq(3)) == 0.0
 
     def test_quarter_turn_rate(self):
         # headings 0 then pi/4 over dt = 0.25 s
-        p0, p1, p2 = np.array([(0.0, 0.0, 0.0), (0.0, 1.0, 0.25), (1.0, 2.0, 0.5)])
-        assert abs(angular_velocity(p0, p1, p2) - math.pi) <= TOL
+        seq = np.array([(0.0, 0.0, 0.0), (0.0, 1.0, 0.25), (1.0, 2.0, 0.5)])
+        assert abs(l2_lateral_velocity(seq) - math.pi) <= TOL
 
     def test_wraparound(self):
         # headings +3.1 then -3.1: difference wraps to ~0.083, not ~6.2
@@ -68,12 +66,12 @@ class TestAngularVelocity:
         p1 = np.array((p0[0] + math.sin(3.1), p0[1] + math.cos(3.1), 1.0))
         p2 = np.array((p1[0] + math.sin(-3.1), p1[1] + math.cos(-3.1), 2.0))
         expected = 2.0 * math.pi - 6.2
-        assert abs(angular_velocity(p0, p1, p2) - expected) <= 1e-3
+        assert abs(l2_lateral_velocity(np.stack([p0, p1, p2])) - expected) <= 1e-3
 
     def test_zero_dt_rejected(self):
-        p0, p1, p2 = np.array([(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 2.0, 1.25)])
+        seq = np.array([(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 2.0, 1.25)])
         with pytest.raises(DegenerateTimestepError):
-            angular_velocity(p0, p1, p2)
+            l2_lateral_velocity(seq)
 
 
 def oracle_l2(seq):
