@@ -53,6 +53,12 @@ EXIT_MALFORMED = 5
 
 ENV_SEED = "NEUROTRAJ_SEED"
 
+# The files `analyze` writes beside summary.json. `run` writes none of them,
+# so it warns of each that an earlier `analyze` left in its directory.
+ANALYSIS_FILES = ("hypervolume.csv", "hypervolume_against.csv", "kde_front.csv",
+                  "correlations.json")
+_HYPERVOLUME, _HYPERVOLUME_AGAINST, _KDE_FRONT, _CORRELATIONS = ANALYSIS_FILES
+
 
 def cmd_generate(args: argparse.Namespace) -> int:
     dcfg = DatasetConfig(duration_s=args.duration, lane_change_rate=args.lane_change_rate,
@@ -80,6 +86,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     failed = [rec for rec in records if rec.error]
     for p in sorted(out_dir / name for name in experiment_files(cfg.runs)):
         print(p)
+    for p in (out_dir / name for name in ANALYSIS_FILES):
+        if p.exists():
+            print(f"warning: {p} is from an earlier analyze and does not describe these records",
+                  file=sys.stderr)
     for rec in failed:
         print(f"error: run {rec.run_index} (seed {rec.run_seed}) failed: {rec.error}",
               file=sys.stderr)
@@ -125,9 +135,9 @@ def _analyze(args: argparse.Namespace) -> int:
 
     # Shared hypervolume reference: componentwise max over every front
     # involved in the comparison, plus a 10% margin.
-    groups = [("hypervolume.csv", records)]
+    groups = [(_HYPERVOLUME, records)]
     if against_records is not None:
-        groups.append(("hypervolume_against.csv", against_records))
+        groups.append((_HYPERVOLUME_AGAINST, against_records))
     fronts = [front for _, group in groups for rec in group for front in rec.fronts]
     if not sum(map(len, fronts)):
         raise MalformedRecordsError("no front points found in the experiment records")
@@ -154,7 +164,7 @@ def _analyze(args: argparse.Namespace) -> int:
             continue
         kde_rows += ([rec.run_index] + [repr(v) for v in point] + [repr(float(d))]
                      for point, d in zip(front_values, dens))
-    artifacts.append(write_csv(out_dir / "kde_front.csv", ["run"] + tokens + ["density"], kde_rows))
+    artifacts.append(write_csv(out_dir / _KDE_FRONT, ["run"] + tokens + ["density"], kde_rows))
 
     # Pairwise rank correlations over pooled final-front values.
     pooled = [p for front in final_fronts for p in front]
@@ -168,7 +178,7 @@ def _analyze(args: argparse.Namespace) -> int:
             except (UndefinedCorrelationError, ContractError) as exc:
                 entry.update({"coefficient": None, "p_value": None, "note": str(exc)})
             correlations.append(entry)
-    artifacts.append(write_json(out_dir / "correlations.json", correlations))
+    artifacts.append(write_json(out_dir / _CORRELATIONS, correlations))
 
     doc = summarize(records, against=against_records, alpha=args.alpha,
                     comparisons=args.comparisons)

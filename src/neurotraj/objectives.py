@@ -30,6 +30,10 @@ Objectives = tuple[float, ...]
 
 
 class ObjectiveId(Enum):
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality and skips `Enum.__hash__`, which is Python code.
+    __hash__ = object.__hash__
+
     L1_DISTANCE_FEEDBACK = "l1"
     L2_LATERAL_VELOCITY = "l2"
     L3_LONGITUDINAL_VELOCITY = "l3"
@@ -57,7 +61,9 @@ def l1_distance_feedback(seq, dest=None):
     """
     seq = Columns.of(seq)
     dest = seq.dest if dest is None else np.asarray(dest, dtype=float)[..., :2]
-    offset = np.stack([seq.x, seq.y], axis=-1) - dest[..., None, :]
+    offset = np.empty(seq.x.shape + (2,))
+    np.subtract(seq.x, dest[..., :1], out=offset[..., 0])
+    np.subtract(seq.y, dest[..., 1:], out=offset[..., 1])
     return (offset * offset).sum(axis=(-2, -1))
 
 

@@ -334,6 +334,22 @@ class TestRun:
             "run_0.jsonl", "run_1.jsonl", "summary.json"}
         assert json.loads((out / "config.json").read_text())["runs"] == 1
 
+    def test_warns_of_analysis_files_left_by_an_earlier_analyze(self, tmp_path, capsys):
+        """A run into an analyzed directory names each analysis file found
+        there on stderr, keeps them all and still exits 0."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path / "two.json", _config(runs=2)),
+                     "--out", str(out)]) == 0
+        assert main(["analyze", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", _write(tmp_path / "one.json", SMALL_RUN),
+                     "--out", str(out)]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        stale = ["hypervolume.csv", "kde_front.csv", "correlations.json"]
+        assert len(warnings) == len(stale)
+        assert all(line.startswith(f"warning: {out / name} ") for line, name in zip(warnings, stale))
+        assert all((out / name).exists() for name in stale)
+
     def test_snapshot_rows_match_generations(self, exp8_dir):
         lines = (exp8_dir / "run_0.jsonl").read_text().splitlines()
         assert len(lines) == 3

@@ -1,7 +1,7 @@
 """The third-party modules the package imports are exactly the runtime
 dependencies that pyproject.toml declares, and the package's modules
 import what they need at module level, with the exceptions named here,
-and use every name they import."""
+use every name they import and import one another without a cycle."""
 
 import ast
 import re
@@ -119,8 +119,15 @@ def import_cycle(graph: dict[str, set[str]]) -> list[str]:
     return []
 
 
-def test_import_cycle_finds_a_deferred_import():
-    """The search sees an import that a function or TYPE_CHECKING defers."""
+def test_deferred_imports_close_a_cycle(tmp_path):
+    """An import inside a function or under TYPE_CHECKING is an edge of the
+    graph, so a cycle it closes is found."""
+    module = tmp_path / "a.py"
+    module.write_text("from typing import TYPE_CHECKING\n"
+                      "from . import b as b_mod\n"
+                      "if TYPE_CHECKING:\n    from .c import C\n"
+                      "def f():\n    from neurotraj.d import D\n    import neurotraj.e\n")
+    assert package_imports(module) == {"b", "c", "d", "e"}
     assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
     assert import_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) == []
 

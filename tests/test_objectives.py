@@ -1,4 +1,5 @@
 import math
+import pickle
 from random import Random
 
 import numpy as np
@@ -47,6 +48,17 @@ class TestL1:
         seq = make_seq([(0, 0), (0, 3)])
         dest = np.array((0.0, 6.0, 0.5))
         assert abs(l1_distance_feedback(seq, dest=dest) - (36.0 + 9.0)) <= TOL
+
+
+    def test_batch_equals_stacked_offsets_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        seq = rng.normal(size=(6, 8, 3))
+        dests = (None, rng.normal(size=(6, 3)), rng.normal(size=3))
+        for dest in dests:
+            end = seq[..., -1, :2] if dest is None else dest[..., :2]
+            offset = np.stack([seq[..., 0], seq[..., 1]], axis=-1) - end[..., None, :]
+            want = (offset * offset).sum(axis=(-2, -1))
+            assert np.array_equal(l1_distance_feedback(seq, dest=dest), want)
 
 
 class TestAngularVelocity:
@@ -380,3 +392,11 @@ class TestObjectiveVector:
         assert ObjectiveId.from_token("rmse") is ObjectiveId.RMSE
         with pytest.raises(ContractError):
             ObjectiveId.from_token("nope")
+
+    def test_hash_agrees_with_equality_across_a_pickle(self):
+        # A worker process receives ids by pickle; Enum unpickles to the member itself.
+        memo = {(1, tuple(ObjectiveId)): "kept"}
+        ids = pickle.loads(pickle.dumps(tuple(ObjectiveId)))
+        assert all(a is b and hash(a) == hash(b) for a, b in zip(ids, ObjectiveId))
+        assert memo[(1, ids)] == "kept"
+        assert len({ObjectiveId.RMSE, ObjectiveId("rmse"), ObjectiveId.L2_LATERAL_VELOCITY}) == 2
