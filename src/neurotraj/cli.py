@@ -53,12 +53,6 @@ EXIT_MALFORMED = 5
 
 ENV_SEED = "NEUROTRAJ_SEED"
 
-# The files `analyze` writes beside summary.json. `run` writes none of them,
-# so it warns of each that an earlier `analyze` left in its directory.
-ANALYSIS_FILES = ("hypervolume.csv", "hypervolume_against.csv", "kde_front.csv",
-                  "correlations.json")
-_HYPERVOLUME, _HYPERVOLUME_AGAINST, _KDE_FRONT, _CORRELATIONS = ANALYSIS_FILES
-
 
 def cmd_generate(args: argparse.Namespace) -> int:
     dcfg = DatasetConfig(duration_s=args.duration, lane_change_rate=args.lane_change_rate,
@@ -80,16 +74,18 @@ def _resolve_run_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Run into --out and print the files written, sorted. Each other entry of
+    --out, which nothing deletes, is named in a sorted warning on stderr."""
     cfg = _resolve_run_config(args)
     out_dir = Path(args.out)
     records = run_experiment(cfg, out_dir=out_dir, jobs=args.jobs)
     failed = [rec for rec in records if rec.error]
-    for p in sorted(out_dir / name for name in experiment_files(cfg.runs)):
+    written = {out_dir / name for name in experiment_files(cfg.runs)}
+    for p in sorted(written):
         print(p)
-    for p in (out_dir / name for name in ANALYSIS_FILES):
-        if p.exists():
-            print(f"warning: {p} is from an earlier analyze and does not describe these records",
-                  file=sys.stderr)
+    for p in sorted(set(out_dir.iterdir()) - written):
+        print(f"warning: {p} was not written by this run and does not describe its records",
+              file=sys.stderr)
     for rec in failed:
         print(f"error: run {rec.run_index} (seed {rec.run_seed}) failed: {rec.error}",
               file=sys.stderr)
@@ -125,7 +121,7 @@ def _analyze(args: argparse.Namespace) -> int:
     against_records = None
     if against_dir is not None:
         against_cfg, against_records = load_records(against_dir)
-        if [o.token for o in against_cfg.objective_ids] != [o.token for o in cfg.objective_ids]:
+        if against_cfg.objective_ids != cfg.objective_ids:
             raise MalformedRecordsError(
                 "experiments optimize different objectives and cannot be compared")
 
@@ -135,9 +131,9 @@ def _analyze(args: argparse.Namespace) -> int:
 
     # Shared hypervolume reference: componentwise max over every front
     # involved in the comparison, plus a 10% margin.
-    groups = [(_HYPERVOLUME, records)]
+    groups = [("hypervolume.csv", records)]
     if against_records is not None:
-        groups.append((_HYPERVOLUME_AGAINST, against_records))
+        groups.append(("hypervolume_against.csv", against_records))
     fronts = [front for _, group in groups for rec in group for front in rec.fronts]
     if not sum(map(len, fronts)):
         raise MalformedRecordsError("no front points found in the experiment records")
@@ -150,21 +146,19 @@ def _analyze(args: argparse.Namespace) -> int:
             [gen, rec.run_index, repr(hypervolume(front, ref))]
             for rec in group for gen, front in enumerate(rec.fronts, start=1))))
 
-    # Per-run KDE over final-front objective values, evaluated at the
-    # front points themselves (density estimated independently per run).
+    # Per-run KDE over final-front objective values, evaluated at the front
+    # points themselves; a front kde_density refuses, such as one under 2 points, is left out.
     final_fronts = [[e.objectives for e in rec.final_front] for rec in records]
     tokens = [oid.token for oid in cfg.objective_ids]
     kde_rows = []
     for rec, front_values in zip(records, final_fronts):
-        if len(front_values) < 2:
-            continue
         try:
             dens = kde_density(front_values, front_values)
         except NeurotrajError:
             continue
         kde_rows += ([rec.run_index] + [repr(v) for v in point] + [repr(float(d))]
                      for point, d in zip(front_values, dens))
-    artifacts.append(write_csv(out_dir / _KDE_FRONT, ["run"] + tokens + ["density"], kde_rows))
+    artifacts.append(write_csv(out_dir / "kde_front.csv", ["run"] + tokens + ["density"], kde_rows))
 
     # Pairwise rank correlations over pooled final-front values.
     pooled = [p for front in final_fronts for p in front]
@@ -178,7 +172,7 @@ def _analyze(args: argparse.Namespace) -> int:
             except (UndefinedCorrelationError, ContractError) as exc:
                 entry.update({"coefficient": None, "p_value": None, "note": str(exc)})
             correlations.append(entry)
-    artifacts.append(write_json(out_dir / _CORRELATIONS, correlations))
+    artifacts.append(write_json(out_dir / "correlations.json", correlations))
 
     doc = summarize(records, against=against_records, alpha=args.alpha,
                     comparisons=args.comparisons)

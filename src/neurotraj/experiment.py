@@ -41,6 +41,9 @@ class DatasetConfig(Config):
 
 @dataclass(frozen=True)
 class ExperimentConfig(Config):
+    """`runs` seeded runs of one engine. Building one raises a MOEA/D population
+    to the smallest simplex-lattice size at least as large (3 objectives: 40 to 45)."""
+
     algorithm: str
     objective_ids: tuple[ObjectiveId, ...]
     population: int
@@ -61,6 +64,9 @@ class ExperimentConfig(Config):
             raise ConfigurationError("objective_ids must be duplicate-free")
         if self.runs < 1 or self.generations < 1 or self.population < 2:
             raise ConfigurationError("runs/generations/population too small")
+        if self.algorithm == "moead":  # one subproblem per weight vector
+            h = moead_mod.lattice_resolution_for(m := len(self.objective_ids), self.population)
+            object.__setattr__(self, "population", moead_mod.simplex_lattice(m, h).size)
 
     def to_dict(self) -> dict:
         # "objectives" keeps its place in the field order; its value becomes the tokens
@@ -103,23 +109,12 @@ def scaled_count(value: int, scale: float) -> int:
     return max(1, math.floor(value * scale + 0.5))
 
 
-def _snap_population(algorithm: str, m: int, population: int) -> int:
-    """MOEA/D population must be an achievable simplex-lattice size."""
-    population = max(2, population)
-    if algorithm != "moead":
-        return population
-    h = moead_mod.lattice_resolution_for(m, population)
-    return moead_mod.simplex_lattice(m, h).size
-
-
 def scale_config(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
-    """Shrink (or grow) population, generations and run count proportionally.
-    A MOEA/D population snaps to a lattice size at every scale, 1 included."""
+    """Shrink (or grow) population, generations and run count proportionally."""
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigurationError(f"scale must be finite and positive, got {scale}")
-    population = _snap_population(cfg.algorithm, len(cfg.objective_ids),
-                                  scaled_count(cfg.population, scale))
-    return replace(cfg, population=population, generations=scaled_count(cfg.generations, scale),
+    return replace(cfg, population=max(2, scaled_count(cfg.population, scale)),
+                   generations=scaled_count(cfg.generations, scale),
                    runs=scaled_count(cfg.runs, scale))
 
 
@@ -266,8 +261,7 @@ def _run_nsga2(cfg, eval_fn, ops, rng):
 
 def _run_moead(cfg, eval_fn, ops, rng):
     m = len(cfg.objective_ids)
-    h = moead_mod.lattice_resolution_for(m, cfg.population)
-    lattice = moead_mod.simplex_lattice(m, h)
+    lattice = moead_mod.simplex_lattice(m, moead_mod.lattice_resolution_for(m, cfg.population))
     t = min(moead_mod.NEIGHBORHOOD_SIZE, lattice.size)
     neighborhoods = moead_mod.build_neighborhoods(lattice, t)
     state = moead_mod.init_state(lattice, eval_fn, ops, rng)

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurotraj import cli
 from neurotraj.cli import main
@@ -102,6 +106,10 @@ SMALL_RUN = {
 # held before they were fixed in code.
 LEGACY_ENGINE_KEYS = {"crossover_rate": 1.0, "mutation_rate": 0.5, "tournament_size": 3,
                       "neighborhood_size": 7}
+
+
+# How `run` warns of an entry of its directory that it did not write.
+NOT_WRITTEN = " was not written by this run and does not describe its records"
 
 
 DELETE = object()
@@ -318,7 +326,7 @@ class TestRun:
 
     def test_lists_only_the_files_it_wrote(self, tmp_path, capsys):
         """A run into the directory of an earlier one with more runs prints
-        its own files alone, and deletes none of the files already there."""
+        its own files alone, warns of the others and deletes none of them."""
         out = tmp_path / "out"
         assert main(["run", "--config", _write(tmp_path / "two.json", _config(runs=2)),
                      "--out", str(out)]) == 0
@@ -326,17 +334,22 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", "--config", _write(tmp_path / "one.json", SMALL_RUN),
                      "--out", str(out)]) == 0
-        assert capsys.readouterr().out.splitlines() == [
+        printed = capsys.readouterr()
+        assert printed.out.splitlines() == [
             str(out / name)
             for name in ("config.json", "final_front_0.csv", "run_0.jsonl", "summary.json")]
+        assert printed.err.splitlines() == [
+            f"warning: {out / name}{NOT_WRITTEN}"
+            for name in ("final_front_1.csv", "notes.txt", "run_1.jsonl")]
         assert {p.name for p in out.iterdir()} == {
             "config.json", "final_front_0.csv", "final_front_1.csv", "notes.txt",
             "run_0.jsonl", "run_1.jsonl", "summary.json"}
         assert json.loads((out / "config.json").read_text())["runs"] == 1
 
     def test_warns_of_analysis_files_left_by_an_earlier_analyze(self, tmp_path, capsys):
-        """A run into an analyzed directory names each analysis file found
-        there on stderr, keeps them all and still exits 0."""
+        """A run into an analyzed directory of a 2-run experiment names each
+        analysis and run file it did not write on stderr, in sorted order,
+        keeps them all and still exits 0."""
         out = tmp_path / "out"
         assert main(["run", "--config", _write(tmp_path / "two.json", _config(runs=2)),
                      "--out", str(out)]) == 0
@@ -345,10 +358,40 @@ class TestRun:
         assert main(["run", "--config", _write(tmp_path / "one.json", SMALL_RUN),
                      "--out", str(out)]) == 0
         warnings = capsys.readouterr().err.splitlines()
-        stale = ["hypervolume.csv", "kde_front.csv", "correlations.json"]
-        assert len(warnings) == len(stale)
-        assert all(line.startswith(f"warning: {out / name} ") for line, name in zip(warnings, stale))
+        stale = ["correlations.json", "final_front_1.csv", "hypervolume.csv", "kde_front.csv",
+                 "run_1.jsonl"]
+        assert warnings == [
+            f"warning: {out / name}{NOT_WRITTEN}"
+            for name in stale]
         assert all((out / name).exists() for name in stale)
+
+    @settings(deadline=None, max_examples=20)
+    @given(names=st.sets(st.one_of(
+        st.sampled_from(["config.json", "run_0.jsonl", "run_1.jsonl", "final_front_1.csv",
+                         "summary.json", "hypervolume.csv", "notes"]),
+        st.from_regex(r"[a-z0-9_]{1,10}(\.(csv|json|jsonl|txt))?", fullmatch=True)), max_size=6),
+        subdirectory=st.booleans())
+    def test_printed_and_warned_paths_partition_the_directory(self, tmp_path_factory, names,
+                                                              subdirectory):
+        """Whatever the directory already holds, each entry after a run is
+        either printed as written or warned of, never both, and none is deleted."""
+        config = _write(tmp_path_factory.mktemp("config") / "one.json", SMALL_RUN)
+        out = tmp_path_factory.mktemp("out")
+        for name in names:
+            (out / name).write_text("earlier")
+        if subdirectory:
+            (out / "earlier.d").mkdir()
+        before = set(out.iterdir())
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["run", "--config", config, "--out", str(out)]) == 0
+        printed = stdout.getvalue().splitlines()
+        warned = [line.removeprefix("warning: ").removesuffix(NOT_WRITTEN)
+                  for line in stderr.getvalue().splitlines()]
+        assert warned == sorted(warned) and printed == sorted(printed)
+        assert not set(printed) & set(warned)
+        assert sorted(printed + warned) == sorted(map(str, out.iterdir()))
+        assert before <= set(out.iterdir())
 
     def test_snapshot_rows_match_generations(self, exp8_dir):
         lines = (exp8_dir / "run_0.jsonl").read_text().splitlines()

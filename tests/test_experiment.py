@@ -146,6 +146,35 @@ class TestConfigDocument:
         assert read_config(path) == small_config()
 
 
+def _lattice_size(m: int, h: int) -> int:
+    """The number of weight vectors of resolution h for m objectives."""
+    return h + 1 if m == 2 else (h + 1) * (h + 2) // 2
+
+
+class TestPopulationSnap:
+    """A MOEA/D population is raised to a lattice size whenever a config is built."""
+
+    def test_built_config_runs_and_records_the_population_it_holds(self, tmp_path):
+        cfg = small_config(algorithm="moead", population=40)
+        assert cfg.population == 45  # H = 8; H = 7 gives 36
+        run_experiment(cfg, out_dir=tmp_path)
+        assert json.loads((tmp_path / "config.json").read_text())["population"] == 45
+        snapshots = (tmp_path / "run_0.jsonl").read_text().splitlines()
+        assert [len(json.loads(line)["subproblems"]) for line in snapshots] == [45]
+
+    @settings(deadline=None)
+    @given(m=st.sampled_from((2, 3)), population=st.integers(2, 300))
+    def test_snaps_up_to_the_smallest_lattice_at_least_as_large(self, m, population):
+        ids = small_config().objective_ids[:m]
+        snapped = ExperimentConfig("moead", ids, population, 1, 1)
+        h = next(h for h in range(1, 301) if _lattice_size(m, h) >= population)
+        assert snapped.population == _lattice_size(m, h)
+        assert _lattice_size(m, h - 1) < population
+        assert dataclasses.replace(snapped) == snapped
+        assert ExperimentConfig.from_dict(snapped.to_dict()) == snapped
+        assert ExperimentConfig("nsga2", ids, population, 1, 1).population == population
+
+
 class TestExecuteRun:
     def test_minimal_smoke_record(self):
         cfg = small_config()
