@@ -23,7 +23,10 @@ logger = logging.getLogger(__name__)
 SPREAD_THRESHOLD_M = 2.0
 SYMMETRY_THRESHOLD_M = 1.0
 FINAL_POSITION_THRESHOLD_M = 40.0
-_PERMUTATION_BLOCK = 1_000  # shuffles per drawn array: bounds memory at 1,000 x n floats
+# Shuffles per drawn block for one row; k stacked rows share blocks of
+# _PERMUTATION_BLOCK // k. A statistic holds a block's (rows, n) index
+# shuffles and (rows, n) temporaries of its own, never a (k, rows, n) copy.
+_PERMUTATION_BLOCK = 1_000
 
 
 @dataclass(frozen=True)
@@ -51,22 +54,26 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
-def _permutation_p(statistic, samples: np.ndarray, observed: np.ndarray, resamples: int,
-                   seed: int) -> np.ndarray:
-    """Add-one p-values: per row of the (k, n) `samples`, the share of
-    `resamples` shuffles whose |statistic| reaches that row's `observed`.
-    `statistic` maps a (k, rows, n) block of shuffles to (k, rows) values.
-    Every row is gathered through the same index shuffles, drawn in blocks
-    from one generator: `rng.permuted` draws depend on n only, so each row
-    sees the shuffles of one `rng.permutation(row)` call per resample. A
-    block holds about _PERMUTATION_BLOCK x n gathered values, whatever k."""
-    k, n = samples.shape
+def _permutation_p(statistic, n: int, resamples: int, seed: int) -> np.ndarray:
+    """Add-one p-values for k rows at once: per row, the share of
+    `resamples` shuffles of range(n) whose |statistic| reaches the row's
+    observed value, the |statistic| of the unshuffled order. `statistic`
+    maps a (rows, n) block of index shuffles to (k, rows) values, so a
+    resample costs one index shuffle and no gathered copy of the samples.
+    The shuffles are drawn in place, in blocks of _PERMUTATION_BLOCK // k,
+    from one generator: `rng.permuted` draws depend on n only, so every row
+    sees the shuffles of one `rng.permutation` call per resample, whatever
+    the block size."""
     rng = np.random.default_rng(seed)
-    count = np.zeros(k, dtype=np.int64)
-    block = max(1, _PERMUTATION_BLOCK // k)
+    observed = np.abs(statistic(np.arange(n)[None]))
+    count = np.zeros(len(observed), dtype=np.int64)
+    block = max(1, _PERMUTATION_BLOCK // len(observed))
+    shuffles = np.empty((min(block, resamples), n), dtype=np.int64)
     for start in range(0, resamples, block):
-        order = rng.permuted(np.tile(np.arange(n), (min(block, resamples - start), 1)), axis=1)
-        count += (np.abs(statistic(samples[:, order])) >= observed[:, None] - 1e-12).sum(axis=1)
+        order = shuffles[:min(block, resamples - start)]
+        order[:] = np.arange(n)
+        rng.permuted(order, axis=1, out=order)
+        count += (np.abs(statistic(order)) >= observed - 1e-12).sum(axis=1)
     return (count + 1) / (resamples + 1)
 
 
@@ -146,8 +153,10 @@ def spearman(
     rho = float((rx * ry).sum()) / denom
 
     if n < 500:
-        p = float(_permutation_p(lambda perms: (rx * perms).sum(axis=-1) / denom,
-                                 ry[None], np.array([abs(rho)]), resamples, seed)[0])
+        # Centered ranks are multiples of 1/2, so each product sum is exact in
+        # any order: the unshuffled order scores |rho| to the bit.
+        p = float(_permutation_p(lambda order: (ry[order] @ rx / denom)[None],
+                                 n, resamples, seed)[0])
     else:
         p = 0.0 if abs(rho) >= 1.0 else _t_two_sided(rho, n - 2)
     return CorrelationResult(coefficient=rho, p_value=min(1.0, p), n=n)
@@ -250,11 +259,21 @@ def permutation_test(
                             "or two 2-D stacks with as many rows")
     if aa.size == 0 or bb.size == 0:
         raise ContractError("both samples must be non-empty")
-    observed = np.abs(aa.mean(axis=-1) - bb.mean(axis=-1))
-    n1 = aa.shape[-1]
-    p = _permutation_p(lambda perms: perms[..., :n1].mean(axis=-1) - perms[..., n1:].mean(axis=-1),
-                       np.concatenate([aa, bb], axis=-1).reshape(-1, n1 + bb.shape[-1]),
-                       observed.reshape(-1), resamples, seed)
+    n1, n2 = aa.shape[-1], bb.shape[-1]
+    samples = np.concatenate([aa, bb], axis=-1).reshape(-1, n1 + n2)
+
+    def mean_difference(order: np.ndarray) -> np.ndarray:
+        # Each shuffle's groups as 0/1 rows over the pooled samples. einsum
+        # sums every row of a block in the same order, where BLAS's `@` may
+        # not, so a shuffle of the observed groups scores the observed value
+        # to the bit. Each group is summed on its own: the total minus s1
+        # would carry the total's rounding into a small group's mean.
+        first = np.zeros(order.shape, dtype=bool)
+        first[np.arange(len(order))[:, None], order[:, :n1]] = True
+        s1 = np.einsum("kn,rn->kr", samples, first)
+        return s1 / n1 - np.einsum("kn,rn->kr", samples, ~first) / n2
+
+    p = _permutation_p(mean_difference, n1 + n2, resamples, seed)
     return float(p[0]) if aa.ndim == 1 else p
 
 

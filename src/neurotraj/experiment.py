@@ -539,7 +539,7 @@ def summarize(
         other = _per_run_metrics(against)
         threshold = bonferroni(alpha, comparisons)
         # Metrics with as many runs on each side share one permutation test
-        # call, so their rows are gathered through one set of shuffles.
+        # call, so their rows share one set of shuffles.
         groups: dict[tuple[int, int], list[str]] = {}
         for name in _METRICS:
             if per_run[name] and other[name]:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_seq, mc_hypervolume
+from neurotraj import analysis
 from neurotraj.analysis import (
+    _PERMUTATION_BLOCK,
     _average_ranks,
     _t_two_sided,
     bonferroni,
@@ -90,6 +92,13 @@ def tied_series(n, seed):
     return x, np.round(rng.normal(size=n), 1)
 
 
+def scaled_tied_samples(data, shape, exponent):
+    """An array of `shape` on a grid with signed zeros, 1/3 and 0.1, times
+    10^exponent, so values tie within and across rows."""
+    grid = st.sampled_from((-1.0, -0.0, 0.0, 0.1, 1 / 3, 0.5, 1.0, 2.5))
+    return data.draw(arrays(float, shape, elements=grid)) * 10.0 ** exponent
+
+
 RESAMPLES = (1, 499, 1000, 1001, 2500)
 SIZES = (3, 16, 24, 499)
 
@@ -111,6 +120,27 @@ class TestAgainstLoopReferences:
         a, b = x[: n // 2 or 1], x[n // 2 or 1:] + 0.1
         got = permutation_test(a, b, resamples=resamples, seed=n + 2)
         assert got == reference_permutation_p(a, b, resamples, seed=n + 2)
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), k=st.integers(1, 4),
+           sizes=st.tuples(st.integers(1, 15), st.integers(1, 15)), exponent=st.integers(-6, 3),
+           resamples=st.sampled_from((1, 99, 999, 1001)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_permutation_test_on_scaled_tied_grid(self, data, k, sizes, exponent, resamples, seed):
+        a, b = (scaled_tied_samples(data, (k, n), exponent) for n in sizes)
+        stacked = permutation_test(a, b, resamples=resamples, seed=seed)
+        for p, row_a, row_b in zip(stacked.tolist(), a, b):
+            expected = reference_permutation_p(row_a, row_b, resamples, seed)
+            assert p == expected
+            assert permutation_test(row_a, row_b, resamples=resamples, seed=seed) == expected
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), n=st.integers(3, 40), exponent=st.integers(-6, 3),
+           resamples=st.sampled_from((1, 99, 999, 1001)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_spearman_on_scaled_tied_grid(self, data, n, exponent, resamples, seed):
+        x, y = (scaled_tied_samples(data, (n,), exponent) for _ in range(2))
+        assume(not (np.all(x == x[0]) or np.all(y == y[0])))
+        got = spearman(x, y, resamples=resamples, seed=seed).p_value
+        assert got == reference_spearman_p(x, y, resamples, seed)
 
     @pytest.mark.parametrize("values", [
         [0.0, -0.0, 1.5, -0.0, 1.5, 3.0, 0.0, -2.0],
@@ -539,6 +569,44 @@ class TestPermutationTest:
                 tracemalloc.stop()
 
         assert peak(a, b) <= 1.25 * peak(a[0], b[0])
+
+    def test_peak_memory_stays_below_a_gathered_block(self):
+        # The statistic gathers no copy of the samples: the peak stays below a
+        # (k, block, n) float64 gather beside the (block, n) int64 shuffles,
+        # 20 MB here.
+        k, n1 = 4, 1_000
+        a, b = np.random.default_rng(0).normal(size=(2, k, n1))
+        tracemalloc.start()
+        try:
+            permutation_test(a, b, resamples=_PERMUTATION_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (k + 1) * (_PERMUTATION_BLOCK // k) * 2 * n1 * 8
+
+    @pytest.mark.parametrize("block", [1, 7, 1_000])
+    def test_block_size_leaves_p_values_unchanged(self, monkeypatch, block):
+        rng = np.random.default_rng(6)
+        a, b = np.round(rng.normal(size=(3, 9)), 1), np.round(rng.normal(size=(3, 14)), 1)
+        x, y = tied_series(30, seed=7)
+        expected = (permutation_test(a, b, resamples=1001, seed=3),
+                    spearman(x, y, resamples=1001, seed=3).p_value)
+        monkeypatch.setattr(analysis, "_PERMUTATION_BLOCK", block)
+        assert np.array_equal(permutation_test(a, b, resamples=1001, seed=3), expected[0])
+        assert spearman(x, y, resamples=1001, seed=3).p_value == expected[1]
+
+    @pytest.mark.parametrize("k, n1, n2", [(2, 3, 1), (4, 5, 3), (3, 9, 1), (4, 3, 4), (4, 20, 1)])
+    def test_observed_split_counts_itself(self, k, n1, n2):
+        # Every `a` exceeds every `b`, so only shuffles that keep the observed
+        # groups reach the observed difference. At 1e9 the 1e-12 tolerance is
+        # far below one ulp: such a shuffle counts only if it scores the
+        # observed value to the bit.
+        rng = np.random.default_rng(k + n1 + n2)
+        a, b = (5 + rng.random(size=(k, n1))) * 1e9, rng.random(size=(k, n2)) * 1e9
+        draws = np.random.default_rng(0)
+        own = sum(set(draws.permutation(n1 + n2)[:n1]) == set(range(n1)) for _ in range(300))
+        assert own > 0
+        assert permutation_test(a, b, resamples=300, seed=0).tolist() == [(own + 1) / 301] * k
 
     @pytest.mark.parametrize("a, b", [
         (np.zeros((2, 3)), np.zeros((3, 3))),
