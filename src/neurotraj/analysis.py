@@ -54,32 +54,35 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
-def _permutation_p(statistic, n: int, resamples: int, seed: int) -> np.ndarray:
+def _permutation_p(statistic, n: int, resamples: int, seed: int, tol) -> np.ndarray:
     """Add-one p-values for k rows at once: per row, the share of
-    `resamples` shuffles of range(n) whose |statistic| reaches the row's
-    observed value, the |statistic| of the unshuffled order. `statistic`
-    maps a (rows, n) block of index shuffles to (k, rows) values, so a
-    resample costs one index shuffle and no gathered copy of the samples.
+    `resamples` shuffles of range(n) whose |statistic| reaches the |statistic|
+    of the unshuffled order less `tol`, a scalar or (k, 1). `statistic` maps
+    a (rows, n) block of index shuffles to (k, rows) values, so a resample
+    costs one index shuffle and no gathered copy of the samples.
     The shuffles are drawn in place, in blocks of _PERMUTATION_BLOCK // k,
     from one generator: `rng.permuted` draws depend on n only, so every row
     sees the shuffles of one `rng.permutation` call per resample, whatever
     the block size."""
     rng = np.random.default_rng(seed)
-    observed = np.abs(statistic(np.arange(n)[None]))
-    count = np.zeros(len(observed), dtype=np.int64)
-    block = max(1, _PERMUTATION_BLOCK // len(observed))
+    threshold = np.abs(statistic(np.arange(n)[None])) - tol
+    count = np.zeros(len(threshold), dtype=np.int64)
+    block = max(1, _PERMUTATION_BLOCK // len(threshold))
     shuffles = np.empty((min(block, resamples), n), dtype=np.int64)
     for start in range(0, resamples, block):
         order = shuffles[:min(block, resamples - start)]
         order[:] = np.arange(n)
         rng.permuted(order, axis=1, out=order)
-        count += (np.abs(statistic(order)) >= observed - 1e-12).sum(axis=1)
+        count += (np.abs(statistic(order)) >= threshold).sum(axis=1)
     return (count + 1) / (resamples + 1)
 
 
 def _finite_array(values, what: str) -> np.ndarray:
-    """`values` as a float array; a NaN or infinity raises ContractError."""
-    arr = np.asarray(values, dtype=float)
+    """`values` as a float array; ContractError unless they form an array of finite numbers."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{what} are not an array of numbers: {exc}") from exc
     if not np.isfinite(arr).all():
         raise ContractError(f"{what} hold a non-finite value")
     return arr
@@ -156,7 +159,7 @@ def spearman(
         # Centered ranks are multiples of 1/2, so each product sum is exact in
         # any order: the unshuffled order scores |rho| to the bit.
         p = float(_permutation_p(lambda order: (ry[order] @ rx / denom)[None],
-                                 n, resamples, seed)[0])
+                                 n, resamples, seed, tol=1e-12)[0])
     else:
         p = 0.0 if abs(rho) >= 1.0 else _t_two_sided(rho, n - 2)
     return CorrelationResult(coefficient=rho, p_value=min(1.0, p), n=n)
@@ -202,19 +205,17 @@ def hypervolume(front: np.ndarray | Sequence[Sequence[float]], ref: Sequence[flo
     """Exact Lebesgue measure of the space dominated by `front`, an (n, m)
     array or a sequence of points, and bounded by `ref` (minimization).
     Points not componentwise <= ref are dropped with a logged warning. A NaN
-    or infinity in either raises ContractError."""
-    ref_t = tuple(float(v) for v in _finite_array(ref, "reference coordinates"))
-    m = len(ref_t)
-    if m not in (2, 3):
-        raise ConfigurationError(f"hypervolume supports 2 or 3 objectives, got {m}")
-    try:
-        points = _finite_array(front, "front points")
-    except ValueError as exc:
-        raise ContractError(f"front points of unequal dimension: {exc}") from exc
+    or infinity in either raises ContractError; a `ref` that is not one row
+    of 2 or 3 numbers, ConfigurationError."""
+    ref = _finite_array(ref, "reference coordinates")
+    if ref.ndim != 1 or len(ref) not in (2, 3):
+        raise ConfigurationError(f"hypervolume needs a reference of 2 or 3 numbers, got shape {ref.shape}")
+    m = len(ref)
+    points = _finite_array(front, "front points")
     if len(points) and (points.ndim != 2 or points.shape[1] != m):
         raise ContractError(f"front points of shape {points.shape[1:]}, reference of dimension {m}")
     points = points.reshape(-1, m)
-    kept = points[(points <= np.array(ref_t)).all(axis=1)]
+    kept = points[(points <= ref).all(axis=1)]
     dropped = len(points) - len(kept)
     if dropped:
         logger.warning("hypervolume: dropped %d point(s) beyond the reference", dropped)
@@ -224,20 +225,19 @@ def hypervolume(front: np.ndarray | Sequence[Sequence[float]], ref: Sequence[flo
     kept = kept[np.lexsort((kept[:, 1], kept[:, 0]))]
     f1, f2 = kept[:, 0], kept[:, 1]
     if m == 2:
-        return float(_swept_areas(f1, f2[:, None], ref_t[0], ref_t[1])[0])
+        return float(_swept_areas(f1, f2[:, None], ref[0], ref[1])[0])
     # One sweep per distinct z level over the points at or below it, times
     # the depth to the next level. Levels go in blocks of about 200,000
     # elements, because the sweep holds several float64 temporaries of a
     # block: a random 4,000-point front peaks at 9.6 MB under tracemalloc.
     z = kept[:, 2]
     levels = np.unique(z)
-    depths = np.append(levels[1:], ref_t[2]) - levels
+    depths = np.append(levels[1:], ref[2]) - levels
     hv = 0.0
     rows = max(1, 200_000 // len(kept))
     for start in range(0, len(levels), rows):
         block, depth = levels[start:start + rows], depths[start:start + rows]
-        areas = _swept_areas(f1, np.where(z[:, None] <= block, f2[:, None], ref_t[1]),
-                             ref_t[0], ref_t[1])
+        areas = _swept_areas(f1, np.where(z[:, None] <= block, f2[:, None], ref[1]), ref[0], ref[1])
         hv = np.cumsum(np.concatenate([[hv], np.where(depth > 0, areas * depth, 0.0)]))[-1]
     return float(hv)
 
@@ -273,7 +273,9 @@ def permutation_test(
         s1 = np.einsum("kn,rn->kr", samples, first)
         return s1 / n1 - np.einsum("kn,rn->kr", samples, ~first) / n2
 
-    p = _permutation_p(mean_difference, n1 + n2, resamples, seed)
+    # A tie with the observed difference is off by the rounding of the samples' magnitude.
+    tol = 1e-12 * np.maximum(1.0, np.abs(samples).max(axis=1, keepdims=True))
+    p = _permutation_p(mean_difference, n1 + n2, resamples, seed, tol)
     return float(p[0]) if aa.ndim == 1 else p
 
 
@@ -291,7 +293,7 @@ def ranksum_test(a: Sequence[float], b: Sequence[float]) -> float:
     r1 = float(ranks[:n1].sum())
     mu = n1 * (n + 1) / 2.0
     _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float((counts.astype(float) ** 3 - counts).sum()) / (n * (n - 1)) if n > 1 else 0.0
+    tie_term = float((counts.astype(float) ** 3 - counts).sum()) / (n * (n - 1))
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
     if var <= 0:
         return 1.0
@@ -335,7 +337,7 @@ def kde_density(samples: Sequence, grid: Sequence) -> np.ndarray:
     norm = n * float(np.prod(h)) * (2.0 * math.pi) ** (d / 2.0)
 
     densities = np.empty(len(g), dtype=float)
-    chunk = max(1, 2_000_000 // max(1, n))
+    chunk = max(1, 2_000_000 // n)
     for start in range(0, len(g), chunk):
         block = g[start:start + chunk]
         diff = (block[:, None, :] - s[None, :, :]) / h

@@ -95,7 +95,7 @@ def skill_scores(genome: Genome) -> tuple[float, float, float]:
     out = []
     for alleles_of, weights, at, lo, hi in _skill_table():
         raw = _raw_skill(alleles_of(genome.indices), weights, at)
-        out.append((raw - lo) / (hi - lo) if hi > lo else 0.5)
+        out.append((raw - lo) / (hi - lo))
     return tuple(out)
 
 

@@ -64,9 +64,9 @@ class ExperimentConfig(Config):
             raise ConfigurationError("objective_ids must be duplicate-free")
         if self.runs < 1 or self.generations < 1 or self.population < 2:
             raise ConfigurationError("runs/generations/population too small")
-        if self.algorithm == "moead":  # one subproblem per weight vector
+        if self.algorithm == "moead":  # one subproblem per vector of a lattice of comb(H + m - 1, m - 1)
             h = moead_mod.lattice_resolution_for(m := len(self.objective_ids), self.population)
-            object.__setattr__(self, "population", moead_mod.simplex_lattice(m, h).size)
+            object.__setattr__(self, "population", math.comb(h + m - 1, m - 1))
 
     def to_dict(self) -> dict:
         # "objectives" keeps its place in the field order; its value becomes the tokens

@@ -82,10 +82,6 @@ def crowding_distance(front: list[Individual]) -> None:
         return
     for ind in front:
         ind.crowding = 0.0
-    if len(front) <= 2:
-        for ind in front:
-            ind.crowding = float("inf")
-        return
     m = len(front[0].objectives)
     for j in range(m):
         ordered = sorted(front, key=lambda ind: ind.objectives[j])

@@ -152,6 +152,16 @@ def _signloss(predicted: Columns, actual: Columns) -> float:
     return float(error / max(1, matches))
 
 
+# Each objective's scorer of a matched (predicted, actual) pair, as `assemble` describes.
+_SCORES = {
+    ObjectiveId.L1_DISTANCE_FEEDBACK: lambda p, a: _mean(l1_distance_feedback(p, dest=a.dest)),
+    ObjectiveId.L2_LATERAL_VELOCITY: lambda p, a: _mean(l2_lateral_velocity(p)),
+    ObjectiveId.L3_LONGITUDINAL_VELOCITY: lambda p, a: _mean(l3_minimized(p)),
+    ObjectiveId.RMSE: _rmse,
+    ObjectiveId.SIGNLOSS: _signloss,
+}
+
+
 def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> Objectives:
     """Build the minimization vector for one evaluated model: one finite
     float per id, in the order of `ids`.
@@ -169,18 +179,7 @@ def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> Objectives:
 
     values = []
     for oid in ids:
-        if oid is ObjectiveId.L1_DISTANCE_FEEDBACK:
-            value = _mean(l1_distance_feedback(predicted, dest=actual.dest))
-        elif oid is ObjectiveId.L2_LATERAL_VELOCITY:
-            value = _mean(l2_lateral_velocity(predicted))
-        elif oid is ObjectiveId.L3_LONGITUDINAL_VELOCITY:
-            value = _mean(l3_minimized(predicted))
-        elif oid is ObjectiveId.RMSE:
-            value = _rmse(predicted, actual)
-        elif oid is ObjectiveId.SIGNLOSS:
-            value = _signloss(predicted, actual)
-        else:  # pragma: no cover
-            raise ContractError(f"unhandled objective {oid}")
+        value = _SCORES[oid](predicted, actual)
         if not math.isfinite(value):
             raise ContractError(f"non-finite value {value} for {oid.token}")
         values.append(float(value))

@@ -87,12 +87,7 @@ def generate_scenario(duration_s: float, lane_change_rate: float, seed: int) -> 
         else:
             x = lanes[lane]
         if maneuver is None and t >= next_event_t:
-            if lane == 0:
-                target = 1
-            elif lane == 2:
-                target = 1
-            else:
-                target = rng.choice((0, 2))
+            target = rng.choice((0, 2)) if lane == 1 else 1
             maneuver = (t, lanes[lane], lanes[target])
             lane = target
         rows.append((x, y, t))
@@ -277,16 +272,12 @@ def window_and_split(path: np.ndarray, seed: int) -> Dataset:
 
     r_train, _, r_test = SHARES
     # The test share of the pairs left when head and tail are windowed
-    # separately. The head keeps the rest, at least 2 pairs when n_test > 0.
+    # separately. The head keeps the rest, at least 2 pairs when n_test > 0;
+    # a path too short for a test tail splits at its own end.
     n_test = max(0, round(r_test * (len(path) - 4 * TAU + 2)))
-
-    if n_test > 0:
-        split_at = len(path) - (n_test + 2 * TAU - 1)
-        test = sliding_windows(path[split_at:])
-        pool = sliding_windows(path[:split_at])
-    else:  # a path too short for a test tail
-        test = np.empty((0, 2 * TAU, 3))
-        pool = sliding_windows(path)
+    split_at = len(path) - (n_test + 2 * TAU - 1) if n_test else len(path)
+    test = sliding_windows(path[split_at:])
+    pool = sliding_windows(path[:split_at])
     total = len(pool) + len(test)
 
     order = list(range(len(pool)))

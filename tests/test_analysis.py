@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -70,17 +71,18 @@ def reference_spearman_p(x, y, resamples, seed):
 
 
 def reference_permutation_p(a, b, resamples, seed):
-    """The permutation test, one `rng.permutation` per resample."""
+    """The permutation test, one `rng.permutation` per resample; ties count
+    within 1e-12 times the samples' greatest magnitude, or 1e-12 below 1."""
     aa = np.asarray(a, dtype=float)
     bb = np.asarray(b, dtype=float)
-    observed = abs(float(aa.mean()) - float(bb.mean()))
     pooled = np.concatenate([aa, bb])
+    threshold = abs(float(aa.mean()) - float(bb.mean())) - 1e-12 * max(1.0, float(np.abs(pooled).max()))
     n1 = len(aa)
     rng = np.random.default_rng(seed)
     count = 0
     for _ in range(resamples):
         perm = rng.permutation(pooled)
-        if abs(float(perm[:n1].mean()) - float(perm[n1:].mean())) >= observed - 1e-12:
+        if abs(float(perm[:n1].mean()) - float(perm[n1:].mean())) >= threshold:
             count += 1
     return (count + 1) / (resamples + 1)
 
@@ -97,6 +99,28 @@ def scaled_tied_samples(data, shape, exponent):
     10^exponent, so values tie within and across rows."""
     grid = st.sampled_from((-1.0, -0.0, 0.0, 0.1, 1 / 3, 0.5, 1.0, 2.5))
     return data.draw(arrays(float, shape, elements=grid)) * 10.0 ** exponent
+
+
+# A tied grid as exact rationals and as the floats the samples hold.
+EXACT_GRID = (Fraction(-1), Fraction(0), Fraction(0), Fraction(1, 10), Fraction(1, 3),
+              Fraction(1, 2), Fraction(1), Fraction(5, 2))
+FLOAT_GRID = (-1.0, -0.0, 0.0, 0.1, 1 / 3, 0.5, 1.0, 2.5)
+
+
+def exact_permutation_p(a, b, resamples, seed):
+    """The add-one p-value of two samples of EXACT_GRID values, scaled by any
+    positive factor, counted without rounding over the shuffles that
+    `permutation_test` draws. Every value is an integer over 30, so
+    |n2 * sum1 - n1 * sum2| of those integers orders the shuffles as the
+    rational |mean1 - mean2| does, whatever the factor."""
+    n1, n2 = len(a), len(b)
+    numerators = np.array([int(v * 30) for v in list(a) + list(b)], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    shuffles = rng.permuted(np.tile(np.arange(n1 + n2), (resamples, 1)), axis=1)
+    drawn = numerators[shuffles]
+    scores = np.abs(n2 * drawn[:, :n1].sum(axis=1) - n1 * drawn[:, n1:].sum(axis=1))
+    observed = abs(n2 * int(numerators[:n1].sum()) - n1 * int(numerators[n1:].sum()))
+    return Fraction(int((scores >= observed).sum()) + 1, resamples + 1)
 
 
 RESAMPLES = (1, 499, 1000, 1001, 2500)
@@ -269,6 +293,21 @@ def test_non_finite_value_rejected(name, data, bad):
     flat[data.draw(st.integers(0, flat.size - 1))] = bad
     with pytest.raises(ContractError, match="non-finite"):
         fn(*args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hypervolume([[0.5, 0.5]], [[1.0, 2.0], [3.0]]),
+    lambda: hypervolume([[0.5, 0.5]], "ab"),
+    lambda: spearman([1.0, 2.0, [3.0, 4.0]], [1.0, 2.0, 3.0]),
+    lambda: permutation_test([1.0, [2.0, 3.0]], [1.0]),
+    lambda: ranksum_test([1.0, [2.0, 3.0]], [1.0]),
+    lambda: kde_density([[1.0, 2.0], [3.0]], [[1.0, 2.0]]),
+    lambda: scott_bandwidths([[1.0, 2.0], [3.0]]),
+], ids=["hypervolume-ragged-reference", "hypervolume-string-reference", "spearman", "permutation_test",
+        "ranksum_test", "kde_density", "scott_bandwidths"])
+def test_input_that_is_not_an_array_of_numbers_rejected(call):
+    with pytest.raises(ContractError, match="not an array of numbers"):
+        call()
 
 
 class TestClassifyValidity:
@@ -452,6 +491,12 @@ class TestHypervolume:
         with pytest.raises(ConfigurationError):
             hypervolume([(1.0,) * 4], (2.0,) * 4)
 
+    @pytest.mark.parametrize("ref", [5.0, np.float64(5.0), [[1.0, 1.0]], np.ones((2, 2)), np.ones((1, 3))],
+                             ids=["float", "0-d-array", "nested-list", "2x2", "1x3"])
+    def test_reference_not_one_row_rejected(self, ref):
+        with pytest.raises(ConfigurationError, match="reference of 2 or 3"):
+            hypervolume([[0.5, 0.5]], ref)
+
     @settings(deadline=None)
     @given(data=st.data(), m=st.sampled_from((2, 3)))
     def test_matches_reference_sweep_for_lists_and_arrays(self, data, m):
@@ -598,15 +643,28 @@ class TestPermutationTest:
     @pytest.mark.parametrize("k, n1, n2", [(2, 3, 1), (4, 5, 3), (3, 9, 1), (4, 3, 4), (4, 20, 1)])
     def test_observed_split_counts_itself(self, k, n1, n2):
         # Every `a` exceeds every `b`, so only shuffles that keep the observed
-        # groups reach the observed difference. At 1e9 the 1e-12 tolerance is
-        # far below one ulp: such a shuffle counts only if it scores the
-        # observed value to the bit.
+        # groups reach the observed difference, and each of them counts.
         rng = np.random.default_rng(k + n1 + n2)
         a, b = (5 + rng.random(size=(k, n1))) * 1e9, rng.random(size=(k, n2)) * 1e9
         draws = np.random.default_rng(0)
         own = sum(set(draws.permutation(n1 + n2)[:n1]) == set(range(n1)) for _ in range(300))
         assert own > 0
         assert permutation_test(a, b, resamples=300, seed=0).tolist() == [(own + 1) / 301] * k
+
+    @pytest.mark.parametrize("exponent", range(6))
+    def test_ties_counted_exactly_at_any_magnitude(self, exponent):
+        # 40 seeded cases of 4 to 15 grid samples a side, times 10^exponent:
+        # every shuffle that ties the observed difference counts, and no other.
+        wrong = []
+        for case in range(40):
+            rng = Random(case)
+            picks = [[rng.randrange(len(EXACT_GRID)) for _ in range(rng.randint(4, 15))] for _ in range(2)]
+            a, b = ([FLOAT_GRID[i] * 10.0 ** exponent for i in pick] for pick in picks)
+            expected = exact_permutation_p(*([EXACT_GRID[i] for i in pick] for pick in picks), 999, case)
+            got = permutation_test(a, b, resamples=999, seed=case)
+            if got != float(expected):  # (count + 1) / (resamples + 1), correctly rounded
+                wrong.append((case, got, float(expected)))
+        assert wrong == []
 
     @pytest.mark.parametrize("a, b", [
         (np.zeros((2, 3)), np.zeros((3, 3))),

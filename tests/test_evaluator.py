@@ -18,6 +18,7 @@ from neurotraj.analysis import classify_validity
 from neurotraj.errors import ContractError
 from neurotraj.evaluator import (
     _noise,
+    _skill_table,
     _thread,
     evaluate,
     predict_targets,
@@ -81,6 +82,10 @@ class TestSkillScores:
                 maxs[i] = max(maxs[i], s[i])
         assert all(v <= 0.1 for v in mins)
         assert all(v >= 0.9 for v in maxs)
+
+    def test_every_skill_spans_a_range(self):
+        # skill_scores divides by the greatest raw score less the least.
+        assert all(hi > lo for *_, lo, hi in _skill_table())
 
     def test_bounds_are_reached(self):
         """Over every allele combination of one skill's loci, the other loci

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neurotraj.moead as moead_mod
 from neurotraj.analysis import ValidityReport, classify_validity, permutation_test, ranksum_test
 from neurotraj.errors import ConfigurationError, MalformedRecordsError
 from neurotraj.evaluator import evaluate, predict_targets, skill_scores
@@ -26,6 +27,7 @@ from neurotraj.experiment import (
     preset_config,
     read_config,
     run_experiment,
+    scale_config,
     scaled_count,
     _per_run_metrics,
     summarize,
@@ -161,6 +163,20 @@ class TestPopulationSnap:
         assert json.loads((tmp_path / "config.json").read_text())["population"] == 45
         snapshots = (tmp_path / "run_0.jsonl").read_text().splitlines()
         assert [len(json.loads(line)["subproblems"]) for line in snapshots] == [45]
+
+    def test_configs_built_without_building_a_lattice(self, monkeypatch):
+        def build():
+            presets = [preset_config(name) for name in ("exp7", "exp9", "exp11", "exp13")]
+            return (presets + [ExperimentConfig.from_dict(cfg.to_dict()) for cfg in presets]
+                    + [scale_config(cfg, scale) for cfg in presets for scale in (0.2, 1 / 3, 2.0)])
+
+        expected = [cfg.population for cfg in build()]
+
+        def refuse(*args):
+            raise AssertionError("a config built its weight lattice")
+
+        monkeypatch.setattr(moead_mod, "simplex_lattice", refuse)
+        assert [cfg.population for cfg in build()] == expected
 
     @settings(deadline=None)
     @given(m=st.sampled_from((2, 3)), population=st.integers(2, 300))

@@ -144,6 +144,15 @@ class TestCrowdingDistance:
         crowding_distance(front)
         assert all(math.isinf(i.crowding) for i in front)
 
+    @settings(deadline=None, max_examples=50)
+    @given(m=st.integers(1, 3), size=st.integers(1, 2), data=st.data())
+    def test_one_or_two_members_all_infinite(self, m, size, data):
+        # Values from a three-point grid, so members tie in some objectives or in all.
+        grid = st.sampled_from((0.0, 1.0, 2.5))
+        front = [ind(data.draw(st.tuples(*[grid] * m)), ("rmse", "l2", "l3")) for _ in range(size)]
+        crowding_distance(front)
+        assert [i.crowding for i in front] == [math.inf] * size
+
     def test_single_objective_middle_gap(self):
         front = [ind((1.0,), ("rmse",)), ind((2.0,), ("rmse",)), ind((10.0,), ("rmse",))]
         crowding_distance(front)

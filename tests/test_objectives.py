@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_seq, straight_seq
+from neurotraj import objectives
 from neurotraj.errors import ContractError, DegenerateTimestepError
 from neurotraj.objectives import (
     ObjectiveId,
@@ -290,6 +291,9 @@ class TestAssemble:
             actual.append(make_seq(base))
             predicted.append(make_seq(noisy))
         return predicted, actual
+
+    def test_every_objective_has_a_scorer(self):
+        assert set(objectives._SCORES) == set(ObjectiveId)
 
     def test_order_matches_ids(self):
         predicted, actual = self._pairs()

@@ -9,9 +9,11 @@ import pytest
 
 from conftest import validate_sequence
 from neurotraj.errors import ConfigurationError, ContractError, InsufficientDataError
+from neurotraj.experiment import DatasetConfig, scenario_dataset
 from neurotraj.trajectory import (
     DT_MAX_S,
     DT_MIN_S,
+    TAU,
     V_MAX_MPS,
     V_MIN_MPS,
     generate_scenario,
@@ -111,6 +113,26 @@ class TestSplit:
         b = window_and_split(path, seed=5)
         for split in ("train", "validation", "test"):
             assert np.array_equal(getattr(a, split), getattr(b, split))
+
+    def test_preset_dataset_bytes_pinned(self):
+        data = scenario_dataset(DatasetConfig())
+        digests = {split: hashlib.sha256(getattr(data, split).tobytes()).hexdigest()
+                   for split in ("train", "validation", "test")}
+        assert data.counts() == {"train": 1425, "validation": 475, "test": 475}
+        assert digests == {
+            "train": "8df9b3f82af7e87ed40a0c357491d1eb27dcfef11c028258d4a3e2cadc254c04",
+            "validation": "a63a6775b3cb7a2234e4df578743fa3fdcde426041ee1c1215290d4d4cf717ec",
+            "test": "a650d01981c8faec60ecccf376cf823e810a628d4877eb8e703493071773b0a2",
+        }
+
+    def test_path_without_a_test_tail_bytes_pinned(self):
+        # 32 points leave round(0.2 * (32 - 4 * TAU + 2)) = 0 test pairs, so no test tail.
+        data = window_and_split(generate_scenario(600.0, 0.02, 0)[:32], seed=5)
+        assert data.test.shape == (0, 2 * TAU, 3)
+        assert data.counts() == {"train": 10, "validation": 7, "test": 0}
+        digest = hashlib.sha256(b"".join(getattr(data, split).tobytes()
+                                         for split in ("train", "validation", "test"))).hexdigest()
+        assert digest == "a7af394513b5fbe05b484762d3a29881d82047a93f14abb9c77e738ae28e84ba"
 
     def test_too_short_path_rejected(self):
         with pytest.raises(InsufficientDataError):
