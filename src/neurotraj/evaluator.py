@@ -12,11 +12,20 @@ results never depend on evaluation order. Each thread keeps one Philox bit
 generator and re-keys it for every stream, which costs a fifth of building
 a new one.
 
+One predictor serves every caller: it turns a split's (P, n) targets into
+the (G, P, n) stack of predictions of G genomes, drawing each genome's
+noise into its row of the stack's buffer. The objectives reduce each
+stacked set alone, so a genome scores the same, bit for bit, in any stack.
+A caller of one genome predicts a stack of one. Genomes are stacked in
+blocks of about `_BLOCK_ELEMENTS` values per (G, P, n) array, so the
+temporaries of a block stay near 64 KB however many genomes a call scores.
+
 The search scores the validation split only, on the searched objectives.
-The test split, and the plain validation RMSE where RMSE is not searched,
-are computed once per final-front model. All read their split's target
-terms from the `Dataset`, which derives them once. The dataset also keeps
-every objective vector `evaluate` returns, so each distinct (genome,
+`evaluate_all` scores, as stacks, every genome of one request that the
+dataset has not kept. The test split, and the plain validation RMSE where RMSE is
+not searched, are predicted once per final-front model. All read their
+split's target terms from the `Dataset`, which derives them once. The
+dataset also keeps every objective vector, so each distinct (genome,
 objective ids) is scored once per dataset however often the engines ask
 for it.
 """
@@ -28,12 +37,12 @@ import math
 import threading
 from functools import cache
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractError
-from .genome import Genome, default_allele_table
+from .genome import N_LOCI, Genome, default_allele_table
 from .objectives import ObjectiveId, Objectives, assemble, rmse
 from .trajectory import Columns, Dataset
 
@@ -100,14 +109,19 @@ def skill_scores(genome: Genome) -> tuple[float, float, float]:
 
 
 _thread = threading.local()
+# A stream's key: "0|" then the genome's indices joined by commas, "|" and the role.
+_NOISE_KEY = "0|" + ",".join(["%s"] * N_LOCI) + "|%s"
+# Zero words for a re-keyed state; the state setter copies them.
+_ZEROS = np.zeros(4, np.uint64)
 
 
-def _noise(genome: Genome, role: str, shape: tuple[int, ...]) -> np.ndarray:
+def _noise(genome: Genome, role: str, shape: tuple[int, ...],
+           out: np.ndarray | None = None) -> np.ndarray:
     """Uniform [0, 1) draws of `shape` from the Philox stream of one
     (genome, role): the stream of `Philox(key=int.from_bytes(digest, "big"))`
     for the blake2b digest of the pair, drawn from this thread's generator
-    re-keyed at counter 0."""
-    key = f"0|{','.join(map(str, genome.indices))}|{role}"
+    re-keyed at counter 0. `out`, of `shape`, receives the draws if given."""
+    key = _NOISE_KEY % (*genome.indices, role)
     digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
     try:
         generator = _thread.generator
@@ -118,16 +132,27 @@ def _noise(genome: Genome, role: str, shape: tuple[int, ...]) -> np.ndarray:
     # previous stream is drawn.
     generator.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.frombuffer(digest[::-1], "<u8")},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": _ZEROS, "key": np.frombuffer(digest[::-1], "<u8")},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    return generator.random(shape)
+    return generator.random(shape, out=out)
 
 
-def predict_targets(genome: Genome, skills: tuple[float, float, float], targets: Columns,
-                    role: str) -> Columns:
-    """Transform the (P, tau) target columns of a split into one model's
-    predictions; `role` ("val" or "test") keys the noise.
+# The values of one (G, P, n) array of a stack: 8,192 float64, 64 KB.
+_BLOCK_ELEMENTS = 8192
+
+
+def _block_size(targets: Columns) -> int:
+    """The genomes of one stack on `targets`: as many as keep its (G, P, n)
+    arrays within `_BLOCK_ELEMENTS` values, and at least one."""
+    return max(1, _BLOCK_ELEMENTS // targets.x.size)
+
+
+def _predicted(genomes: Sequence[Genome], skills: Sequence[tuple[float, float, float]],
+               targets: Columns, role: str) -> Columns:
+    """The (G, P, n) stack of predictions of the (P, n) target columns of a
+    split, one set per genome with its skills; `role` ("val" or "test")
+    keys the noise.
 
     Longitudinal steps are rescaled in displacement space and clamped to
     the speed band, so predictions always satisfy the velocity invariant;
@@ -135,45 +160,97 @@ def predict_targets(genome: Genome, skills: tuple[float, float, float], targets:
     and the transform depend on the genome: the steps, the band and the
     timestamps are terms of `targets`, derived once per `Columns`.
     """
-    s_acc, s_smooth, s_speed = skills
-    amp_lat = _LATERAL_NOISE_MAX_M * (1.0 - s_acc)
-    amp_jit = _HEADING_JITTER_MAX_RAD * (1.0 - s_smooth)
-    scale = 1.0 + _SPEED_SPAN * (2.0 * s_speed - 1.0)
+    # Each genome's noise amplitudes and speed scale, computed in floats and
+    # held as (G, 1, 1) columns that broadcast over the genome's set.
+    amp_lat, amp_jit, scale = np.array([
+        (_LATERAL_NOISE_MAX_M * (1.0 - s_acc), _HEADING_JITTER_MAX_RAD * (1.0 - s_smooth),
+         1.0 + _SPEED_SPAN * (2.0 * s_speed - 1.0))
+        for s_acc, s_smooth, s_speed in skills]).T[:, :, None, None]
 
     p, n = targets.x.shape
-    u = _noise(genome, role, (p, n + 1))
-    phase, cycles, jitter = math.tau * u[:, :1], 0.5 + u[:, 1:2], 2.0 * u[:, 2:] - 1.0
+    u = np.empty((len(genomes), p, n + 1))
+    for genome, rows in zip(genomes, u):
+        _noise(genome, role, (p, n + 1), out=rows)
 
+    # Each term is computed in place where it is used once, by the same
+    # IEEE operations, in the same order, as out of place.
     lo, hi = targets.band
-    # `np.clip` and `np.cumsum`'s own kernels, without their Python wrappers.
-    steps = np.minimum(np.maximum(scale * targets.dy, lo), hi)
-    y = np.add.accumulate(np.concatenate([targets.y[:, :1], steps], axis=1), axis=1)
+    # `np.clip`'s own kernels, without its Python wrappers.
+    steps = np.multiply(scale, targets.dy)
+    np.minimum(np.maximum(steps, lo, out=steps), hi, out=steps)
+    # The running sum of the steps a column at a time: the additions of
+    # `np.cumsum` along each row, in its order, in n - 1 calls, not one per row.
+    y = np.empty((len(genomes), p, n))
+    y[..., 0] = targets.y[:, 0]
+    for k in range(1, n):
+        np.add(y[..., k - 1], steps[..., k - 1], out=y[..., k])
     # Smooth low-frequency lateral offset (accuracy) plus independent
     # per-step heading wiggle (smoothness).
-    offset = amp_lat * np.sin(math.tau * cycles * np.arange(n) / (n - 1) + phase)
-    offset[:, 1:] += np.tan(amp_jit * jitter) * steps
-    return Columns(targets.x + offset, y, targets.t, dt=targets.dt)
+    offset = np.multiply(math.tau * (0.5 + u[..., 1:2]), np.arange(n))
+    offset /= n - 1
+    offset += math.tau * u[..., :1]
+    np.sin(offset, out=offset)
+    offset *= amp_lat
+    wiggle = np.multiply(u[..., 2:], 2.0)
+    wiggle -= 1.0
+    wiggle *= amp_jit
+    np.tan(wiggle, out=wiggle)
+    wiggle *= steps
+    offset[..., 1:] += wiggle
+    offset += targets.x
+    return Columns(offset, y, targets.t, dt=targets.dt)
+
+
+def predictions(genomes: Sequence[Genome], skills: Sequence[tuple[float, float, float]],
+                targets: Columns, role: str) -> Iterator[Columns]:
+    """The predictions of `genomes` with their `skills` on `targets`, as
+    consecutive (G, P, n) stacks of at most a block each."""
+    size = _block_size(targets)
+    for start in range(0, len(genomes), size):
+        yield _predicted(genomes[start:start + size], skills[start:start + size], targets, role)
+
+
+def predict_targets(genome: Genome, skills: tuple[float, float, float], targets: Columns,
+                    role: str) -> Columns:
+    """Transform the (P, tau) target columns of a split into one model's
+    predictions, as `_predicted` does for a stack; `role` ("val" or "test")
+    keys the noise."""
+    return _predicted((genome,), (skills,), targets, role).sets()[0]
+
+
+def evaluate_all(genomes: Sequence[Genome], data: Dataset,
+                 ids: Sequence[ObjectiveId]) -> list[Objectives]:
+    """The objectives `ids` of each genome on the validation split, the only
+    split the search reads. They are computed once per dataset and kept in
+    `data.evaluations`: the distinct genomes missing there are scored in
+    stacks, a block at a time. A block that fails keeps none of its vectors."""
+    ids = tuple(ids)
+    memo = data.evaluations
+    missing = list({g.indices: g for g in genomes if (g.indices, ids) not in memo}.values())
+    if missing:
+        if not len(data.validation):
+            raise ContractError("validation split must be non-empty")
+        actual = data.validation_targets
+        size = _block_size(actual)
+        for start in range(0, len(missing), size):
+            block = missing[start:start + size]
+            predicted = _predicted(block, [skill_scores(g) for g in block], actual, "val")
+            vectors = assemble(ids, predicted, actual)
+            for g, objectives in zip(block, vectors):
+                memo[g.indices, ids] = objectives
+    return [memo[g.indices, ids] for g in genomes]
 
 
 def evaluate(genome: Genome, data: Dataset, ids: Sequence[ObjectiveId]) -> Objectives:
-    """The objectives `ids` of a genome on the validation split, the only
-    split the search reads. They are computed once per dataset and kept in
-    `data.evaluations`; a failed evaluation is not kept."""
-    key = (genome.indices, tuple(ids))
-    if (objectives := data.evaluations.get(key)) is not None:
+    """The objectives `ids` of one genome, as `evaluate_all` gives them: read
+    from `data.evaluations`, or on a miss scored as a stack of one."""
+    if (objectives := data.evaluations.get((genome.indices, tuple(ids)))) is not None:
         return objectives
-    if not len(data.validation):
-        raise ContractError("validation split must be non-empty")
-    actual = data.validation_targets
-    predicted = predict_targets(genome, skill_scores(genome), actual, "val")
-    objectives = data.evaluations[key] = assemble(ids, predicted, actual)
-    return objectives
+    return evaluate_all((genome,), data, ids)[0]
 
 
 def validation_rmse(genome: Genome, skills: tuple[float, float, float], data: Dataset) -> float:
     """The plain validation RMSE of one model, the value `evaluate` gives
-    for RMSE when it is searched. The experiment summaries need it for
-    every final-front model, so this predicts the validation split again
-    where RMSE is not searched."""
+    for RMSE when it is searched."""
     actual = data.validation_targets
     return rmse(predict_targets(genome, skills, actual, "val"), actual)

@@ -26,7 +26,7 @@ from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
 from .config import Config
 from .errors import ConfigurationError, ContractError, MalformedRecordsError, NeurotrajError
-from .evaluator import evaluate, predict_targets, skill_scores, validation_rmse
+from .evaluator import evaluate, evaluate_all, predictions, skill_scores
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, Objectives, rmse
 from .trajectory import Dataset, generate_scenario, read_csv, window_and_split, write_csv, write_json
@@ -190,25 +190,28 @@ def _individual_snapshot(ind: nsga2_mod.Individual, with_rank: bool) -> dict:
 
 def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
                    ids: Sequence[ObjectiveId]) -> list[FrontEntry]:
-    """Judge each final-front model on the test split, predicted once per
-    model from its skills, computed once. Its validation RMSE is its
-    searched RMSE objective, or where RMSE is not searched, computed here."""
-    searched = ids.index(ObjectiveId.RMSE) if ObjectiveId.RMSE in ids else None
+    """Judge each final-front model on the test split, all models predicted
+    as stacks, from skills computed once per model. Its validation RMSE is
+    its searched RMSE objective, or where RMSE is not searched, computed
+    here from the models' validation predictions, stacked the same way."""
+    genomes = [ind.genome for ind in individuals]
+    skills = [skill_scores(g) for g in genomes]
     actual = data.test_targets
-    entries = []
-    for ind in individuals:
-        skills = skill_scores(ind.genome)
-        predicted = predict_targets(ind.genome, skills, actual, "test")
-        entries.append(FrontEntry(
-            genome=ind.genome.indices,
-            objectives=ind.objectives,
-            rmse_validation=(validation_rmse(ind.genome, skills, data) if searched is None
-                             else ind.objectives[searched]),
-            rmse_test=rmse(predicted, actual),
-            validity=classify_validity(predicted),
-            skills=skills,
-        ))
-    return entries
+    rmse_test, validity = [], []
+    for predicted in predictions(genomes, skills, actual, "test"):
+        rmse_test += rmse(predicted, actual)
+        validity += [classify_validity(member) for member in predicted.sets()]
+    if ObjectiveId.RMSE in ids:
+        searched = ids.index(ObjectiveId.RMSE)
+        rmse_validation = [ind.objectives[searched] for ind in individuals]
+    else:
+        actual = data.validation_targets
+        rmse_validation = [value for predicted in predictions(genomes, skills, actual, "val")
+                           for value in rmse(predicted, actual)]
+    return [FrontEntry(genome=ind.genome.indices, objectives=ind.objectives, rmse_validation=val,
+                       rmse_test=test, validity=report, skills=s)
+            for ind, val, test, report, s in zip(individuals, rmse_validation, rmse_test,
+                                                 validity, skills, strict=True)]
 
 
 def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunRecord:
@@ -218,9 +221,12 @@ def execute_run(cfg: ExperimentConfig, data: Dataset, run_index: int) -> RunReco
     rng = Random(run_seed)
     ops = GeneticOperators(table=default_allele_table())
 
-    # `evaluate` is looked up at each call, so a stand-in set on this module is the one called.
-    def eval_fn(genome: Genome) -> Objectives:
-        return evaluate(genome, data, cfg.objective_ids)
+    # The request is scored as stacks into the dataset's memo; each genome's
+    # vector is then read through `evaluate`, which is looked up at each call,
+    # so a stand-in set on this module is the one called, once per genome.
+    def eval_fn(genomes: list[Genome]) -> list[Objectives]:
+        evaluate_all(genomes, data, cfg.objective_ids)
+        return [evaluate(g, data, cfg.objective_ids) for g in genomes]
 
     start = time.perf_counter()
     try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -13,7 +13,8 @@ from .errors import ContractError
 from .genome import GeneticOperators, Genome, random_genome
 from .objectives import Objectives
 
-EvaluateFn = Callable[[Genome], Objectives]
+# Scores a list of genomes: one objective vector per genome, in order.
+EvaluateFn = Callable[[list[Genome]], list[Objectives]]
 
 TOURNAMENT_SIZE = 3
 
@@ -111,10 +112,11 @@ def tournament_select(pop: list[Individual], k: int, rng: Random) -> Individual:
     return winner
 
 
-def scored(genomes: Iterable[Genome], evaluate_fn: EvaluateFn) -> list[Individual]:
-    """One individual per genome, each scored once and in order: the one
-    place either engine calls `evaluate_fn`."""
-    return [Individual(genome, evaluate_fn(genome)) for genome in genomes]
+def scored(genomes: list[Genome], evaluate_fn: EvaluateFn) -> list[Individual]:
+    """One individual per genome, in order, all scored by one `evaluate_fn`
+    call: the one place either engine calls it."""
+    return [Individual(genome, objectives)
+            for genome, objectives in zip(genomes, evaluate_fn(genomes), strict=True)]
 
 
 def init_population(size: int, evaluate_fn: EvaluateFn, ops: GeneticOperators, rng: Random) -> list[Individual]:

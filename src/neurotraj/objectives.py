@@ -3,10 +3,16 @@
 A sequence is a (tau, 3) array of (x, y, t) rows. The per-sequence
 objectives (l1, l2, l3) reduce the last two axes, so one sequence gives a
 scalar and a (P, tau, 3) batch gives one value per window. RMSE and
-SignLoss compare a predicted set against the actual one and reduce every
-axis: SignLoss counts sign matches over the whole set. Each function also
-accepts a `trajectory.Columns` and reads the terms the set keeps, so a set
-scored many times derives them once.
+SignLoss compare a predicted set against the actual one and reduce the
+set's axes: SignLoss counts sign matches over the whole set. Each function
+also accepts a `trajectory.Columns` and reads the terms the set keeps, so a
+set scored many times derives them once.
+
+A predicted `Columns` may be a (G, P, tau) stack of G sets that share the
+actual set's timestamps. Every scorer then reduces only the set axes and
+gives one value per stacked set, the same value, bit for bit, that the set
+alone gives: each set's elements are summed as one contiguous row, as a
+single set's are.
 
 All assembled values are finite and >= 0. The longitudinal-velocity
 objective is maximized in its raw form; it enters vectors as the
@@ -64,7 +70,7 @@ def l1_distance_feedback(seq, dest=None):
     offset = np.empty(seq.x.shape + (2,))
     np.subtract(seq.x, dest[..., :1], out=offset[..., 0])
     np.subtract(seq.y, dest[..., 1:], out=offset[..., 1])
-    return (offset * offset).sum(axis=(-2, -1))
+    return np.add.reduce(np.multiply(offset, offset, out=offset), (-2, -1))
 
 
 def _wrap_angle(a):
@@ -92,9 +98,11 @@ def l2_lateral_velocity(seq):
     seq = Columns.of(seq)
     if seq.shape[-2] < 3:
         raise ContractError(f"need at least 3 points, got {seq.shape[-2]}")
-    dt = seq.dt
     heading = np.arctan2(seq.dx, seq.dy)
-    return np.abs(_wrap_angle(heading[..., 1:] - heading[..., :-1]) / dt[..., :-1]).sum(axis=-1)
+    # In place on the fresh wrapped array: the same operations as out of place.
+    rate = _wrap_angle(heading[..., 1:] - heading[..., :-1])
+    np.divide(rate, seq.dt[..., :-1], out=rate)
+    return np.add.reduce(np.abs(rate, out=rate), -1)
 
 
 def l3_longitudinal_velocity(seq):
@@ -102,8 +110,10 @@ def l3_longitudinal_velocity(seq):
     seq = Columns.of(seq)
     if seq.shape[-2] < 2:
         raise ContractError(f"need at least 2 points, got {seq.shape[-2]}")
-    # `np.clip`'s own kernel, without its Python wrappers.
-    return np.minimum(np.maximum(seq.dy / seq.dt, V_MIN_MPS), V_MAX_MPS).sum(axis=-1)
+    # `np.clip`'s own kernel, without its Python wrappers, in place.
+    speed = seq.dy / seq.dt
+    np.minimum(np.maximum(speed, V_MIN_MPS, out=speed), V_MAX_MPS, out=speed)
+    return np.add.reduce(speed, -1)
 
 
 def l3_minimized(seq):
@@ -112,47 +122,58 @@ def l3_minimized(seq):
     return (seq.shape[-2] - 1) * V_MAX_MPS - l3_longitudinal_velocity(seq)
 
 
-def _mean(a: np.ndarray) -> np.float64:
-    """`a.mean()` without numpy's Python wrappers: the same sum over all
-    elements divided by their count, so the same value."""
-    return np.add.reduce(a, None) / a.size
+def _mean(a: np.ndarray) -> np.ndarray:
+    """The mean over the last axis: each row summed as `a.mean()` sums a
+    1-D array, over its count."""
+    return np.add.reduce(a, -1) / a.shape[-1]
+
+
+def _points(a: np.ndarray) -> np.ndarray:
+    """Each set's (P, n) values as one contiguous row."""
+    return a.reshape(a.shape[:-2] + (-1,))
 
 
 def _matched(predicted, actual) -> tuple[Columns, Columns]:
     predicted, actual = Columns.of(predicted), Columns.of(actual)
-    if predicted.shape != actual.shape:
+    if predicted.shape[predicted.x.ndim - actual.x.ndim:] != actual.shape:
         raise ContractError(f"predicted shape {predicted.shape} vs actual {actual.shape}")
     if not predicted.x.size:
         raise ContractError("empty evaluation set")
     return predicted, actual
 
 
-def rmse(predicted, actual) -> float:
-    """Mean Euclidean position error over all points of the set (m)."""
-    return _rmse(*_matched(predicted, actual))
+def rmse(predicted, actual):
+    """Mean Euclidean position error over all points of the set (m): a float,
+    or a list of one per set of a predicted stack."""
+    return _rmse(*_matched(predicted, actual)).tolist()
 
 
-def _rmse(predicted: Columns, actual: Columns) -> float:
-    return float(_mean(np.hypot(predicted.x - actual.x, predicted.y - actual.y)))
+def _rmse(predicted: Columns, actual: Columns) -> np.ndarray:
+    error = predicted.x - actual.x
+    return _mean(_points(np.hypot(error, predicted.y - actual.y, out=error)))
 
 
-def signloss(predicted, actual) -> float:
+def signloss(predicted, actual):
     """Lateral-magnitude error scaled up when predicted lateral directions disagree.
 
     Numerator: mean over points of | |x_pred| - |x_true| |. Denominator:
     count of points whose lateral signs match, floored at 1 so the loss
-    stays defined when nothing matches.
+    stays defined when nothing matches. A float, or a list of one per set of
+    a predicted stack.
     """
-    return _signloss(*_matched(predicted, actual))
+    return _signloss(*_matched(predicted, actual)).tolist()
 
 
-def _signloss(predicted: Columns, actual: Columns) -> float:
-    error = _mean(np.abs(predicted.abs_x - actual.abs_x))
-    matches = np.count_nonzero(predicted.sign_x == actual.sign_x)
-    return float(error / max(1, matches))
+def _signloss(predicted: Columns, actual: Columns) -> np.ndarray:
+    error = predicted.abs_x - actual.abs_x
+    error = _mean(_points(np.abs(error, out=error)))
+    same = predicted.sign_x == actual.sign_x
+    matches = np.add.reduce(_points(same), -1, dtype=np.intp)
+    return error / np.maximum(matches, 1)
 
 
-# Each objective's scorer of a matched (predicted, actual) pair, as `assemble` describes.
+# Each objective's scorer of a matched (predicted, actual) pair, as `assemble`
+# describes: one value per predicted set.
 _SCORES = {
     ObjectiveId.L1_DISTANCE_FEEDBACK: lambda p, a: _mean(l1_distance_feedback(p, dest=a.dest)),
     ObjectiveId.L2_LATERAL_VELOCITY: lambda p, a: _mean(l2_lateral_velocity(p)),
@@ -162,14 +183,16 @@ _SCORES = {
 }
 
 
-def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> Objectives:
+def assemble(ids: Sequence[ObjectiveId], predicted, actual):
     """Build the minimization vector for one evaluated model: one finite
-    float per id, in the order of `ids`.
+    float per id, in the order of `ids`. For a predicted (G, P, tau) stack,
+    a list of G such vectors.
 
     Per-sequence objectives (l1, l2, minimized l3) are computed on the
     predicted sequences and averaged over the set; l1 measures against
     each ground-truth destination. RMSE and SignLoss compare predicted
-    against actual directly.
+    against actual directly. A non-finite value of any set raises
+    ContractError naming its objective, and nothing is returned.
     """
     if not ids:
         raise ContractError("objective id list must not be empty")
@@ -177,10 +200,11 @@ def assemble(ids: Sequence[ObjectiveId], predicted, actual) -> Objectives:
         raise ContractError("duplicate objective ids")
     predicted, actual = _matched(predicted, actual)
 
-    values = []
-    for oid in ids:
-        value = _SCORES[oid](predicted, actual)
-        if not math.isfinite(value):
+    # Per objective, its value of each predicted set.
+    columns = [_SCORES[oid](predicted, actual).reshape(-1).tolist() for oid in ids]
+    for oid, column in zip(ids, columns):
+        if not all(map(math.isfinite, column)):
+            value = next(v for v in column if not math.isfinite(v))
             raise ContractError(f"non-finite value {value} for {oid.token}")
-        values.append(float(value))
-    return tuple(values)
+    vectors = list(zip(*columns))
+    return vectors if predicted.x.ndim > actual.x.ndim else vectors[0]

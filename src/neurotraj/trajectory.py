@@ -152,6 +152,8 @@ class Columns:
     wherever it accepts (..., n, 3) rows. The terms derived from the columns are computed on first use and
     kept, so a set scored many times (a dataset split's targets) derives
     them once. The columns must not change while the object is in use.
+    A stack of G predicted sets holds (G, P, n) x and y columns and the
+    (P, n) timestamps they share; the objectives score each set of it.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, t: np.ndarray, dt: np.ndarray | None = None):
@@ -176,6 +178,11 @@ class Columns:
     def rows(self) -> np.ndarray:
         """The set as (..., n, 3) rows of (x, y, t)."""
         return np.stack([self.x, self.y, self.t], axis=-1)
+
+    def sets(self) -> list["Columns"]:
+        """Each set of a (G, P, n) stack whose sets share the (P, n)
+        timestamps, as its own `Columns`."""
+        return [Columns(x, y, self.t, dt=self.dt) for x, y in zip(self.x, self.y)]
 
     @_derived
     def dt(self) -> np.ndarray:

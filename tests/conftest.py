@@ -139,14 +139,21 @@ def fail_run_one(monkeypatch, request):
 
 
 class RecordingEval:
-    """An `evaluate_fn` that records each genome it scores, in call order;
-    its two objective values are drawn from the genome alone."""
+    """An `evaluate_fn` that records each list of genomes it is asked to
+    score (`calls`) and each genome, in call order (`genomes`); its two
+    objective values are drawn from the genome alone."""
 
     def __init__(self):
+        self.calls = []
         self.genomes = []
 
-    def __call__(self, genome):
-        self.genomes.append(genome)
+    def __call__(self, genomes):
+        self.calls.append(list(genomes))
+        self.genomes.extend(genomes)
+        return [self.value(g) for g in genomes]
+
+    @staticmethod
+    def value(genome):
         r = Random(hash(genome.indices) & 0xFFFFF)
         return r.uniform(0, 5), r.uniform(0, 5)
 

@@ -30,7 +30,7 @@ from neurotraj.analysis import (
     spearman,
 )
 from neurotraj.cli import main
-from neurotraj.evaluator import evaluate
+from neurotraj.evaluator import evaluate, evaluate_all
 from neurotraj.experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -131,8 +131,8 @@ def test_criterion_3_tchebycheff_and_ideal():
     for seed in range(5):
         rng = Random(seed)
 
-        def eval_fn(genome):
-            return evaluate(genome, data, cfg.objective_ids)
+        def eval_fn(genomes):
+            return evaluate_all(genomes, data, cfg.objective_ids)
 
         state = init_state(lattice, eval_fn, ops, rng)
         log = []

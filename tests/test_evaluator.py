@@ -1,9 +1,11 @@
 import gc
 import hashlib
 import itertools
+import math
 import pickle
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from random import Random
@@ -16,16 +18,27 @@ from hypothesis import strategies as st
 from conftest import validate_sequence
 from neurotraj.analysis import classify_validity
 from neurotraj.errors import ContractError
+from neurotraj import objectives
 from neurotraj.evaluator import (
     _noise,
     _skill_table,
     _thread,
     evaluate,
+    evaluate_all,
     predict_targets,
     skill_scores,
     validation_rmse,
 )
-from neurotraj.experiment import PRESETS, FrontEntry, _front_entries, build_dataset, preset_config
+from neurotraj.experiment import (
+    PRESETS,
+    DatasetConfig,
+    FrontEntry,
+    _front_entries,
+    build_dataset,
+    execute_run,
+    preset_config,
+    scenario_dataset,
+)
 from neurotraj.genome import Genome, default_allele_table, random_genome
 from neurotraj.nsga2 import Individual
 from neurotraj.objectives import ObjectiveId, assemble, l3_minimized, rmse
@@ -206,9 +219,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("ids, calls", [(IDS, 0), (NO_RMSE, 1)])
     def test_validation_rmse_computed_once(self, small_dataset, monkeypatch, ids, calls):
-        """`evaluate` computes no validation RMSE beside its objectives; a
-        final-front entry computes it once per member where RMSE is not
-        searched, and takes the searched value where it is."""
+        """`evaluate` predicts the validation split once per genome, for its
+        objectives alone; a final-front entry predicts it again once per
+        member where RMSE is not searched, and takes the searched value
+        where it is."""
         import neurotraj.evaluator as evaluator_mod
 
         # A copy with an empty memo: the shared dataset may already hold the genomes.
@@ -220,19 +234,22 @@ class TestEvaluate:
             predicted = predict_targets(g, skill_scores(g), small_dataset.validation_targets,
                                         "val").rows()
             expected.append(rmse(predicted, small_dataset.validation[:, TAU:]))
-        counted = []
+        drawn = []
+        real = evaluator_mod._noise
 
-        def counting_rmse(*args):
-            counted.append(1)
-            return rmse(*args)
+        def counting_noise(genome, role, *args, **kwargs):
+            drawn.append((genome.indices, role))
+            return real(genome, role, *args, **kwargs)
 
-        monkeypatch.setattr(evaluator_mod, "rmse", counting_rmse)
+        monkeypatch.setattr(evaluator_mod, "_noise", counting_noise)
         for g in genomes:
             evaluate(g, small_dataset, ids)
-        assert counted == []
+        assert drawn == [(g.indices, "val") for g in genomes]
+        drawn.clear()
         entries = front_entries(genomes, small_dataset, ids)
         assert [e.rmse_validation for e in entries] == expected
-        assert len(counted) == calls * len(genomes)
+        assert [d for d in drawn if d[1] == "val"] == calls * [(g.indices, "val") for g in genomes]
+        assert [d for d in drawn if d[1] == "test"] == [(g.indices, "test") for g in genomes]
 
     def test_landscape_pinned(self):
         """The skill weights and the noise streams stay as they are: one
@@ -346,17 +363,18 @@ class TestNoise:
 
 @pytest.fixture()
 def predictions(monkeypatch):
-    """The genome of each `predict_targets` call that `evaluate` makes."""
+    """The genome of each prediction that `evaluate` makes: each draws its
+    genome's noise once."""
     import neurotraj.evaluator as evaluator_mod
 
     genomes = []
-    real = evaluator_mod.predict_targets
+    real = evaluator_mod._noise
 
-    def counting(genome, *args):
+    def counting(genome, *args, **kwargs):
         genomes.append(genome.indices)
-        return real(genome, *args)
+        return real(genome, *args, **kwargs)
 
-    monkeypatch.setattr(evaluator_mod, "predict_targets", counting)
+    monkeypatch.setattr(evaluator_mod, "_noise", counting)
     return genomes
 
 
@@ -403,3 +421,206 @@ class TestMemo:
         assert data.evaluations == {}
         assert evaluate(g, data, IDS) == evaluate(g, replace(small_dataset), IDS)
         assert len(predictions) == 3
+
+
+    def test_request_predicts_each_distinct_missing_genome_once(self, small_dataset, predictions):
+        """One request with duplicates and genomes already scored predicts
+        each distinct genome missing from the memo once, and returns one
+        vector per requested genome, in order."""
+        pool = [random_genome(TABLE, Random(i)) for i in range(5)]
+        request = [pool[k] for k in (1, 0, 2, 1, 3, 3, 0, 2)]
+        expected = [evaluate(g, replace(small_dataset), IDS) for g in request]
+        data = replace(small_dataset)
+        evaluate(pool[0], data, IDS)
+        predictions.clear()
+        got = evaluate_all(request, data, IDS)
+        assert sorted(predictions) == sorted(g.indices for g in pool[1:4])
+        assert got == expected
+        assert all(v is data.evaluations[g.indices, IDS] for g, v in zip(request, got))
+        assert evaluate_all(request, data, list(IDS)) == got
+        assert len(predictions) == 3
+
+
+    @pytest.mark.parametrize("preset", ["exp1", "exp7"])
+    def test_run_reads_every_request_and_predicts_each_genome_once(self, monkeypatch, preset):
+        """A run reads each requested genome through `experiment.evaluate`,
+        duplicates included, and predicts each distinct genome's validation
+        split once, for its objectives, and once more only for its test split."""
+        import neurotraj.evaluator as evaluator_mod
+        import neurotraj.experiment as experiment_mod
+
+        cfg = preset_config(preset, scale=0.2)
+        data = replace(build_dataset(cfg))
+        drawn, reads = [], []
+        real_noise, real_evaluate = evaluator_mod._noise, experiment_mod.evaluate
+
+        def counting_noise(genome, role, *args, **kwargs):
+            drawn.append((genome.indices, role))
+            return real_noise(genome, role, *args, **kwargs)
+
+        def counting_evaluate(genome, *args):
+            reads.append(genome.indices)
+            return real_evaluate(genome, *args)
+
+        monkeypatch.setattr(evaluator_mod, "_noise", counting_noise)
+        monkeypatch.setattr(experiment_mod, "evaluate", counting_evaluate)
+        record = execute_run(cfg, data, 0)
+        assert record.error is None
+        scored = [g for g, role in drawn if role == "val"]
+        assert sorted(scored) == sorted(set(reads))
+        assert len(reads) == cfg.population * (cfg.generations + 1)
+        assert sorted(g for g, role in drawn if role == "test") == \
+            sorted(tuple(e.genome) for e in record.final_front)
+
+
+def _pinned_dataset(duration_s):
+    return scenario_dataset(DatasetConfig(duration_s=duration_s))
+
+
+def _ids_of(preset):
+    return tuple(ObjectiveId.from_token(t) for t in PRESETS[preset]["objectives"])
+
+
+def _digest(vectors):
+    return hashlib.sha256(repr(vectors).encode()).hexdigest()
+
+
+# sha256 of the repr of the objective vectors of 300 `Random(0)` genomes,
+# each scored alone: on the `search` workload's exp2 (30 s) and exp13
+# (150 s) datasets, and on the preset dataset for every preset's objective
+# set and for all five objectives.
+PINNED = [
+    (30.0, _ids_of("exp2"), "95964745689c3e930a77ff08c44972592a518717abb4670106e89bb11e055724"),
+    (150.0, _ids_of("exp13"), "1219e8a41bac5f0f76d4f64282808f1bb84aeac496f6ba0d07f93ccef221c84c"),
+    (600.0, _ids_of("exp1"), "d6e9a733d6c41a7d9786d09ac77cd5849737c2387325bbb8d99a7dcac47db160"),
+    (600.0, _ids_of("exp2"), "7d4c7d350464f0a50d8d5d22f631685483511c37913c161537e73ff5ffb31320"),
+    (600.0, _ids_of("exp3"), "160deb7815eae3b44c5362966fc29a023312b43a28ccc0d5ad5bb6a5262a456f"),
+    (600.0, _ids_of("exp4"), "7b75293d4ce80ea476dc1a7b403645e73a1b556d4e58aaed61cc5f853737797f"),
+    (600.0, _ids_of("exp5"), "c05232e3e6e025fc058812d10204453e7d5f443775cb3b0aa5a23c8c2c8002cf"),
+    (600.0, _ids_of("exp10"), "22c862d0b8fd82261af8c630dd6168caa42e73faf8a63afece67e72a825c286d"),
+    (600.0, _ids_of("exp12"), "dd700a8ebbee88498dfad6cf43db841cde2b9972025ef02cd8789378b4b7c1f1"),
+    (600.0, tuple(ObjectiveId), "42a892aee256dc18e0b7f527ac9f405e69062153282384094617c8663e2acbcb"),
+]
+PINNED_IDS = [f"{d:g}s-" + "+".join(o.token for o in ids) for d, ids, _ in PINNED]
+
+
+@pytest.fixture(scope="module")
+def pinned_datasets():
+    return {d: _pinned_dataset(d) for d in sorted({d for d, _, _ in PINNED})}
+
+
+def _pinned_genomes():
+    rng = Random(0)
+    return [random_genome(TABLE, rng) for _ in range(300)]
+
+
+class TestPinnedValues:
+    """Objective vectors pinned bit for bit, whether each genome is scored
+    alone or all 300 are scored as stacks."""
+
+    @pytest.mark.parametrize("duration_s, ids, digest", PINNED, ids=PINNED_IDS)
+    def test_each_genome_alone(self, pinned_datasets, duration_s, ids, digest):
+        data = replace(pinned_datasets[duration_s])
+        assert _digest([evaluate(g, data, ids) for g in _pinned_genomes()]) == digest
+
+    @pytest.mark.parametrize("duration_s, ids, digest", PINNED, ids=PINNED_IDS)
+    def test_one_request(self, pinned_datasets, duration_s, ids, digest):
+        data = replace(pinned_datasets[duration_s])
+        assert _digest(evaluate_all(_pinned_genomes(), data, ids)) == digest
+
+
+class TestStacking:
+    @settings(max_examples=30, deadline=None)
+    @given(pool=st.lists(GENES, min_size=1, max_size=5, unique=True),
+           picks=st.lists(st.integers(0, 4), min_size=1, max_size=9),
+           seen=st.lists(st.integers(0, 4), max_size=3),
+           block=st.sampled_from([1, 3, None]),
+           ids=st.sampled_from(ID_TUPLES), which=st.integers(0, 1))
+    def test_stack_scores_each_genome_as_alone(self, scenario_pair, pool, picks, seen, block,
+                                               ids, which):
+        """With blocks of 1, 3 or the default number of genomes, a request
+        holding duplicates and genomes already in the memo gets, bit for
+        bit, each genome's vector scored alone, and a final front of those
+        genomes gets each member's entry judged alone."""
+        import neurotraj.evaluator as evaluator_mod
+
+        base = scenario_pair[which]
+        genomes = [Genome(pool[k % len(pool)]) for k in picks]
+        alone = {g: evaluate(g, replace(base), ids) for g in genomes}
+        entries_alone = {g: front_entry(g, replace(base), ids) for g in genomes}
+        data = replace(base)
+        for k in seen:
+            evaluate(Genome(pool[k % len(pool)]), data, ids)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(evaluator_mod, "_block_size", lambda targets: block)
+            got = evaluate_all(genomes, data, ids)
+            members = [Individual(genome=g, objectives=v) for g, v in zip(genomes, got)]
+            entries = _front_entries(members, data, ids)
+        assert got == [alone[g] for g in genomes]
+        assert all(type(v) is float for vector in got for v in vector)
+        assert entries == [entries_alone[g] for g in genomes]
+
+    @pytest.mark.parametrize("block", [2, None])
+    def test_non_finite_block_keeps_none_of_its_vectors(self, small_dataset, monkeypatch, block):
+        """A block whose scorer gives NaN for one set raises ContractError
+        naming the objective; earlier blocks stay in the memo, that block's
+        vectors do not, and later blocks are not scored."""
+        import neurotraj.evaluator as evaluator_mod
+
+        data = replace(small_dataset)
+        genomes = [random_genome(TABLE, Random(i)) for i in range(5)]
+        real = objectives._SCORES[ObjectiveId.L2_LATERAL_VELOCITY]
+        calls = []
+
+        def one_nan(p, a):
+            values = real(p, a)
+            calls.append(values.shape)
+            if len(calls) == (2 if block else 1):
+                values = values.copy()
+                values[-1] = math.nan
+            return values
+
+        if block is not None:
+            monkeypatch.setattr(evaluator_mod, "_block_size", lambda targets: block)
+        monkeypatch.setitem(objectives._SCORES, ObjectiveId.L2_LATERAL_VELOCITY, one_nan)
+        with pytest.raises(ContractError, match="non-finite value nan for l2"):
+            evaluate_all(genomes, data, IDS)
+        kept = genomes[:2] if block else []
+        assert sorted(data.evaluations) == sorted((g.indices, IDS) for g in kept)
+        assert calls == ([(2,), (2,)] if block else [(5,)])
+
+    def test_non_finite_block_fails_the_run(self, monkeypatch):
+        """`execute_run` records a run whose request hits a non-finite value
+        as failed, naming the objective."""
+        cfg = preset_config("exp1", scale=0.2)
+        data = replace(build_dataset(cfg))
+        real = objectives._SCORES[ObjectiveId.L2_LATERAL_VELOCITY]
+
+        def one_nan(p, a):
+            values = real(p, a).copy()
+            values[-1] = math.nan
+            return values
+
+        monkeypatch.setitem(objectives._SCORES, ObjectiveId.L2_LATERAL_VELOCITY, one_nan)
+        record = execute_run(cfg, data, 0)
+        assert record.error == "ContractError: non-finite value nan for l2"
+        assert record.final_front == [] and data.evaluations == {}
+
+    @pytest.mark.parametrize("duration_s", [30.0, 600.0])
+    def test_scoring_500_genomes_peaks_below_a_megabyte(self, pinned_datasets, duration_s):
+        """Blocks keep a request's temporaries small: 500 genomes on the
+        `search` exp2 dataset (18 validation windows) or the preset dataset
+        (475) peak below 1 MB, the memo's 500 vectors included."""
+        data = replace(pinned_datasets[duration_s])
+        ids = tuple(ObjectiveId)
+        rng = Random(5)
+        evaluate(random_genome(TABLE, rng), data, ids)  # derives the split's terms
+        genomes = [random_genome(TABLE, rng) for _ in range(500)]
+        tracemalloc.start()
+        try:
+            evaluate_all(genomes, data, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

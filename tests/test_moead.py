@@ -197,11 +197,12 @@ class TestArchive:
 def synth_eval(seed_offset=0):
     cache = {}
 
-    def eval_fn(genome):
-        if genome.indices not in cache:
-            r = Random((hash(genome.indices) ^ seed_offset) & 0xFFFFF)
-            cache[genome.indices] = (r.uniform(0, 5), r.uniform(0, 5))
-        return vec(("rmse", "l2"), cache[genome.indices])
+    def eval_fn(genomes):
+        for genome in genomes:
+            if genome.indices not in cache:
+                r = Random((hash(genome.indices) ^ seed_offset) & 0xFFFFF)
+                cache[genome.indices] = (r.uniform(0, 5), r.uniform(0, 5))
+        return [vec(("rmse", "l2"), cache[g.indices]) for g in genomes]
 
     return eval_fn
 
@@ -228,7 +229,7 @@ class TestStep:
             ideal=(1.0, 2.0),
             archive=[Individual(genome=g, objectives=obj)],
         )
-        eval_fn = lambda genome: obj
+        eval_fn = lambda genomes: [obj for _ in genomes]
         moead_step(state, lattice, nbhd, eval_fn, ops, Random(4))
         assert all(i.genome == g and i.objectives == (1.0, 2.0) for i in state.solutions)
         assert len(state.archive) == 1
@@ -246,10 +247,10 @@ class TestStep:
         seen = []
         base = synth_eval()
 
-        def tracking_eval(genome):
-            obj = base(genome)
-            seen.append(obj)
-            return obj
+        def tracking_eval(genomes):
+            objs = base(genomes)
+            seen.extend(objs)
+            return objs
 
         lattice = simplex_lattice(2, 5)
         nbhd = build_neighborhoods(lattice, 3)
@@ -281,7 +282,8 @@ class TestStep:
 
 
 class TestScoring:
-    """The engine scores each genome it breeds for a subproblem once, in draw order."""
+    """The engine scores its lattice population in one `evaluate_fn` call, then
+    each genome it breeds for a subproblem in a call of its own, in draw order."""
 
     def test_init_state_and_step_score_once_per_subproblem(self):
         lattice = simplex_lattice(2, 7)
@@ -290,11 +292,12 @@ class TestScoring:
         ops = BreedingLog(GeneticOperators(table=TABLE))
         state = init_state(lattice, evaluate_fn, ops, Random(3))
         rng = Random(3)
-        assert evaluate_fn.genomes == [random_genome(TABLE, rng) for _ in range(lattice.size)]
+        assert evaluate_fn.calls == [[random_genome(TABLE, rng) for _ in range(lattice.size)]]
         for _ in range(2):
+            evaluate_fn.calls.clear()
             evaluate_fn.genomes.clear()
             ops.children.clear()
             moead_step(state, lattice, nbhd, evaluate_fn, ops, Random(4))
-            # Each subproblem breeds a pair and scores its first child only.
+            # Each subproblem breeds a pair and scores its first child only, alone.
             assert len(evaluate_fn.genomes) == lattice.size
-            assert evaluate_fn.genomes == ops.children[::2]
+            assert evaluate_fn.calls == [[child] for child in ops.children[::2]]

@@ -218,9 +218,8 @@ class _LookupEval:
         self.default = default
         self.tokens = tokens
 
-    def __call__(self, genome):
-        values = self.mapping.get(genome.indices, self.default)
-        return vec(self.tokens, values)
+    def __call__(self, genomes):
+        return [vec(self.tokens, self.mapping.get(g.indices, self.default)) for g in genomes]
 
 
 class TestStep:
@@ -229,7 +228,7 @@ class TestStep:
         g = Genome((1, 2, 0, 1, 3, 0, 2, 4, 1, 0, 3, 2, 4))
         eval_fn = _LookupEval({g.indices: (1.0, 1.0)})
         ops = GeneticOperators(table=TABLE)
-        pop = [Individual(genome=g, objectives=eval_fn(g)) for _ in range(6)]
+        pop = [Individual(genome=g, objectives=eval_fn([g])[0]) for _ in range(6)]
         nondominated_sort(pop)
         crowding_distance(pop)
         nxt = nsga2_step(pop, eval_fn, ops, Random(3))
@@ -243,7 +242,7 @@ class TestStep:
         # survive intact.
         rng = Random(11)
         parents = [random_genome(TABLE, rng) for _ in range(8)]
-        child_eval = lambda genome: vec(("rmse", "l2"), (50.0, 50.0))
+        child_eval = lambda genomes: [vec(("rmse", "l2"), (50.0, 50.0)) for _ in genomes]
         ops = GeneticOperators(table=TABLE)
         pop = [Individual(genome=p, objectives=vec(("rmse", "l2"), (float(i), float(8 - i))))
                for i, p in enumerate(parents)]
@@ -257,11 +256,12 @@ class TestStep:
         rng = Random(21)
         values = {}
 
-        def eval_fn(genome):
-            if genome.indices not in values:
-                r = Random(hash(genome.indices) & 0xFFFF)
-                values[genome.indices] = (r.uniform(0, 5), r.uniform(0, 5))
-            return vec(("rmse", "l2"), values[genome.indices])
+        def eval_fn(genomes):
+            for genome in genomes:
+                if genome.indices not in values:
+                    r = Random(hash(genome.indices) & 0xFFFF)
+                    values[genome.indices] = (r.uniform(0, 5), r.uniform(0, 5))
+            return [vec(("rmse", "l2"), values[g.indices]) for g in genomes]
 
         ops = GeneticOperators(table=TABLE)
         pop = init_population(10, eval_fn, ops, rng)
@@ -275,14 +275,16 @@ class TestStep:
 
 
 class TestScoring:
-    """The engine scores each genome it breeds for the next population once, in draw order."""
+    """The engine scores each genome it breeds for the next population once,
+    in draw order, the whole population in one `evaluate_fn` call."""
 
     def test_init_population_scores_each_drawn_genome(self):
         evaluate_fn = RecordingEval()
         pop = init_population(7, evaluate_fn, GeneticOperators(table=TABLE), Random(2))
         rng = Random(2)
-        assert evaluate_fn.genomes == [random_genome(TABLE, rng) for _ in range(7)]
+        assert evaluate_fn.calls == [[random_genome(TABLE, rng) for _ in range(7)]]
         assert [i.genome for i in pop] == evaluate_fn.genomes
+        assert [i.objectives for i in pop] == [RecordingEval.value(g) for g in evaluate_fn.genomes]
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_step_scores_the_first_n_children(self, n):
@@ -291,6 +293,6 @@ class TestScoring:
         evaluate_fn = RecordingEval()
         ops = BreedingLog(GeneticOperators(table=TABLE))
         nsga2_step(pop, evaluate_fn, ops, rng)
-        assert evaluate_fn.genomes == ops.children[:n]
+        assert evaluate_fn.calls == [ops.children[:n]]
         # An odd n breeds one child more than it scores: the last pair's second.
         assert len(ops.children) == n + n % 2

@@ -374,6 +374,36 @@ def loop_objectives(predicted, actual):
     return l1 / n, l2 / n, l3 / n, dist / points, (err / points) / max(1, matches)
 
 
+class TestStacks:
+    """A predicted (G, P, tau) stack scores each set as the set alone does."""
+
+    @pytest.mark.parametrize("g", [1, 4])
+    def test_each_stacked_set_scores_as_alone(self, small_dataset, g):
+        from neurotraj.evaluator import predict_targets, skill_scores
+        from neurotraj.genome import default_allele_table, random_genome
+
+        actual = small_dataset.validation_targets
+        rng = Random(4)
+        genomes = [random_genome(default_allele_table(), rng) for _ in range(g)]
+        sets = [predict_targets(genome, skill_scores(genome), actual, "val") for genome in genomes]
+        stack = Columns(np.stack([c.x for c in sets]), np.stack([c.y for c in sets]), actual.t)
+        ids = tuple(ObjectiveId)
+        alone = [assemble(ids, Columns(c.x, c.y, c.t), actual) for c in sets]
+        assert assemble(ids, stack, actual) == alone
+        assert rmse(stack, actual) == [rmse(c, actual) for c in sets]
+        assert signloss(stack, actual) == [signloss(c, actual) for c in sets]
+        for oid in ids:
+            column = objectives._SCORES[oid](stack, actual)
+            assert column.shape == (g,)
+            assert column.tolist() == [objectives._SCORES[oid](c, actual).tolist() for c in sets]
+
+    def test_stack_must_match_the_actual_set(self, small_dataset):
+        actual = small_dataset.validation_targets
+        stack = Columns(np.stack([actual.x[:-1]] * 2), np.stack([actual.y[:-1]] * 2), actual.t[:-1])
+        with pytest.raises(ContractError, match="shape"):
+            assemble((ObjectiveId.RMSE,), stack, actual)
+
+
 class TestLoopReference:
     def test_batch_matches_per_point_loops(self, small_dataset):
         from neurotraj.evaluator import predict_targets
