@@ -139,7 +139,7 @@ def _analyze(args: argparse.Namespace) -> int:
         raise MalformedRecordsError("no front points found in the experiment records")
     all_points = np.concatenate(fronts)
     m = len(cfg.objective_ids)
-    ref = tuple(max(1e-9, 1.1 * float(v)) for v in all_points.max(axis=0))
+    ref = np.maximum(1.1 * all_points.max(axis=0), 1e-9)
 
     for name, group in groups:
         artifacts.append(write_csv(out_dir / name, ["generation", "run", "value"], (
@@ -176,7 +176,7 @@ def _analyze(args: argparse.Namespace) -> int:
 
     doc = summarize(records, against=against_records, alpha=args.alpha,
                     comparisons=args.comparisons)
-    doc["hypervolume_reference"] = list(ref)
+    doc["hypervolume_reference"] = ref.tolist()
     if against_dir is not None:
         doc["against"] = str(against_dir)
     artifacts.append(write_json(out_dir / SUMMARY_FILE, doc))

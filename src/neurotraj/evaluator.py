@@ -22,12 +22,13 @@ temporaries of a block stay near 64 KB however many genomes a call scores.
 
 The search scores the validation split only, on the searched objectives.
 `evaluate_all` scores, as stacks, every genome of one request that the
-dataset has not kept. The test split, and the plain validation RMSE where RMSE is
-not searched, are predicted once per final-front model. All read their
-split's target terms from the `Dataset`, which derives them once. The
-dataset also keeps every objective vector, so each distinct (genome,
-objective ids) is scored once per dataset however often the engines ask
-for it.
+dataset has not kept. Only the test split is predicted in `experiment`,
+once per final-front model; where RMSE is not searched, `validation_rmse`
+predicts the validation split once more per model for its plain RMSE.
+All read their split's target terms from the `Dataset`, which derives
+them once. The dataset also keeps every objective vector, so each
+distinct (genome, objective ids) is scored once per dataset however often
+the engines ask for it.
 """
 
 from __future__ import annotations
@@ -249,8 +250,10 @@ def evaluate(genome: Genome, data: Dataset, ids: Sequence[ObjectiveId]) -> Objec
     return evaluate_all((genome,), data, ids)[0]
 
 
-def validation_rmse(genome: Genome, skills: tuple[float, float, float], data: Dataset) -> float:
-    """The plain validation RMSE of one model, the value `evaluate` gives
-    for RMSE when it is searched."""
+def validation_rmse(genomes: Sequence[Genome], skills: Sequence[tuple[float, float, float]],
+                    data: Dataset) -> list[float]:
+    """The plain validation RMSE of each model with its skills, predicted as
+    stacks: the value `evaluate_all` gives for RMSE when it is searched."""
     actual = data.validation_targets
-    return rmse(predict_targets(genome, skills, actual, "val"), actual)
+    return [value for predicted in predictions(genomes, skills, actual, "val")
+            for value in rmse(predicted, actual)]

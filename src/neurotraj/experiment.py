@@ -26,7 +26,7 @@ from . import nsga2 as nsga2_mod
 from .analysis import ValidityReport, bonferroni, classify_validity, permutation_test, ranksum_test
 from .config import Config
 from .errors import ConfigurationError, ContractError, MalformedRecordsError, NeurotrajError
-from .evaluator import evaluate, evaluate_all, predictions, skill_scores
+from .evaluator import evaluate, evaluate_all, predictions, skill_scores, validation_rmse
 from .genome import N_LOCI, GeneticOperators, Genome, default_allele_table
 from .objectives import ObjectiveId, Objectives, rmse
 from .trajectory import Dataset, generate_scenario, read_csv, window_and_split, write_csv, write_json
@@ -192,8 +192,8 @@ def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
                    ids: Sequence[ObjectiveId]) -> list[FrontEntry]:
     """Judge each final-front model on the test split, all models predicted
     as stacks, from skills computed once per model. Its validation RMSE is
-    its searched RMSE objective, or where RMSE is not searched, computed
-    here from the models' validation predictions, stacked the same way."""
+    its searched RMSE objective, or where RMSE is not searched, the
+    evaluator's `validation_rmse`."""
     genomes = [ind.genome for ind in individuals]
     skills = [skill_scores(g) for g in genomes]
     actual = data.test_targets
@@ -205,9 +205,7 @@ def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
         searched = ids.index(ObjectiveId.RMSE)
         rmse_validation = [ind.objectives[searched] for ind in individuals]
     else:
-        actual = data.validation_targets
-        rmse_validation = [value for predicted in predictions(genomes, skills, actual, "val")
-                           for value in rmse(predicted, actual)]
+        rmse_validation = validation_rmse(genomes, skills, data)
     return [FrontEntry(genome=ind.genome.indices, objectives=ind.objectives, rmse_validation=val,
                        rmse_test=test, validity=report, skills=s)
             for ind, val, test, report, s in zip(individuals, rmse_validation, rmse_test,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product
 from random import Random
 from typing import Sequence
 
@@ -35,15 +36,9 @@ def simplex_lattice(m: int, resolution: int) -> WeightLattice:
     if resolution < 1:
         raise ConfigurationError(f"lattice resolution must be >= 1, got {resolution}")
     h = resolution
-    weights = []
-    if m == 2:
-        for i in range(h + 1):
-            weights.append((i / h, (h - i) / h))
-    else:
-        for i in range(h + 1):
-            for j in range(h - i + 1):
-                weights.append((i / h, j / h, (h - i - j) / h))
-    return WeightLattice(tuple(weights))
+    # The first m - 1 coordinates in lexicographic order; the last takes the rest.
+    return WeightLattice(tuple((*(c / h for c in head), (h - sum(head)) / h)
+                               for head in product(range(h + 1), repeat=m - 1) if sum(head) <= h))
 
 
 def lattice_resolution_for(m: int, population: int) -> int:

@@ -183,7 +183,7 @@ class TestEvaluate:
         assert all(type(v) is float for v in res)
         searched = res[IDS.index(ObjectiveId.RMSE)]
         assert searched == front_entry(g, small_dataset, IDS).rmse_validation
-        assert searched == validation_rmse(g, skill_scores(g), small_dataset)
+        assert [searched] == validation_rmse([g], [skill_scores(g)], small_dataset)
 
     def test_skill_fields_logged(self, small_dataset):
         g = random_genome(TABLE, Random(1))
@@ -527,6 +527,44 @@ class TestPinnedValues:
     def test_one_request(self, pinned_datasets, duration_s, ids, digest):
         data = replace(pinned_datasets[duration_s])
         assert _digest(evaluate_all(_pinned_genomes(), data, ids)) == digest
+
+
+# sha256 of the repr of every field of the final-front entries of 40
+# `Random(0)` genomes on the preset dataset, for exp2's and exp5's
+# objectives (validation RMSE predicted by the judge) and exp6's (searched).
+PINNED_JUDGE = [
+    ("exp2", "7dceaec8de3e346ca6f90acc3bf8a1e05ce3073ece9797867cce71d465f82bc5"),
+    ("exp5", "8e5f80a3b93af82b03cf89be5855e9c72cb235357729a33cdc45d8debb2f5422"),
+    ("exp6", "4c5bf75d11889040c0640aeeb86debb2e48d00d0f2fb41de5b9e0501d7b49997"),
+]
+
+
+class TestPinnedJudge:
+    @pytest.mark.parametrize("preset, digest", PINNED_JUDGE, ids=[p for p, _ in PINNED_JUDGE])
+    def test_front_entries(self, pinned_datasets, preset, digest):
+        data = replace(pinned_datasets[600.0])
+        entries = front_entries(_pinned_genomes()[:40], data, _ids_of(preset))
+        assert _digest([[getattr(e, f.name) for f in fields(FrontEntry)] for e in entries]) == digest
+
+    @settings(max_examples=30, deadline=None)
+    @given(pool=st.lists(GENES, min_size=1, max_size=5, unique=True),
+           picks=st.lists(st.integers(0, 4), min_size=1, max_size=9),
+           block=st.sampled_from([1, 3, None]), which=st.integers(0, 1))
+    def test_validation_rmse_is_the_searched_rmse(self, scenario_pair, pool, picks, block, which):
+        """With blocks of 1, 3 or the default number of genomes, the judge's
+        validation RMSE of each model of a list holding duplicates is, bit
+        for bit, the RMSE objective the search scores for it."""
+        import neurotraj.evaluator as evaluator_mod
+
+        data = scenario_pair[which]
+        genomes = [Genome(pool[k % len(pool)]) for k in picks]
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(evaluator_mod, "_block_size", lambda targets: block)
+            got = validation_rmse(genomes, [skill_scores(g) for g in genomes], data)
+            searched = evaluate_all(genomes, replace(data), (ObjectiveId.RMSE,))
+        assert got == [v for (v,) in searched]
+        assert all(type(v) is float for v in got)
 
 
 class TestStacking:

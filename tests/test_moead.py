@@ -57,6 +57,20 @@ class TestSimplexLattice:
     def test_unsupported_m_rejected(self):
         with pytest.raises(ConfigurationError):
             simplex_lattice(4, 3)
+        with pytest.raises(ConfigurationError):
+            simplex_lattice(3, 0)
+
+    def test_equals_nested_loops(self):
+        """The weights equal, with `==`, those of one nested loop per m."""
+        def nested(m, h):
+            if m == 2:
+                return tuple((i / h, (h - i) / h) for i in range(h + 1))
+            return tuple((i / h, j / h, (h - i - j) / h)
+                         for i in range(h + 1) for j in range(h - i + 1))
+
+        for m in (2, 3):
+            for h in range(1, 61):
+                assert simplex_lattice(m, h).weights == nested(m, h), (m, h)
 
     def test_resolution_for_population(self):
         assert lattice_resolution_for(3, 45) == 8
