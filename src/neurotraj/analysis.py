@@ -165,28 +165,38 @@ def spearman(
     return CorrelationResult(coefficient=rho, p_value=min(1.0, p), n=n)
 
 
-def classify_validity(predicted_test) -> ValidityReport:
+def classify_validity(predicted_test) -> ValidityReport | list[ValidityReport]:
     """Spread / symmetry / final-position classification of one model's
-    predicted test trajectories, a `Columns` set or (P, tau, 3) rows.
-    Thresholds are boundary-exact: spread and final position strictly
+    predicted test trajectories, a `Columns` set or (P, tau, 3) rows. For a
+    (G, P, tau) stack of G sets, one report per set, each equal to the set's
+    own. Thresholds are boundary-exact: spread and final position strictly
     exceed, symmetry is an inclusive bound."""
     predicted = Columns.of(predicted_test)
-    if not len(predicted.x):
+    if not predicted.x.size:
         raise ContractError("need at least one predicted sequence")
-    max_abs_x = float(predicted.abs_x.max())
-    mean_final_x = float(predicted.x[:, -1].mean())
-    mean_final_dy = float((predicted.y[:, -1] - predicted.y[:, 0]).mean())
+    stacked = predicted.x.ndim == 3
+    x, y, abs_x = predicted.x, predicted.y, predicted.abs_x
+    if not stacked:
+        x, y, abs_x = x[None], y[None], abs_x[None]
+    # Each set's means are sums of one contiguous row, over its count: the
+    # additions `mean` makes over one set's column.
+    max_abs_x = np.maximum.reduce(abs_x.reshape(len(x), -1), -1).tolist()
+    mean_final_x = (np.add.reduce(np.ascontiguousarray(x[..., -1]), -1) / x.shape[1]).tolist()
+    mean_final_dy = (np.add.reduce(y[..., -1] - y[..., 0], -1) / y.shape[1]).tolist()
 
-    spread_ok = max_abs_x > SPREAD_THRESHOLD_M
-    symmetry_ok = abs(mean_final_x) <= SYMMETRY_THRESHOLD_M
-    final_position_ok = mean_final_dy > FINAL_POSITION_THRESHOLD_M
-    return ValidityReport(
-        valid=spread_ok and symmetry_ok and final_position_ok,
-        spread_ok=spread_ok,
-        symmetry_ok=symmetry_ok,
-        final_position_ok=final_position_ok,
-        measured=(max_abs_x, mean_final_x, mean_final_dy),
-    )
+    reports = []
+    for measured in zip(max_abs_x, mean_final_x, mean_final_dy):
+        spread_ok = measured[0] > SPREAD_THRESHOLD_M
+        symmetry_ok = abs(measured[1]) <= SYMMETRY_THRESHOLD_M
+        final_position_ok = measured[2] > FINAL_POSITION_THRESHOLD_M
+        reports.append(ValidityReport(
+            valid=spread_ok and symmetry_ok and final_position_ok,
+            spread_ok=spread_ok,
+            symmetry_ok=symmetry_ok,
+            final_position_ok=final_position_ok,
+            measured=measured,
+        ))
+    return reports if stacked else reports[0]
 
 
 def _swept_areas(f1: np.ndarray, f2: np.ndarray, ref0: float, ref1: float) -> np.ndarray:

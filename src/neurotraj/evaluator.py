@@ -211,14 +211,6 @@ def predictions(genomes: Sequence[Genome], skills: Sequence[tuple[float, float, 
         yield _predicted(genomes[start:start + size], skills[start:start + size], targets, role)
 
 
-def predict_targets(genome: Genome, skills: tuple[float, float, float], targets: Columns,
-                    role: str) -> Columns:
-    """Transform the (P, tau) target columns of a split into one model's
-    predictions, as `_predicted` does for a stack; `role` ("val" or "test")
-    keys the noise."""
-    return _predicted((genome,), (skills,), targets, role).sets()[0]
-
-
 def evaluate_all(genomes: Sequence[Genome], data: Dataset,
                  ids: Sequence[ObjectiveId]) -> list[Objectives]:
     """The objectives `ids` of each genome on the validation split, the only

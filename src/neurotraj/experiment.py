@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
@@ -200,7 +199,7 @@ def _front_entries(individuals: Sequence[nsga2_mod.Individual], data: Dataset,
     rmse_test, validity = [], []
     for predicted in predictions(genomes, skills, actual, "test"):
         rmse_test += rmse(predicted, actual)
-        validity += [classify_validity(member) for member in predicted.sets()]
+        validity += classify_validity(predicted)
     if ObjectiveId.RMSE in ids:
         searched = ids.index(ObjectiveId.RMSE)
         rmse_validation = [ind.objectives[searched] for ind in individuals]
@@ -292,6 +291,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None,
     # The pool starts all its workers at once, so it gets no more than there are runs.
     workers = min(jobs, cfg.runs)
     if workers > 1:
+        # Imported here: one-job runs and the other commands need not load
+        # multiprocessing, socket and subprocess.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(execute_run, [cfg] * cfg.runs, [data] * cfg.runs,
                                     range(cfg.runs)))

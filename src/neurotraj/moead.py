@@ -1,12 +1,17 @@
 """Decomposition search: simplex-lattice weights, Euclidean neighborhoods,
 Tchebycheff scalarization with a maintained ideal point, in-order neighbor
-replacement and an external archive of non-dominated solutions."""
+replacement and an external archive of non-dominated solutions.
+
+A step keeps each incumbent's scalar score until the ideal point moves or
+the incumbent is replaced, and the archive takes each child in one pass
+over its members."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
+from operator import ge, le
 from random import Random
 from typing import Sequence
 
@@ -14,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .genome import GeneticOperators, random_genome
-from .nsga2 import EvaluateFn, Individual, dominates, scored
+from .nsga2 import EvaluateFn, Individual, scored
 from .objectives import Objectives
 
 NEIGHBORHOOD_SIZE = 7  # T, the weight vectors each subproblem breeds from and replaces
@@ -88,15 +93,30 @@ class MoeadState:
 
 
 def archive_insert(archive: list[Individual], candidate: Individual) -> None:
-    """Keep the archive mutually non-dominated; exact duplicates are a no-op."""
+    """Keep the archive mutually non-dominated; exact duplicates are a no-op.
+
+    One pass compares each member with the candidate once: a member that
+    dominates it, or has its genome and objectives, leaves the archive as it
+    was; the members it dominates are dropped and it goes last. The list is
+    updated in place."""
+    c = candidate.objectives
+    if archive and len(archive[0].objectives) != len(c):
+        raise ContractError("archive member and candidate differ in objective count")
+    kept = []
     for member in archive:
-        if dominates(member.objectives, candidate.objectives):
+        f = member.objectives
+        # Objectives are finite, so "no worse everywhere and not equal" is
+        # dominance.
+        if f == c:
+            if member.genome.indices == candidate.genome.indices:
+                return
+        elif all(map(le, f, c)):
             return
-        if (member.genome.indices == candidate.genome.indices
-                and member.objectives == candidate.objectives):
-            return
-    archive[:] = [m for m in archive if not dominates(candidate.objectives, m.objectives)]
-    archive.append(candidate)
+        elif all(map(ge, f, c)):
+            continue
+        kept.append(member)
+    kept.append(candidate)
+    archive[:] = kept
 
 
 def init_state(lattice: WeightLattice, evaluate_fn: EvaluateFn, ops: GeneticOperators, rng: Random) -> MoeadState:
@@ -126,7 +146,12 @@ def moead_step(
     scalarizes no worse than, and offer the child to the archive.
     `replacement_log` collects (child score, incumbent score) pairs at the
     ideal point in force when each replacement was accepted.
+
+    An incumbent's score changes only when the ideal point moves or the
+    incumbent is replaced, so each is kept until then: a replaced one takes
+    the child's score, the same formula on the same values.
     """
+    incumbent_scores: dict[int, float] = {}  # subproblem -> score at state.ideal
     for i in range(lattice.size):
         nbhd = neighborhoods[i]
         k = rng.choice(nbhd)
@@ -136,13 +161,20 @@ def moead_step(
         children = ops.offspring(state.solutions[k].genome, state.solutions[l].genome, rng)
         child = scored(children[:1], evaluate_fn)[0]
 
-        state.ideal = update_ideal(state.ideal, child.objectives)
+        ideal = update_ideal(state.ideal, child.objectives)
+        if ideal != state.ideal:
+            incumbent_scores.clear()
+        state.ideal = ideal
         for j in nbhd:
-            g_child = tchebycheff(child.objectives, lattice.weights[j], state.ideal)
-            g_incumbent = tchebycheff(state.solutions[j].objectives, lattice.weights[j], state.ideal)
+            w = lattice.weights[j]
+            g_child = tchebycheff(child.objectives, w, ideal)
+            g_incumbent = incumbent_scores.get(j)
+            if g_incumbent is None:
+                g_incumbent = incumbent_scores[j] = tchebycheff(state.solutions[j].objectives, w, ideal)
             if g_child <= g_incumbent:
                 if replacement_log is not None:
                     replacement_log.append((g_child, g_incumbent))
                 state.solutions[j] = child
+                incumbent_scores[j] = g_child
         archive_insert(state.archive, child)
     return state

@@ -49,14 +49,16 @@ def nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
     if not pop:
         raise ContractError("population must be non-empty")
     f = np.array([ind.objectives for ind in pop], dtype=float)
-    # worse[p, q]: p is worse than q in some objective; better[p, q]: better
-    # in some. Built one objective at a time, so no (n, n, m) array is made.
+    # better[p, q]: p is better than q in some objective. Built one objective
+    # at a time, so no (n, n, m) array is made. For objectives that are not
+    # NaN, p is worse than q somewhere exactly where q is better than p
+    # somewhere, so "better and never worse" is better & ~better.T, taken as
+    # one boolean `>` that yields a C-ordered matrix.
     first, *rest = f.T
-    worse, better = first[:, None] > first, first[:, None] < first
+    better = first[:, None] < first
     for col in rest:
-        worse |= col[:, None] > col
         better |= col[:, None] < col
-    dom = better & ~worse  # dom[p, q]: p dominates q
+    dom = better > better.T  # dom[p, q]: p dominates q
     counts = dom.sum(0)
     front = np.flatnonzero(counts == 0)
     fronts: list[list[Individual]] = []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from neurotraj.errors import ContractError
+from neurotraj.evaluator import predictions
 from neurotraj.trajectory import (
     DT_MAX_S,
     DT_MIN_S,
@@ -45,6 +46,13 @@ def validate_sequence(seq) -> None:
     bad_vy = vy[(vy < V_MIN_MPS - eps) | (vy > V_MAX_MPS + eps)]
     if bad_vy.size:
         raise ContractError(f"longitudinal speed {bad_vy[0]} outside band")
+
+
+def predict_one(genome, skills, targets, role):
+    """One model's prediction of `targets` as its own `Columns` set: the one
+    set of the stack that `predictions` gives for a single genome."""
+    (stack,) = predictions([genome], [skills], targets, role)
+    return stack.sets()[0]
 
 
 def vec(tokens, values) -> tuple[float, ...]:

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_seq, mc_hypervolume
+from conftest import make_seq, mc_hypervolume, predict_one
 from neurotraj import analysis
 from neurotraj.analysis import (
     _PERMUTATION_BLOCK,
@@ -32,9 +32,9 @@ from neurotraj.errors import (
     DegenerateBandwidthError,
     UndefinedCorrelationError,
 )
-from neurotraj.evaluator import predict_targets, skill_scores
-from neurotraj.experiment import build_dataset, preset_config
-from neurotraj.genome import default_allele_table, random_genome
+from neurotraj.evaluator import _block_size, _predicted, skill_scores
+from neurotraj.experiment import DatasetConfig, build_dataset, preset_config, scenario_dataset
+from neurotraj.genome import Genome, default_allele_table, random_genome
 from neurotraj.trajectory import TAU, Columns
 
 
@@ -310,6 +310,32 @@ def test_input_that_is_not_an_array_of_numbers_rejected(call):
         call()
 
 
+def per_set_validity(predicted):
+    """`classify_validity` of one set, reduced as a single set alone: the
+    reference its stacked form must equal."""
+    predicted = Columns.of(predicted)
+    max_abs_x = float(predicted.abs_x.max())
+    mean_final_x = float(predicted.x[:, -1].mean())
+    mean_final_dy = float((predicted.y[:, -1] - predicted.y[:, 0]).mean())
+    spread_ok = max_abs_x > analysis.SPREAD_THRESHOLD_M
+    symmetry_ok = abs(mean_final_x) <= analysis.SYMMETRY_THRESHOLD_M
+    final_position_ok = mean_final_dy > analysis.FINAL_POSITION_THRESHOLD_M
+    return analysis.ValidityReport(
+        valid=spread_ok and symmetry_ok and final_position_ok,
+        spread_ok=spread_ok,
+        symmetry_ok=symmetry_ok,
+        final_position_ok=final_position_ok,
+        measured=(max_abs_x, mean_final_x, mean_final_dy),
+    )
+
+
+@pytest.fixture(scope="module")
+def validation_splits():
+    """The validation targets of 30, 150 and 600 s scenarios, by duration."""
+    return {d: scenario_dataset(DatasetConfig(duration_s=d)).validation_targets
+            for d in (30.0, 150.0, 600.0)}
+
+
 class TestClassifyValidity:
     def _flat(self, final_y=50.0, x=0.0, n_seq=4):
         return [make_seq([(x, final_y / 7 * i) for i in range(8)], dt=0.25)
@@ -375,8 +401,30 @@ class TestClassifyValidity:
         rng, table = Random(6), default_allele_table()
         for _ in range(300):
             genome = random_genome(table, rng)
-            predicted = predict_targets(genome, skill_scores(genome), data.test_targets, "test")
+            predicted = predict_one(genome, skill_scores(genome), data.test_targets, "test")
             assert classify_validity(predicted) == classify_validity(predicted.rows())
+
+    @pytest.mark.parametrize("duration_s, windows", [(30.0, 18), (150.0, 114), (600.0, 475)])
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "default"])
+    @settings(max_examples=10, deadline=None)
+    @given(genes=st.lists(st.tuples(*(st.integers(0, c - 1) for c in default_allele_table().counts)),
+                          min_size=1, max_size=8))
+    def test_stack_reports_equal_per_set_reports(self, validation_splits, duration_s, windows,
+                                                 block, genes):
+        """A (G, P, tau) stack gets, bit for bit, the reports of its sets
+        judged one at a time; 475 windows take the pairwise sum's split."""
+        targets = validation_splits[duration_s]
+        assert len(targets.x) == windows
+        genomes = [Genome(g) for g in genes]
+        skills = [skill_scores(g) for g in genomes]
+        size = block or _block_size(targets)
+        for start in range(0, len(genomes), size):
+            stack = _predicted(genomes[start:start + size], skills[start:start + size],
+                               targets, "val")
+            reports = classify_validity(stack)
+            # As repr, so that the floats compare bit for bit, signed zeros too.
+            assert repr(reports) == repr([per_set_validity(member) for member in stack.sets()])
+            assert all(type(v) is float for report in reports for v in report.measured)
 
     def test_tau_and_final_position_threshold_are_one_decision(self):
         # The presets' ground-truth test targets pass the spread and

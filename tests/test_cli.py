@@ -729,11 +729,13 @@ def _fresh_interpreter(code: str) -> str:
 
 
 def test_import_defers_scipy_and_orjson():
-    """`import neurotraj.cli` loads neither: scipy is a test-only dependency
-    (its `scipy.stats` used to be most of the package's import time), and
-    orjson is imported only where `run` writes snapshots and `analyze` reads
-    them."""
-    code = "import sys, neurotraj.cli; print(sorted({'scipy', 'orjson'} & set(sys.modules)))"
+    """`import neurotraj.cli` loads none of these: scipy is a test-only
+    dependency (its `scipy.stats` used to be most of the package's import
+    time), orjson is imported only where `run` writes snapshots and
+    `analyze` reads them, and multiprocessing only where `run --jobs` above
+    1 starts its process pool."""
+    code = ("import sys, neurotraj.cli; "
+            "print(sorted({'scipy', 'orjson', 'multiprocessing'} & set(sys.modules)))")
     assert _fresh_interpreter(code) == "[]"
 
 

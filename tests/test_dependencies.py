@@ -73,12 +73,13 @@ def test_only_trajectory_imports_csv():
 
 def test_imports_inside_functions_are_the_known_exceptions():
     """orjson stays out of import time for the commands that do not touch run
-    files."""
+    files, and the process pool for those that run one job at a time."""
     found = {(path.name, *pair) for path in sorted(PACKAGE.glob("*.py"))
              for pair in function_imports(_parse(path))}
     assert found == {
         ("experiment.py", "persist_experiment", "orjson"),
         ("experiment.py", "_read_run", "orjson"),
+        ("experiment.py", "run_experiment", "ProcessPoolExecutor"),
     }
 
 

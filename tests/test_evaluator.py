@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import validate_sequence
+from conftest import predict_one, validate_sequence
 from neurotraj.analysis import classify_validity
 from neurotraj.errors import ContractError
 from neurotraj import objectives
@@ -25,7 +25,6 @@ from neurotraj.evaluator import (
     _thread,
     evaluate,
     evaluate_all,
-    predict_targets,
     skill_scores,
     validation_rmse,
 )
@@ -119,26 +118,26 @@ class TestSkillScores:
 class TestPredictSequence:
     def test_perfect_skills_identity(self, small_dataset):
         g = random_genome(TABLE, Random(7))
-        pred = predict_targets(g, (1.0, 1.0, 0.5), Columns.of(small_dataset.test[:20, 8:]),
+        pred = predict_one(g, (1.0, 1.0, 0.5), Columns.of(small_dataset.test[:20, 8:]),
                                "test").rows()
         assert rmse(pred, small_dataset.test[:20, 8:]) == 0.0
 
     def test_speed_skill_monotone_in_l3(self, small_dataset):
         g = random_genome(TABLE, Random(7))
         targets = small_dataset.validation_targets
-        fast = predict_targets(g, (1.0, 1.0, 1.0), targets, "val").rows()
-        slow = predict_targets(g, (1.0, 1.0, 0.0), targets, "val").rows()
+        fast = predict_one(g, (1.0, 1.0, 1.0), targets, "val").rows()
+        slow = predict_one(g, (1.0, 1.0, 0.0), targets, "val").rows()
         assert l3_minimized(fast).mean() < l3_minimized(slow).mean()
 
     def test_predictions_keep_velocity_invariants(self, small_dataset):
         g = random_genome(TABLE, Random(2))
         targets = Columns.of(small_dataset.test[:40, 8:])
-        pred = predict_targets(g, skill_scores(g), targets, "test").rows()
+        pred = predict_one(g, skill_scores(g), targets, "test").rows()
         validate_sequence(pred)
 
     def test_timestamps_preserved(self, small_dataset):
         g = random_genome(TABLE, Random(0))
-        pred = predict_targets(g, (0.2, 0.3, 0.9), Columns.of(small_dataset.test[:1, 8:]),
+        pred = predict_one(g, (0.2, 0.3, 0.9), Columns.of(small_dataset.test[:1, 8:]),
                                "test").rows()
         assert pred[0, :, 2].tolist() == small_dataset.test[0, 8:, 2].tolist()
 
@@ -149,11 +148,11 @@ class TestPredictSequence:
         g = Genome(genes)
         for split, role in ((small_dataset.validation, "val"), (small_dataset.test, "test")):
             target = split[:, 8:]
-            pred = predict_targets(g, skills, Columns.of(target), role).rows()
+            pred = predict_one(g, skills, Columns.of(target), role).rows()
             assert pred.shape == target.shape
             assert np.array_equal(pred[..., 2], target[..., 2])
             validate_sequence(pred)
-            perfect = predict_targets(g, (1.0, 1.0, 0.5), Columns.of(target), role).rows()
+            perfect = predict_one(g, (1.0, 1.0, 0.5), Columns.of(target), role).rows()
             assert np.array_equal(perfect, target)
 
 
@@ -203,9 +202,9 @@ class TestEvaluate:
         g = random_genome(TABLE, Random(6))
         skills = skill_scores(g)
         targets = small_dataset.test_targets
-        a = predict_targets(g, skills, targets, "test").rows()
-        assert np.array_equal(a, predict_targets(g, skills, targets, "test").rows())
-        assert not np.array_equal(a, predict_targets(g, skills, targets, "val").rows())
+        a = predict_one(g, skills, targets, "test").rows()
+        assert np.array_equal(a, predict_one(g, skills, targets, "test").rows())
+        assert not np.array_equal(a, predict_one(g, skills, targets, "val").rows())
 
     def test_values_are_python_floats(self, small_dataset):
         # numpy scalars would be persisted as "np.float64(...)" by repr().
@@ -214,7 +213,7 @@ class TestEvaluate:
         assert all(type(v) is float for v in res)
         for ids in (tuple(ObjectiveId), NO_RMSE):
             assert type(front_entry(g, small_dataset, ids).rmse_validation) is float
-        predicted = predict_targets(g, skill_scores(g), small_dataset.test_targets, "test").rows()
+        predicted = predict_one(g, skill_scores(g), small_dataset.test_targets, "test").rows()
         assert all(type(v) is float for v in classify_validity(predicted).measured)
 
     @pytest.mark.parametrize("ids, calls", [(IDS, 0), (NO_RMSE, 1)])
@@ -231,7 +230,7 @@ class TestEvaluate:
         genomes = [random_genome(TABLE, rng) for _ in range(3)]
         expected = []
         for g in genomes:
-            predicted = predict_targets(g, skill_scores(g), small_dataset.validation_targets,
+            predicted = predict_one(g, skill_scores(g), small_dataset.validation_targets,
                                         "val").rows()
             expected.append(rmse(predicted, small_dataset.validation[:, TAU:]))
         drawn = []
@@ -286,7 +285,7 @@ def reference(genome, data, ids):
     """`evaluate`'s values from the public functions on the split arrays,
     without the terms the dataset keeps."""
     actual = data.validation[:, TAU:]
-    predicted = predict_targets(genome, skill_scores(genome), Columns.of(actual), "val").rows()
+    predicted = predict_one(genome, skill_scores(genome), Columns.of(actual), "val").rows()
     values = assemble(ids, predicted, actual)
     if ObjectiveId.RMSE in ids:
         return values, values[ids.index(ObjectiveId.RMSE)]
@@ -305,9 +304,9 @@ class TestDatasetTerms:
             objectives = evaluate(g, data, ids)
             assert (objectives, front_entry(g, data, ids).rmse_validation) == reference(g, data, ids)
             skills = skill_scores(g)
-            predicted = predict_targets(g, skills, data.test_targets, "test")
+            predicted = predict_one(g, skills, data.test_targets, "test")
             fresh = Columns.of(data.test[:, TAU:])
-            assert np.array_equal(predicted.rows(), predict_targets(g, skills, fresh, "test").rows())
+            assert np.array_equal(predicted.rows(), predict_one(g, skills, fresh, "test").rows())
 
     def test_dataset_freed_after_evaluate(self):
         data = window_and_split(generate_scenario(duration_s=30.0, lane_change_rate=0.0, seed=2),

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import predict_one
 import neurotraj.moead as moead_mod
 from neurotraj.analysis import ValidityReport, classify_validity, permutation_test, ranksum_test
 from neurotraj.errors import ConfigurationError, MalformedRecordsError
-from neurotraj.evaluator import evaluate, predict_targets, skill_scores
+from neurotraj.evaluator import evaluate, skill_scores
 from neurotraj.experiment import (
     _METRICS,
     DatasetConfig,
@@ -231,10 +232,10 @@ class TestExecuteRun:
                     entry.objectives
                 skills = skill_scores(genome)
                 assert skills == entry.skills
-                predicted_val = predict_targets(genome, skills, data.validation_targets,
+                predicted_val = predict_one(genome, skills, data.validation_targets,
                                                 "val").rows()
                 assert rmse(predicted_val, data.validation[:, TAU:]) == entry.rmse_validation
-                predicted_test = predict_targets(genome, skills, data.test_targets,
+                predicted_test = predict_one(genome, skills, data.test_targets,
                                                  "test").rows()
                 assert rmse(predicted_test, data.test[:, TAU:]) == entry.rmse_test
                 assert classify_validity(predicted_test) == entry.validity
@@ -283,7 +284,7 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
     def test_pool_no_larger_than_run_count(self, monkeypatch):
-        import neurotraj.experiment as experiment_mod
+        import concurrent.futures
 
         sizes = []
 
@@ -300,7 +301,8 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", InlinePool)
+        # `run_experiment` imports the pool from its module when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         run_experiment(small_config(runs=2), jobs=64)
         assert sizes == [2]
 

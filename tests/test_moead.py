@@ -19,7 +19,7 @@ from neurotraj.moead import (
     tchebycheff,
     update_ideal,
 )
-from neurotraj.nsga2 import Individual
+from neurotraj.nsga2 import Individual, dominates, scored
 
 TABLE = default_allele_table()
 
@@ -206,6 +206,110 @@ class TestArchive:
                                            objectives=vec(tokens, member.objectives)))
         assert len(archive) == len(before)
         assert all(a is b for a, b in zip(archive, before))
+
+
+def two_pass_archive_insert(archive, candidate):
+    """`archive_insert` as two passes over the archive through `dominates`:
+    the reference for the one-pass form."""
+    for member in archive:
+        if dominates(member.objectives, candidate.objectives):
+            return
+        if (member.genome.indices == candidate.genome.indices
+                and member.objectives == candidate.objectives):
+            return
+    archive[:] = [m for m in archive if not dominates(candidate.objectives, m.objectives)]
+    archive.append(candidate)
+
+
+# Few genes and grid values with both zeros, so that equal objectives,
+# signed-zero ties and same-genome repeats are common.
+TIE_VALUES = st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0))
+
+
+class TestArchiveAgainstTwoPassReference:
+    @settings(deadline=None)
+    @given(data=st.data(), m=st.sampled_from((2, 3)))
+    def test_same_members_in_the_same_order(self, data, m):
+        entries = st.tuples(st.integers(0, 2), st.tuples(*[TIE_VALUES] * m))
+        start = [Individual(genome=Genome((gene,) + (0,) * 12), objectives=values)
+                 for gene, values in data.draw(st.lists(entries, max_size=8))]
+        one_pass, two_pass = list(start), list(start)
+        for gene, values in data.draw(st.lists(entries, min_size=1, max_size=30)):
+            if one_pass and data.draw(st.booleans()):
+                # A copy or the very object of a member offered again.
+                member = data.draw(st.sampled_from(one_pass))
+                candidate = data.draw(st.sampled_from((
+                    member, Individual(genome=Genome(member.genome.indices),
+                                       objectives=member.objectives))))
+            else:
+                candidate = Individual(genome=Genome((gene,) + (0,) * 12), objectives=values)
+            archive_insert(one_pass, candidate)
+            two_pass_archive_insert(two_pass, candidate)
+            assert [id(x) for x in one_pass] == [id(x) for x in two_pass]
+
+
+def rescoring_moead_step(state, lattice, neighborhoods, evaluate_fn, ops, rng, replacement_log=None):
+    """`moead_step` scoring every incumbent afresh at every comparison, with
+    the two-pass archive: the reference for kept incumbent scores."""
+    for i in range(lattice.size):
+        nbhd = neighborhoods[i]
+        k = rng.choice(nbhd)
+        l = rng.choice(nbhd)
+        while l == k and len(set(nbhd)) > 1:
+            l = rng.choice(nbhd)
+        children = ops.offspring(state.solutions[k].genome, state.solutions[l].genome, rng)
+        child = scored(children[:1], evaluate_fn)[0]
+
+        state.ideal = update_ideal(state.ideal, child.objectives)
+        for j in nbhd:
+            g_child = tchebycheff(child.objectives, lattice.weights[j], state.ideal)
+            g_incumbent = tchebycheff(state.solutions[j].objectives, lattice.weights[j], state.ideal)
+            if g_child <= g_incumbent:
+                if replacement_log is not None:
+                    replacement_log.append((g_child, g_incumbent))
+                state.solutions[j] = child
+        two_pass_archive_insert(state.archive, child)
+    return state
+
+
+def grid_eval(m, values):
+    """Objectives drawn per genome from `values`, the same on every call."""
+    def objectives(genome):
+        rng = Random(hash(genome.indices))
+        return tuple(rng.choice(values) for _ in range(m))
+
+    return lambda genomes: [objectives(g) for g in genomes]
+
+
+def members(individuals):
+    return [(i.genome.indices, i.objectives) for i in individuals]
+
+
+class TestStepAgainstRescoringReference:
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from((2, 3)), resolution=st.integers(2, 8), t=st.integers(1, 7),
+           seed=st.integers(0, 2 ** 32), values=st.sampled_from((
+               (0.0, -0.0, 0.5, 1.0, 2.0), (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
+               tuple(i / 7 for i in range(50)))))
+    def test_three_generations_equal(self, m, resolution, t, seed, values):
+        lattice = simplex_lattice(m, resolution)
+        nbhd = build_neighborhoods(lattice, min(t, lattice.size))
+        ops = GeneticOperators(table=TABLE)
+        eval_fn = grid_eval(m, values)
+        start = init_state(lattice, eval_fn, ops, Random(seed))
+        kept, rescored = (MoeadState(list(start.solutions), start.ideal, list(start.archive))
+                          for _ in range(2))
+        kept_log, rescored_log = [], []
+        kept_rng, rescored_rng = Random(seed + 1), Random(seed + 1)
+        for _ in range(3):
+            moead_step(kept, lattice, nbhd, eval_fn, ops, kept_rng, replacement_log=kept_log)
+            rescoring_moead_step(rescored, lattice, nbhd, eval_fn, ops, rescored_rng,
+                                 replacement_log=rescored_log)
+            # Compared as repr, which tells -0.0 from 0.0.
+            assert repr(members(kept.solutions)) == repr(members(rescored.solutions))
+            assert repr(kept.ideal) == repr(rescored.ideal)
+            assert repr(members(kept.archive)) == repr(members(rescored.archive))
+            assert repr(kept_log) == repr(rescored_log)
 
 
 def synth_eval(seed_offset=0):

@@ -1,6 +1,7 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,31 @@ class TestDominates:
                         assert dominates(a, c)
 
 
+def two_matrix_fronts(values):
+    """The fronts of `values`, as index lists in release order, peeled from
+    a dominance matrix built from both the "better somewhere" and the
+    "worse somewhere" matrices: the reference for the one-matrix sort."""
+    f = np.array(values, dtype=float)
+    first, *rest = f.T
+    worse, better = first[:, None] > first, first[:, None] < first
+    for col in rest:
+        worse |= col[:, None] > col
+        better |= col[:, None] < col
+    dom = better & ~worse
+    counts = dom.sum(0)
+    front = np.flatnonzero(counts == 0)
+    fronts = []
+    while front.size:
+        fronts.append(front.tolist())
+        below = dom[front]
+        counts[front] = -1
+        counts -= below.sum(0)
+        nxt = np.flatnonzero(counts == 0)
+        last = len(front) - 1 - below[::-1, nxt].argmax(0)
+        front = nxt[np.argsort(last, kind="stable")]
+    return fronts
+
+
 class TestNondominatedSort:
     def test_identical_vectors_single_front(self):
         pop = [ind((1.0, 2.0)) for _ in range(6)]
@@ -126,6 +152,19 @@ class TestNondominatedSort:
                 last = max(pos for pos, d in enumerate(prev) if vals_dominate(rows[d], rows[q]))
                 return last, q
             assert front == sorted(front, key=release_key)
+
+    @settings(deadline=None)
+    @given(data=st.data(), m=st.sampled_from((2, 3)), grid=st.integers(1, 6))
+    def test_equals_two_matrix_reference(self, data, m, grid):
+        # Integer grids: duplicate rows and ties in every objective.
+        rows = data.draw(st.lists(st.tuples(*[st.integers(-grid, grid)] * m),
+                                  min_size=1, max_size=120))
+        pop = [Individual(genome=Genome((0,) * 13), objectives=tuple(map(float, v))) for v in rows]
+        tag = {id(member): i for i, member in enumerate(pop)}
+        fronts = [[tag[id(member)] for member in front] for front in nondominated_sort(pop)]
+        assert fronts == two_matrix_fronts(rows)
+        rank = {i: k for k, front in enumerate(fronts) for i in front}
+        assert [member.rank for member in pop] == [rank[i] for i in range(len(pop))]
 
     def test_empty_population_rejected(self):
         with pytest.raises(ContractError):

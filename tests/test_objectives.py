@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_seq, straight_seq
+from conftest import make_seq, predict_one, straight_seq
 from neurotraj import objectives
 from neurotraj.errors import ContractError, DegenerateTimestepError
 from neurotraj.objectives import (
@@ -379,13 +379,13 @@ class TestStacks:
 
     @pytest.mark.parametrize("g", [1, 4])
     def test_each_stacked_set_scores_as_alone(self, small_dataset, g):
-        from neurotraj.evaluator import predict_targets, skill_scores
+        from neurotraj.evaluator import skill_scores
         from neurotraj.genome import default_allele_table, random_genome
 
         actual = small_dataset.validation_targets
         rng = Random(4)
         genomes = [random_genome(default_allele_table(), rng) for _ in range(g)]
-        sets = [predict_targets(genome, skill_scores(genome), actual, "val") for genome in genomes]
+        sets = [predict_one(genome, skill_scores(genome), actual, "val") for genome in genomes]
         stack = Columns(np.stack([c.x for c in sets]), np.stack([c.y for c in sets]), actual.t)
         ids = tuple(ObjectiveId)
         alone = [assemble(ids, Columns(c.x, c.y, c.t), actual) for c in sets]
@@ -406,14 +406,13 @@ class TestStacks:
 
 class TestLoopReference:
     def test_batch_matches_per_point_loops(self, small_dataset):
-        from neurotraj.evaluator import predict_targets
         from neurotraj.genome import default_allele_table, random_genome
 
         actual = small_dataset.validation[:, 8:]
         rng = Random(11)
         for skills in ((0.1, 0.2, 0.9), (0.7, 0.4, 0.1), (1.0, 1.0, 0.5)):
             genome = random_genome(default_allele_table(), rng)
-            predicted = predict_targets(genome, skills, small_dataset.validation_targets,
+            predicted = predict_one(genome, skills, small_dataset.validation_targets,
                                         "val").rows()
             got = assemble(tuple(ObjectiveId), predicted, actual)
             for g, want in zip(got, loop_objectives(predicted, actual)):
